@@ -30,8 +30,6 @@ from .formula import (
     ContributionRecord,
     DimensionReport,
     JoinClass,
-    compute_epsilon,
-    compute_kc,
     dimension,
     double_points_h1,
     double_points_h1_f1,
@@ -83,8 +81,6 @@ __all__ = [
     "expected_dim",
     "kc_value",
     "epsilon_value",
-    "compute_kc",
-    "compute_epsilon",
     "JoinClass",
     "ContributionRecord",
     "DimensionReport",

@@ -10,9 +10,9 @@ system from that point into dimension n - 1 (degree becomes m_1, the other
 multiplicities become m_1 + m_i - d), and the image point q of the curve's
 projection picks up multiplicity kc+ of the system being projected.  The
 descent lowers m_1 until normalization drops the point or a base case is
-reached: d < 0 (empty), no points (full space), s <= n+2 (subset formula),
-n = 2 (planar closed form), n = 1 (points on a line impose independent
-conditions).
+reached: d < 0 or m_1 > d (empty), no points (full space), s <= n+2
+(subset formula), n = 2 (planar closed form), n = 1 (points on a line
+impose independent conditions).
 
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
@@ -87,8 +87,8 @@ class _TraceNode:
 def _base_value(key: tuple[int, int, tuple[int, ...]]) -> int | None:
     """Value at a leaf of the recursion, or None if another step is needed."""
     n, d, mults = key
-    if d < 0:
-        return 0
+    if d < 0 or (mults and mults[0] > d):
+        return 0  # negative degree, or a point of multiplicity above d: empty
     if not mults:
         return binom(n + d, n)
     if n == 1:

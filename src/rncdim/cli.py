@@ -19,13 +19,14 @@ import sys
 from typing import Sequence
 
 from .castelnuovo import recursive_h0
-from .formula import DimensionReport, dimension, ldim, planar_h0, regularity_index
-from .oracle import OracleSizeError, SweepGrid, consistency_sweep, h0
+from .formula import DimensionReport, dimension, regularity_index
+from .oracle import OracleSizeError, SweepGrid, consistency_sweep, h0, verify_one
 from .systems import (
     LinearSystemSpec,
     epsilon_value,
     kc_value,
     normalize,
+    speciality,
     system,
     vdim,
 )
@@ -113,25 +114,10 @@ def _structured(
     """The one structured-output object shared by dim and report."""
     kc = kc_value(norm.n, norm.d, norm.mults) if norm.s >= norm.n + 3 else None
     eps = epsilon_value(norm.n, norm.d, norm.mults) if norm.s >= norm.n + 3 else None
-    effects = []
-    if report is not None:
-        by_class = {
-            (c.join.c, c.join.sigma, c.join.t): c for c in report.contributions
-        }
-        for join in report.special_effect_varieties:
-            contrib = by_class.get((join.c, join.sigma, join.t))
-            effects.append(
-                {
-                    "c": join.c,
-                    "sigma": join.sigma,
-                    "t": join.t,
-                    "k": join.k,
-                    "r": join.r,
-                    "count": join.count,
-                    "f": contrib.fvalue if contrib else 0,
-                    "signed": contrib.signed_total if contrib else 0,
-                }
-            )
+    effects = [
+        {**rec.join.as_dict(), "f": rec.fvalue, "signed": rec.signed_total}
+        for rec in (report.special_effects if report is not None else ())
+    ]
     return {
         "n": sys.n,
         "d": sys.d,
@@ -223,12 +209,10 @@ def cmd_dim(args: argparse.Namespace) -> int:
         return 0 if verdict in ("ok", "agree") else 1
 
     vd = vdim(norm)
-    expected = max(vd, 0)
-    spc = dim_value - expected if dim_value > 0 else max(dim_value - vd, 0)
     print(_sys_label(sys_))
     for label, value in values.items():
         print(f"dimension {value}  [{label}]")
-    print(f"vdim {vd}  expected {expected}  speciality {spc}")
+    print(f"vdim {vd}  expected {max(vd, 0)}  speciality {speciality(dim_value, vd)}")
     if norm.s >= norm.n + 3:
         print(
             f"normalized {_sys_label(norm)}  kc {kc_value(norm.n, norm.d, norm.mults)}"
@@ -267,78 +251,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(_sys_label(sys_))
     print(f"normalized {_sys_label(norm)}")
     print(f"kc {rep.kc}  epsilon {rep.epsilon}")
-    effects = rep.special_effect_varieties
+    effects = rep.special_effects
     if not effects:
         print("no special-effect varieties")
-    else:
-        by_class = {
-            (c.join.c, c.join.sigma, c.join.t): c for c in rep.contributions
-        }
-        for r in sorted({j.r for j in effects}):
-            print(f"{_R_LABEL.get(r, f'{r}-folds')} (r={r}):")
-            for join in (j for j in effects if j.r == r):
-                contrib = by_class.get((join.c, join.sigma, join.t))
-                fval = contrib.fvalue if contrib else 0
-                signed = contrib.signed_total if contrib else 0
-                print(
-                    f"  c={join.c} sigma={join.sigma} t={join.t} k={join.k}"
-                    f" count={join.count} f={fval} signed={signed}"
-                )
+    for r in sorted({rec.join.r for rec in effects}):
+        print(f"{_R_LABEL.get(r, f'{r}-folds')} (r={r}):")
+        for rec in (e for e in effects if e.join.r == r):
+            join = rec.join
+            print(
+                f"  c={join.c} sigma={join.sigma} t={join.t} k={join.k}"
+                f" count={join.count} f={rec.fvalue} signed={rec.signed_total}"
+            )
     print(f"dimension {rep.dimension}  vdim {rep.vdim}  speciality {rep.speciality}")
     return 0
-
-
-def _verify_instance(args: argparse.Namespace) -> int:
-    sys_ = system(args.n, args.d, args.mults)
-    norm = normalize(sys_)
-    values: dict[str, int] = {}
-    notes: list[str] = []
-
-    mode, trials = args.oracle
-    oracle_value = None
-    try:
-        oracle_value = h0(
-            sys_, mode=mode, seed=args.seed, trials=trials, cap_cells=args.cap_cells
-        ).h0
-        values[f"oracle:{mode}"] = oracle_value
-    except OracleSizeError:
-        notes.append(f"oracle skipped: matrix exceeds --cap-cells {args.cap_cells}")
-
-    if norm.s >= norm.n + 3:
-        values["formula"] = dimension(norm).dimension
-        if norm.mults != tuple(sorted((m for m in sys_.mults if m > 0), reverse=True)):
-            notes.append("formula evaluated on the normalized system")
-    values["recursive"] = recursive_h0(norm)
-    if norm.n == 2 and norm.s >= 5:
-        values["planar"] = planar_h0(norm)
-    if len(sys_.mults) <= sys_.n + 2:
-        values["ldim"] = ldim(sys_)
-
-    if oracle_value is None:
-        closed = [v for k, v in values.items()]
-        verdict = "agree" if len(set(closed)) <= 1 else "disagree"
-    elif oracle_value == 0:
-        verdict = "agree"
-        notes.append("empty system: closed evaluators are not compared")
-    else:
-        verdict = (
-            "agree"
-            if all(v == oracle_value for v in values.values())
-            else "disagree"
-        )
-
-    if args.format == "structured":
-        print(json.dumps({"system": _sys_label(sys_), "values": values,
-                          "notes": notes, "verdict": verdict}))
-    else:
-        print(_sys_label(sys_))
-        width = max(len(k) for k in values)
-        for key, value in values.items():
-            print(f"  {key:<{width}}  {value}")
-        for note in notes:
-            print(f"  note: {note}")
-        print(f"verdict: {verdict}")
-    return 0 if verdict == "agree" else 1
 
 
 def _verify_grid(args: argparse.Namespace) -> int:
@@ -366,7 +291,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _verify_grid(args)
     if args.n is None or args.d is None or args.mults is None:
         raise DomainViolation("verify needs either --grid or -n, -d and -m")
-    return _verify_instance(args)
+    sys_ = system(args.n, args.d, args.mults)
+    mode, trials = args.oracle
+    res = verify_one(sys_, mode, trials, args.seed, args.cap_cells)
+    values = {
+        (f"oracle:{mode}" if key == "oracle" else key): value
+        for key, value in res.values.items()
+    }
+    if args.format == "structured":
+        print(json.dumps({"system": _sys_label(sys_), "values": values,
+                          "notes": list(res.notes), "verdict": res.verdict}))
+    else:
+        print(_sys_label(sys_))
+        width = max(len(k) for k in values)
+        for key, value in values.items():
+            print(f"  {key:<{width}}  {value}")
+        for note in res.notes:
+            print(f"  note: {note}")
+        print(f"verdict: {res.verdict}")
+    return 0 if res.verdict in ("agree", "skip-size") else 1
 
 
 def cmd_regindex(args: argparse.Namespace) -> int:

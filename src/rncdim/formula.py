@@ -30,18 +30,9 @@ from .systems import (
     epsilon_value,
     kc_value,
     normalize,
+    speciality,
     vdim,
 )
-
-
-def compute_kc(sys: LinearSystemSpec | NormalizedSystem) -> int:
-    """Ceiling of (sum m_i - n*d) / (s - n - 2); requires s >= n+3."""
-    return kc_value(sys.n, sys.d, sys.mults)
-
-
-def compute_epsilon(sys: LinearSystemSpec | NormalizedSystem) -> int:
-    """The residue kc*(s-n-2) - (sum m_i - n*d), always in 0..s-n-3."""
-    return epsilon_value(sys.n, sys.d, sys.mults)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +125,10 @@ class ContributionRecord:
 
 @dataclass(frozen=True)
 class DimensionReport:
+    """contributions lists the classes with a nonzero term; special_effects
+    has one record per class with k >= 1 and r >= 1, its f value and signed
+    term 0 when the class contributes nothing."""
+
     input: LinearSystemSpec
     normalized: NormalizedSystem
     kc: int
@@ -143,7 +138,11 @@ class DimensionReport:
     speciality: int
     nonpositive_flag: bool
     contributions: tuple[ContributionRecord, ...]
-    special_effect_varieties: tuple[JoinClass, ...]
+    special_effects: tuple[ContributionRecord, ...]
+
+    @property
+    def special_effect_varieties(self) -> tuple[JoinClass, ...]:
+        return tuple(rec.join for rec in self.special_effects)
 
 
 def dimension(
@@ -158,9 +157,10 @@ def dimension(
     raise ValueError; route those to ldim.
 
     vdim and speciality refer to the normalized system (dropping a redundant
-    point changes the virtual dimension but not the dimension).  When the
-    formula value is <= 0 the report carries nonpositive_flag and speciality
-    is max(dimension - vdim, 0).
+    point changes the virtual dimension but not the dimension).  A point of
+    multiplicity above d empties the system: the report then has dimension
+    0 and no classes.  When the formula value is <= 0 the report carries
+    nonpositive_flag and speciality is max(dimension - vdim, 0).
     """
     if isinstance(sys, NormalizedSystem):
         original = LinearSystemSpec(sys.n, sys.d, sys.mults)
@@ -176,27 +176,20 @@ def dimension(
         )
     kc = kc_value(n, d, mults)
     eps = epsilon_value(n, d, mults)
-    classes = enumerate_join_classes(norm)
+    # A degree-d form with a point of multiplicity m_1 > d is zero.
+    classes = enumerate_join_classes(norm) if mults[0] <= d else []
     total = 0
     records: list[ContributionRecord] = []
+    effects: list[ContributionRecord] = []
     for jc in classes:
-        if prune and jc.vanishes:
-            continue
-        a = n + jc.k - jc.r - 1
-        val = f(jc.t, a, norm.s, eps, n)
-        if val == 0:
-            continue
+        val = 0 if prune and jc.vanishes else f(jc.t, n + jc.k - jc.r - 1, norm.s, eps, n)
         signed = (-1) ** jc.c * jc.count * val
-        total += signed
-        records.append(ContributionRecord(jc, val, signed))
+        if val:
+            total += signed
+            records.append(ContributionRecord(jc, val, signed))
+        if jc.k >= 1 and jc.r >= 1:
+            effects.append(ContributionRecord(jc, val, signed))
     v = vdim(norm)
-    if total > 0:
-        spec_h1 = total - max(v, 0)
-        flag = False
-    else:
-        spec_h1 = max(total - v, 0)
-        flag = True
-    effects = tuple(jc for jc in classes if jc.k >= 1 and jc.r >= 1)
     return DimensionReport(
         input=original,
         normalized=norm,
@@ -204,10 +197,10 @@ def dimension(
         epsilon=eps,
         dimension=total,
         vdim=v,
-        speciality=spec_h1,
-        nonpositive_flag=flag,
+        speciality=speciality(total, v),
+        nonpositive_flag=total <= 0,
         contributions=tuple(records),
-        special_effect_varieties=effects,
+        special_effects=tuple(effects),
     )
 
 
@@ -234,12 +227,14 @@ def ldim_sum(n: int, d: int, mults: Sequence[int]) -> int:
 
 def ldim(sys: LinearSystemSpec | NormalizedSystem) -> int:
     """Dimension for s <= n+2 points (after dropping m <= 0): the subset
-    formula clipped at zero."""
+    formula clipped at zero, and 0 when some m_i > d."""
     ms = [m for m in sys.mults if m > 0]
     if len(ms) > sys.n + 2:
         raise ValueError(
             f"ldim needs at most n+2 = {sys.n + 2} points, got {len(ms)}"
         )
+    if any(m > sys.d for m in ms):
+        return 0  # a point of multiplicity above d empties the system
     return max(ldim_sum(sys.n, sys.d, ms), 0)
 
 

@@ -34,8 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import castelnuovo, formula, systems
 from .binomials import binom
-from .systems import LinearSystemSpec, NormalizedSystem, vdim
+from .systems import LinearSystemSpec, NormalizedSystem
 
 
 def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
@@ -402,31 +403,93 @@ class SweepGrid:
     cap_cells: int = 2_000_000
 
 
+@dataclass(frozen=True)
+class Verification:
+    """One instance checked by every evaluator whose domain covers it.
+
+    values maps evaluator name (oracle, formula, recursive, planar, ldim)
+    to its h0, for the evaluators that ran; notes say what was skipped or
+    changed; verdict is agree, skip-size or disagree:<names>."""
+
+    values: dict[str, int]
+    notes: tuple[str, ...]
+    verdict: str
+
+
+def verify_one(
+    spec: LinearSystemSpec,
+    oracle_mode: str = "exact",
+    trials: int = 3,
+    seed: int = 0,
+    cap_cells: int | None = None,
+    state: castelnuovo.RecState | None = None,
+) -> Verification:
+    """Every evaluator on one system, compared against the oracle.
+
+    The oracle runs unless its exact matrix exceeds cap_cells.  The closed
+    formula runs on the normalized system whenever that has s >= n+3, the
+    recursion always, the planar form for n = 2 with normalized s >= 5, and
+    ldim for at most n+2 positive multiplicities.  Every value is compared,
+    empty systems included.  With the oracle, the verdict is agree when all
+    values equal it and disagree:<names> naming the ones that do not.
+    Without it, the verdict is skip-size when the closed values agree with
+    each other and disagree:<names> naming all of them when they do not,
+    since none can be preferred.  state carries the recursion memo across
+    calls.  Evaluators are looked up in their modules at call time.
+    """
+    norm = systems.normalize(spec)
+    values: dict[str, int] = {}
+    notes: list[str] = []
+    try:
+        values["oracle"] = h0(
+            spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells
+        ).h0
+    except OracleSizeError:
+        notes.append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
+
+    if norm.s >= norm.n + 3:
+        values["formula"] = formula.dimension(norm).dimension
+        if norm.mults != tuple(sorted((m for m in spec.mults if m > 0), reverse=True)):
+            notes.append("formula evaluated on the normalized system")
+    values["recursive"] = castelnuovo.recursive_h0(norm, state=state)
+    if norm.n == 2 and norm.s >= 5:
+        values["planar"] = formula.planar_h0(norm)
+    if sum(m > 0 for m in spec.mults) <= spec.n + 2:
+        values["ldim"] = formula.ldim(spec)
+
+    if "oracle" in values:
+        bad = [k for k, v in values.items() if v != values["oracle"]]
+        verdict = "disagree:" + ",".join(bad) if bad else "agree"
+    elif len(set(values.values())) == 1:
+        verdict = "skip-size"
+    else:
+        verdict = "disagree:" + ",".join(values)
+    return Verification(values, tuple(notes), verdict)
+
+
+RECORD_KEYS = (
+    "n", "d", "mults", "s", "kc", "epsilon",
+    "oracle", "formula", "recursive", "planar", "ldim", "verdict",
+)
+
+
 def consistency_sweep(
     grid: SweepGrid,
     seed: int = 0,
     oracle_mode: str = "exact",
     trials: int = 3,
 ) -> list[dict]:
-    """Evaluate every evaluator on every grid instance and compare.
+    """verify_one on every grid instance, one record each.
 
-    One record per instance (multiplicities as a non-increasing multiset),
-    fields in fixed order: n, d, mults, s, kc, epsilon, oracle, formula,
-    recursive, planar, ldim, verdict.  Evaluators outside their domain
-    report None.  The verdict compares evaluators against the oracle only
-    on instances the oracle calls nonempty (h0 > 0), which is where the
-    closed forms claim the dimension: recursive always there, planar for
-    n = 2 with >= 5 points after normalization, ldim for s <= n+2, and the
-    closed formula additionally only when the instance is already in
-    normal form.  Per-instance failures are recorded as verdicts, never
-    raised.
+    Instances are the multisets of grid.m of each size in grid.s, listed
+    non-increasingly.  Record fields are RECORD_KEYS in that order: kc and
+    epsilon of the input when s >= n+3, the value of each evaluator
+    (None when it did not run), and the verdict of verify_one.  One
+    recursion memo is shared across the sweep.  A failure inside one
+    instance becomes its error:<type>:<message> verdict, never an
+    exception.
     """
-    from .castelnuovo import RecState, recursive_h0
-    from .formula import dimension, ldim, planar_h0
-    from .systems import epsilon_value, kc_value, normalize
-
-    rec_state = RecState()
-    oracle_cache: dict[tuple[int, int, tuple[int, ...]], OracleResult] = {}
+    rec_state = castelnuovo.RecState()
     records: list[dict] = []
     for n in range(grid.n[0], grid.n[1] + 1):
         for d in range(grid.d[0], grid.d[1] + 1):
@@ -435,77 +498,18 @@ def consistency_sweep(
                     range(grid.m[0], grid.m[1] + 1), s
                 ):
                     ms = tuple(sorted(combo, reverse=True))
-                    records.append(
-                        _sweep_one(
-                            n, d, ms, grid, seed, oracle_mode, trials,
-                            oracle_cache, rec_state,
+                    rec = dict.fromkeys(RECORD_KEYS)
+                    rec.update(n=n, d=d, mults=list(ms), s=s, verdict="")
+                    try:
+                        if s >= n + 3:
+                            rec["kc"] = systems.kc_value(n, d, ms)
+                            rec["epsilon"] = systems.epsilon_value(n, d, ms)
+                        res = verify_one(
+                            LinearSystemSpec(n, d, ms), oracle_mode, trials, seed,
+                            grid.cap_cells, rec_state,
                         )
-                    )
+                        rec.update(res.values, verdict=res.verdict)
+                    except Exception as exc:  # a sweep must survive any instance
+                        rec["verdict"] = f"error:{type(exc).__name__}:{exc}"
+                    records.append(rec)
     return records
-
-
-def _sweep_one(
-    n: int,
-    d: int,
-    ms: tuple[int, ...],
-    grid: SweepGrid,
-    seed: int,
-    oracle_mode: str,
-    trials: int,
-    oracle_cache: dict,
-    rec_state,
-) -> dict:
-    from .castelnuovo import recursive_h0
-    from .formula import dimension, ldim, planar_h0
-    from .systems import epsilon_value, kc_value, normalize
-
-    s = len(ms)
-    rec = {
-        "n": n, "d": d, "mults": list(ms), "s": s,
-        "kc": None, "epsilon": None, "oracle": None, "formula": None,
-        "recursive": None, "planar": None, "ldim": None, "verdict": "",
-    }
-    try:
-        if s >= n + 3:
-            rec["kc"] = kc_value(n, d, ms)
-            rec["epsilon"] = epsilon_value(n, d, ms)
-        spec = LinearSystemSpec(n, d, ms)
-        norm = normalize(spec)
-
-        key = (n, d, ms)
-        if key not in oracle_cache:
-            try:
-                oracle_cache[key] = h0(
-                    spec, mode=oracle_mode, seed=seed, trials=trials,
-                    cap_cells=grid.cap_cells,
-                )
-            except OracleSizeError:
-                oracle_cache[key] = None
-        ores = oracle_cache[key]
-        if ores is None:
-            rec["verdict"] = "skip-size"
-            return rec
-        rec["oracle"] = ores.h0
-
-        if norm.s >= norm.n + 3:
-            rec["formula"] = dimension(norm).dimension
-        rec["recursive"] = recursive_h0(norm, state=rec_state)
-        if n == 2 and norm.s >= 5:
-            rec["planar"] = planar_h0(norm)
-        if s <= n + 2:
-            rec["ldim"] = ldim(spec)
-
-        checks = []
-        if ores.h0 > 0:  # closed evaluators are claimed for nonempty systems
-            checks.append(("recursive", rec["recursive"]))
-            if rec["planar"] is not None:
-                checks.append(("planar", rec["planar"]))
-            if rec["ldim"] is not None:
-                checks.append(("ldim", rec["ldim"]))
-            if rec["formula"] is not None and norm.mults == ms:
-                checks.append(("formula", rec["formula"]))
-        bad = [name for name, val in checks if val != ores.h0]
-        rec["verdict"] = "agree" if not bad else "disagree:" + ",".join(bad)
-    except Exception as exc:  # a sweep must survive any single instance
-        rec["verdict"] = f"error:{type(exc).__name__}:{exc}"
-    return rec

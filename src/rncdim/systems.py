@@ -146,3 +146,9 @@ def vdim(sys: LinearSystemSpec | NormalizedSystem) -> int:
 
 def expected_dim(sys: LinearSystemSpec | NormalizedSystem) -> int:
     return max(vdim(sys), 0)
+
+
+def speciality(dim: int, vd: int) -> int:
+    """Gap between a dimension and the virtual dimension vd: dim - max(vd, 0)
+    for a nonempty system, max(dim - vd, 0) when dim <= 0."""
+    return dim - max(vd, 0) if dim > 0 else max(dim - vd, 0)

@@ -163,10 +163,42 @@ def test_verify_structured(capsys):
 
 
 def test_verify_empty_system_note(capsys):
-    assert main(["verify", "-n", "2", "-d", "1", "-m", "1^5"]) == 0
-    out = capsys.readouterr().out
-    assert "empty system: closed evaluators are not compared" in out
-    assert "verdict: agree" in out
+    # Empty systems are compared like any other: every evaluator prints 0.
+    for d, mults in (("1", "1^5"), ("2", "4,1,1,1")):
+        assert main(["verify", "-n", "2", "-d", d, "-m", mults]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "verdict: agree"
+        values = [line.split() for line in out[1:-1]]
+        assert [name for name, _ in values][0] == "oracle:exact"
+        assert "recursive" in dict(values)
+        assert all(value == "0" for _, value in values), out
+
+
+@pytest.mark.parametrize(
+    "cell, cap",
+    [("n=2,d=2,s=4,m=1..4", 2_000_000), ("n=2,d=3,s=5,m=1..3", 120)],
+)
+def test_verify_instance_matches_grid(capsys, cell, cap):
+    code = main(["verify", "--grid", cell, "--cap-cells", str(cap)])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    verdicts = set()
+    for rec in records:
+        argv = ["verify", "-n", str(rec["n"]), "-d", str(rec["d"]),
+                "-m", ",".join(map(str, rec["mults"])),
+                "--cap-cells", str(cap), "--format", "structured"]
+        assert main(argv) == (0 if rec["verdict"] in ("agree", "skip-size") else 1)
+        obj = json.loads(capsys.readouterr().out)
+        grid_values = {
+            ("oracle:exact" if key == "oracle" else key): rec[key]
+            for key in ("oracle", "formula", "recursive", "planar", "ldim")
+            if rec[key] is not None
+        }
+        assert obj["values"] == grid_values
+        assert obj["verdict"] == rec["verdict"]
+        verdicts.add(rec["verdict"])
+    assert code == 0 and verdicts <= {"agree", "skip-size"}
+    if cap < 2_000_000:
+        assert verdicts == {"agree", "skip-size"}
 
 
 def test_verify_requires_instance_or_grid(capsys):

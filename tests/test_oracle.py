@@ -1,12 +1,16 @@
 """Interpolation oracle: matrix construction, exact and modular rank."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rncdim import formula
 from rncdim.binomials import binom
+from rncdim.castelnuovo import recursive_h0
 from rncdim.oracle import (
     CurvePoints,
     OracleSizeError,
@@ -18,8 +22,9 @@ from rncdim.oracle import (
     rank_exact,
     rank_modular,
     sample_points,
+    verify_one,
 )
-from rncdim.systems import system, vdim
+from rncdim.systems import normalize, system, vdim
 
 RECORD_KEYS = [
     "n", "d", "mults", "s", "kc", "epsilon",
@@ -234,3 +239,61 @@ def test_consistency_sweep_size_skip():
     records = consistency_sweep(grid, seed=1)
     assert [rec["verdict"] for rec in records] == ["skip-size"]
     assert records[0]["oracle"] is None
+
+
+# Empty systems: some m_i > d.  The first 20 are the instances of the
+# criterion-3 family where the recursion and ldim gave positive dimensions;
+# the last four are where the closed formula gave -11, -5, -1 and -1.
+EMPTY_SYSTEMS = (
+    "L_2,2(4,1,1,1,1)", "L_2,2(4,2,1,1,1)",
+    "L_2,2(4,1,1,1,1,1)", "L_2,2(4,2,1,1,1,1)",
+    "L_2,2(4,1,1,1,1,1,1)", "L_2,2(4,2,1,1,1,1,1)",
+    "L_2,2(4,1,1,1,1,1,1,1)", "L_2,2(4,2,1,1,1,1,1,1)",
+    "L_3,2(4,1,1,1,1,1)", "L_3,2(4,2,1,1,1,1)", "L_3,2(4,2,2,1,1,1)",
+    "L_3,2(4,1,1,1,1,1,1)", "L_3,2(4,2,1,1,1,1,1)", "L_3,2(4,2,2,1,1,1,1)",
+    "L_3,2(4,1,1,1,1,1,1,1)", "L_3,2(4,2,1,1,1,1,1,1)", "L_3,2(4,2,2,1,1,1,1,1)",
+    "L_3,2(4,1,1,1,1,1,1,1,1)", "L_3,2(4,2,1,1,1,1,1,1,1)", "L_3,2(4,2,2,1,1,1,1,1,1)",
+    "L_4,3(5,1,1,1,1,1,1)", "L_4,3(5,2,1,1,1,1,1)",
+    "L_4,3(5,3,1,1,1,1,1)", "L_4,3(5,2,2,1,1,1,1)",
+)
+
+
+def _parse_label(label):
+    n, d, body = re.fullmatch(r"L_(\d+),(\d+)\(([\d,]+)\)", label).groups()
+    return system(int(n), int(d), [int(m) for m in body.split(",")])
+
+
+@pytest.mark.parametrize("label", EMPTY_SYSTEMS)
+def test_empty_systems_every_evaluator_zero(label):
+    sys_ = _parse_label(label)
+    assert max(sys_.mults) > sys_.d
+    norm = normalize(sys_)
+    assert h0(sys_).h0 == 0
+    assert recursive_h0(norm) == 0
+    if norm.s >= norm.n + 3:
+        rep = formula.dimension(norm)
+        assert rep.dimension == 0 and rep.contributions == ()
+        assert formula.dimension(sys_).dimension == 0
+    if norm.n == 2 and norm.s >= 5:
+        assert formula.planar_h0(norm) == 0
+    if sys_.s <= sys_.n + 2:
+        assert formula.ldim(sys_) == 0
+    res = verify_one(sys_)
+    assert set(res.values.values()) == {0} and res.verdict == "agree", res
+
+
+def test_verify_one_names_wrong_evaluators(monkeypatch):
+    real = formula.dimension
+    monkeypatch.setattr(
+        formula, "dimension",
+        lambda sys: dataclasses.replace(real(sys), dimension=real(sys).dimension + 1),
+    )
+    sys_ = system(2, 4, [2] * 5)
+    res = verify_one(sys_)
+    assert res.values == {"oracle": 1, "formula": 2, "recursive": 1, "planar": 1}
+    assert res.verdict == "disagree:formula"
+    # Without the oracle no evaluator can be preferred: all are named.
+    skipped = verify_one(sys_, cap_cells=5)
+    assert "oracle" not in skipped.values
+    assert skipped.verdict == "disagree:formula,recursive,planar"
+    assert skipped.notes == ("oracle skipped: matrix exceeds --cap-cells 5",)
