@@ -43,7 +43,6 @@ from .formula import (
     regularity_index,
 )
 from .oracle import (
-    CurvePoints,
     OracleResult,
     OracleSizeError,
     SweepGrid,
@@ -52,7 +51,6 @@ from .oracle import (
     h0,
     rank_exact,
     rank_modular,
-    sample_points,
 )
 from .systems import (
     LinearSystemSpec,
@@ -101,8 +99,6 @@ __all__ = [
     "RecStats",
     "RecursionGuardError",
     "h0",
-    "sample_points",
-    "CurvePoints",
     "OracleResult",
     "OracleSizeError",
     "conditions_matrix",

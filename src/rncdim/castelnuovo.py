@@ -60,7 +60,6 @@ class RecStats:
 class RecState:
     """Shared evaluation state: memo keyed by canonical (n, d, mults)."""
 
-    sys: NormalizedSystem | None = None
     memo: dict[tuple[int, int, tuple[int, ...]], int] = field(default_factory=dict)
     stats: RecStats = field(default_factory=RecStats)
 
@@ -193,8 +192,6 @@ def recursive_h0(
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     if state is None:
         state = RecState()
-    if state.sys is None:
-        state.sys = norm
     nodes: list[_TraceNode] | None = [] if trace is not None else None
     val = _eval(norm.key(), state, use_memo, nodes, 0, "root", max_nodes)
     if trace is not None and nodes is not None:

@@ -8,7 +8,8 @@ Subcommands:
   regindex  regularity index, optionally checked over a degree window
 
 Multiplicities accept exponent shorthand: -m 7,6^2,5^7.
-Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 domain violation.
+Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 domain violation
+or a size guard (oracle cell cap, recursion node budget).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from typing import Sequence
 
-from .castelnuovo import recursive_h0
+from .castelnuovo import RecursionGuardError, recursive_h0
 from .formula import DimensionReport, dimension, regularity_index
 from .oracle import OracleSizeError, SweepGrid, consistency_sweep, h0, verify_one
 from .systems import (
@@ -459,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OracleSizeError as exc:
+    except (OracleSizeError, RecursionGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -15,6 +15,12 @@ at the monomial column gamma.  This scales the derivative by 1/alpha! and
 keeps every entry an integer.  Vanishing of all Taylor coefficients of order
 < m_i is equivalent to multiplicity >= m_i (characteristic zero).
 
+Both binomial products and exponents depend only on (n, d, m_i), so one
+cached structural block per (n, d, m) serves every point, and
+conditions_matrix, the one builder, substitutes the parameters into it:
+exactly over the integers, or mod a prime.  Curve parameters are a plain
+sequence of integers, one per point.
+
 Two rank modes:
   * exact: fraction-free (Bareiss) elimination over Python integers; the
     certification path.
@@ -69,74 +75,9 @@ def sample_params(s: int, mode: str = "canonical", seed: int = 0) -> tuple[int, 
     raise ValueError(f"unknown parameter mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class CurvePoints:
-    """s points on the standard rational normal curve (t, t^2, ..., t^n)."""
-
-    n: int
-    params: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(set(self.params)) != len(self.params):
-            raise ValueError("curve parameters must be pairwise distinct")
-        expect = tuple(tuple(t**j for j in range(1, self.n + 1)) for t in self.params)
-        if self.points != expect:
-            raise ValueError("points inconsistent with params")
-
-    @property
-    def s(self) -> int:
-        return len(self.params)
-
-
-def sample_points(n: int, s: int, seed: int = 0, mode: str = "canonical") -> CurvePoints:
-    """Deterministic draw of s distinct points on the curve in P^n."""
-    params = sample_params(s, mode, seed)
-    pts = tuple(tuple(t**j for j in range(1, n + 1)) for t in params)
-    return CurvePoints(n, params, pts)
-
-
 def _condition_orders(m: int, n: int) -> list[tuple[int, ...]]:
     """All derivative orders alpha with |alpha| < m."""
     return monomial_exponents(n, m - 1) if m >= 1 else []
-
-
-def conditions_matrix(
-    sys: LinearSystemSpec | NormalizedSystem,
-    params: Sequence[int],
-) -> list[list[int]]:
-    """Exact integer conditions matrix; rows (point, order), columns monomials."""
-    n, d = sys.n, sys.d
-    if d < 0:
-        raise ValueError("conditions matrix undefined for negative degree")
-    if len(params) != len(sys.mults):
-        raise ValueError("need one curve parameter per point")
-    if len(set(params)) != len(params):
-        raise ValueError("curve parameters must be pairwise distinct")
-    cols = monomial_exponents(n, d)
-    rows: list[list[int]] = []
-    maxexp = n * d
-    for t, m in zip(params, sys.mults):
-        if m <= 0:
-            continue
-        powers = [1] * (maxexp + 1)
-        for e in range(1, maxexp + 1):
-            powers[e] = powers[e - 1] * t
-        for alpha in _condition_orders(m, n):
-            row = []
-            for gamma in cols:
-                c = 1
-                for gj, aj in zip(gamma, alpha):
-                    if gj < aj:
-                        c = 0
-                        break
-                    c *= binom(gj, aj)
-                if c:
-                    exp = sum((j + 1) * (gj - aj) for j, (gj, aj) in enumerate(zip(gamma, alpha)))
-                    c *= powers[exp]
-                row.append(c)
-            rows.append(row)
-    return rows
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -228,8 +169,8 @@ def _structural_block(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     alpha_j); both depend only on (n, d, m), not on the point, so the pair
     of arrays is cached and reused across points, primes and oracle calls.
     coeff <= 2^d, so int64 is exact up to d = 62; beyond that the
-    coefficients are kept as Python integers (object dtype) and reduced by
-    the caller.  Callers must not mutate the returned arrays.
+    coefficients are kept as Python integers (object dtype).  Callers must
+    not mutate the returned arrays.
     """
     cols = monomial_exponents(n, d)
     alphas = _condition_orders(m, n)
@@ -252,27 +193,46 @@ def _structural_block(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return B, E
 
 
-def _modular_matrix(
-    n: int, d: int, mults: Sequence[int], params: Sequence[int], p: int
+def conditions_matrix(
+    sys: LinearSystemSpec | NormalizedSystem,
+    params: Sequence[int],
+    p: int | None = None,
 ) -> np.ndarray:
-    """Conditions matrix reduced mod p, assembled from cached blocks."""
-    ncols = binom(n + d, n)
+    """Conditions matrix; rows (point, order), columns monomials.
+
+    Each point's rows are its cached structural block with t_i substituted.
+    With p None the entries are exact Python integers (object dtype); with a
+    prime p < 2^31 they are reduced mod p in int64.  The parameters must be
+    pairwise distinct, mod p when p is given: congruent parameters are the
+    same point over GF(p).
+    """
+    n, d = sys.n, sys.d
+    if d < 0:
+        raise ValueError("conditions matrix undefined for negative degree")
+    if len(params) != len(sys.mults):
+        raise ValueError("need one curve parameter per point")
+    ts = tuple(params) if p is None else tuple(t % p for t in params)
+    if len(set(ts)) != len(ts):
+        where = "" if p is None else f" mod {p}"
+        raise ValueError(f"curve parameters must be pairwise distinct{where}")
+    dtype = object if p is None else np.int64
     blocks = []
-    for t, m in zip(params, mults):
+    for t, m in zip(ts, sys.mults):
         if m <= 0:
             continue
         B, E = _structural_block(n, d, m)
-        maxexp = int(E.max(initial=0))
-        tp = np.empty(maxexp + 1, dtype=np.int64)
+        tp = np.empty(int(E.max(initial=0)) + 1, dtype=dtype)
         acc = 1
-        tmod = t % p
-        for e in range(maxexp + 1):
+        for e in range(tp.size):
             tp[e] = acc
-            acc = acc * tmod % p
-        Bp = (B % p).astype(np.int64) if B.dtype == object else B % p
-        blocks.append(Bp * tp[E] % p)
+            acc = acc * t if p is None else acc * t % p
+        if p is None:
+            blocks.append(B * tp[E])
+        else:
+            Bp = (B % p).astype(np.int64) if B.dtype == object else B % p
+            blocks.append(Bp * tp[E] % p)
     if not blocks:
-        return np.zeros((0, ncols), dtype=np.int64)
+        return np.zeros((0, binom(n + d, n)), dtype=dtype)
     return np.vstack(blocks)
 
 
@@ -326,7 +286,7 @@ class OracleResult:
 
 def h0(
     sys: LinearSystemSpec | NormalizedSystem,
-    pts: CurvePoints | Sequence[int] | None = None,
+    pts: Sequence[int] | None = None,
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
@@ -334,22 +294,17 @@ def h0(
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
-    pts: a CurvePoints draw or a bare parameter sequence, one per point of
-    sys (None picks canonical 1..s in exact mode, fresh random draws per
-    trial in modular mode).  mode="exact": Bareiss rank over the integers;
-    the certified path.  mode="modular": max rank over `trials` random
-    ~31-bit primes; probabilistic (certified=False).  Degrees d < 0 give
-    h0 = 0; multiplicities <= 0 impose no conditions.
+    pts: curve parameters, one per point of sys, pairwise distinct (None
+    picks canonical 1..s in exact mode, fresh random draws per trial in
+    modular mode).  Both modes build the matrix with conditions_matrix.
+    mode="exact": Bareiss rank over the integers; the certified path.
+    mode="modular": max rank over `trials` random ~31-bit primes;
+    probabilistic (certified=False).  Degrees d < 0 give h0 = 0;
+    multiplicities <= 0 impose no conditions.
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
-    params: tuple[int, ...] | None
-    if pts is None:
-        params = None
-    elif isinstance(pts, CurvePoints):
-        params = pts.params
-    else:
-        params = tuple(pts)
+    params = None if pts is None else tuple(pts)
     if params is not None and len(params) != len(mults):
         raise ValueError("need one curve parameter per point of the system")
     if d < 0:
@@ -362,8 +317,7 @@ def h0(
                 f"exact oracle matrix {nrows}x{ncols} exceeds cap {cap_cells}"
             )
         ps = params if params is not None else sample_params(len(mults))
-        M = conditions_matrix(LinearSystemSpec(n, d, mults), ps)
-        rank = rank_exact(M)
+        rank = rank_exact(conditions_matrix(sys, ps))
         return OracleResult(ncols - rank, rank, nrows, ncols, "exact", True, (ps,))
     if mode == "modular":
         rng = random.Random(seed)
@@ -377,8 +331,7 @@ def h0(
                 if params is not None
                 else sample_params(len(mults), "random", rng.randrange(1 << 30))
             )
-            M = _modular_matrix(n, d, mults, ps, p)
-            best = max(best, rank_modular(M, p))
+            best = max(best, rank_modular(conditions_matrix(sys, ps, p), p))
             draws.append(ps)
             primes.append(p)
         return OracleResult(

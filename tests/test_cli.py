@@ -2,9 +2,12 @@
 
 import argparse
 import json
+from functools import partial
 
 import pytest
 
+from rncdim import castelnuovo, cli
+from rncdim.castelnuovo import recursive_h0
 from rncdim.cli import main, parse_grid, parse_mults, parse_oracle_mode
 
 WORKED_ARGS = ["-n", "5", "-d", "8", "-m", "7,6^2,5^7,2^3"]
@@ -119,6 +122,19 @@ def test_dim_exit_codes(capsys):
     assert "formula needs s >= n+3" in capsys.readouterr().err
     # Invalid system parameters.
     assert main(["dim", "-n", "0", "-d", "1", "-m", "1"]) == 2
+
+
+def test_recursion_guard_exit_code(capsys, monkeypatch):
+    # The node budget ends in exit 3 and one error line, not a traceback.
+    monkeypatch.setattr(cli, "recursive_h0", partial(recursive_h0, max_nodes=10))
+    assert main(["dim", "-n", "6", "-d", "40", "-m", "30^12",
+                 "--evaluators", "recursive"]) == 3
+    assert capsys.readouterr().err == "error: recursion exceeded 10 nodes\n"
+    monkeypatch.setattr(
+        castelnuovo, "recursive_h0", partial(recursive_h0, max_nodes=2)
+    )
+    assert main(["verify", "-n", "3", "-d", "6", "-m", "2^10"]) == 3
+    assert capsys.readouterr().err == "error: recursion exceeded 2 nodes\n"
 
 
 def test_report_worked_example(capsys):

@@ -12,7 +12,6 @@ from rncdim import formula
 from rncdim.binomials import binom
 from rncdim.castelnuovo import recursive_h0
 from rncdim.oracle import (
-    CurvePoints,
     OracleSizeError,
     SweepGrid,
     conditions_matrix,
@@ -21,7 +20,7 @@ from rncdim.oracle import (
     monomial_exponents,
     rank_exact,
     rank_modular,
-    sample_points,
+    sample_params,
     verify_one,
 )
 from rncdim.systems import normalize, system, vdim
@@ -147,7 +146,7 @@ def test_h0_bounds_and_monotonicity():
 def test_h0_point_choice_independence():
     sys = system(2, 4, [2] * 5)
     vals = {
-        h0(sys, pts=sample_points(2, 5, seed=seed, mode="random")).h0
+        h0(sys, pts=sample_params(5, "random", seed)).h0
         for seed in (1, 2, 3)
     }
     assert vals == {1}
@@ -159,7 +158,7 @@ def test_h0_point_choice_independence():
         mults = sorted((rng.randint(1, 3) for _ in range(s)), reverse=True)
         sys = system(n, d, mults)
         canonical = h0(sys).h0
-        drawn = h0(sys, pts=sample_points(n, s, seed=rng.randrange(999), mode="random"))
+        drawn = h0(sys, pts=sample_params(s, "random", rng.randrange(999)))
         assert drawn.h0 == canonical, (n, d, mults)
 
 
@@ -192,25 +191,55 @@ def test_h0_modular_matches_exact():
         assert len(mod.params) == 3
 
 
-def test_curve_points_construction():
-    pts = sample_points(3, 4)
-    assert pts.params == (1, 2, 3, 4)
-    assert pts.points == ((1, 1, 1), (2, 4, 8), (3, 9, 27), (4, 16, 64))
-    assert pts.s == 4
-    again = sample_points(2, 5, seed=7, mode="random")
-    assert again == sample_points(2, 5, seed=7, mode="random")
-    assert again.params != sample_points(2, 5, seed=8, mode="random").params
+def test_sample_params():
+    assert sample_params(4) == (1, 2, 3, 4)
+    assert sample_params(0) == ()
+    drawn = sample_params(5, "random", 7)
+    assert drawn == sample_params(5, "random", 7)
+    assert drawn != sample_params(5, "random", 8)
+    assert len(set(drawn)) == 5 and all(t >= 1 for t in drawn)
+    big = sample_params(40, "random", 3)
+    assert len(set(big)) == 40
+    with pytest.raises(ValueError):
+        sample_params(3, "spread")
 
 
-def test_curve_points_validation():
-    with pytest.raises(ValueError):
-        CurvePoints(2, (1, 1), ((1, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        CurvePoints(2, (1, 2), ((1, 1), (2, 5)))
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_repeated_params_rejected(mode):
+    # The true value is 1; a repeated parameter is one point, not two.
+    with pytest.raises(ValueError, match="distinct"):
+        h0(system(2, 4, [2] * 5), pts=(1, 1, 2, 3, 4), mode=mode, trials=1)
+
+
+def test_conditions_matrix_modular_matches_exact():
+    # L_2,2(2) at t = 2: row alpha = (1, 0), column gamma = (2, 0) is the
+    # Taylor coefficient binom(2, 1) * t^(1*(2-1)) = 4.
+    M = conditions_matrix(system(2, 2, [2]), (2,))
+    cols = monomial_exponents(2, 2)
+    rows = monomial_exponents(2, 1)
+    assert M[rows.index((1, 0))][cols.index((2, 0))] == 4
+    # Parameters congruent mod p are one point over GF(p).
+    with pytest.raises(ValueError, match="distinct mod 7"):
+        conditions_matrix(system(2, 3, [1, 1]), (1, 8), 7)
+    rng = random.Random(61)
+    for p in (7, 101, (1 << 31) - 1):
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            d = rng.randint(0, 5)
+            s = rng.randint(1, 5)
+            mults = [rng.randint(0, 3) for _ in range(s)]
+            # Distinct residues, lifted to parameters of either sign.
+            ps = tuple(r + p * rng.randint(-3, 3) for r in rng.sample(range(min(p, 99)), s))
+            sys_ = system(n, d, mults)
+            exact = conditions_matrix(sys_, ps)
+            mod = conditions_matrix(sys_, ps, p)
+            assert mod.dtype == np.int64
+            assert mod.shape == (len(exact), binom(n + d, n))
+            assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, mults)
 
 
 def test_h0_with_zero_mult_slots():
-    pts = sample_points(2, 7, seed=3, mode="random")
+    pts = sample_params(7, "random", 3)
     res = h0(system(2, 4, [2, 2, 2, 0, 2, 2, 0]), pts=pts)
     assert res.h0 == 1
 
