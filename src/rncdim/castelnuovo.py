@@ -108,70 +108,52 @@ def _eval(
     label: str,
     max_nodes: int,
 ) -> int:
-    state.stats.nodes += 1
-    state.stats.max_depth = max(state.stats.max_depth, depth)
-    if state.stats.nodes > max_nodes:
-        raise RecursionGuardError(f"recursion exceeded {max_nodes} nodes")
-    me = _TraceNode(depth, label, key)
-    if nodes is not None:
-        nodes.append(me)
-    if use_memo and key in state.memo:
-        state.stats.memo_hits += 1
-        me.value = state.memo[key]
-        me.memo = True
-        return me.value
-    base = _base_value(key)
-    if base is not None:
-        me.value = base
-        if use_memo:
-            state.memo[key] = base
-        return base
-
     # m_1-descent: walk the +E_1 chain iteratively, recursing only into the
-    # projected (n-1)-dimensional systems, then unwind the chain, memoizing
-    # each node.  chain[i] = (trace node, projected value at that step).
-    chain: list[tuple[_TraceNode, int]] = []
-    cur = key
-    cur_node = me
+    # projected (n-1)-dimensional systems, until a node is a memo hit or a
+    # base case; then unwind the chain, memoizing each node.
+    # chain[i] = (key, trace node, projected value at that step).
+    stats = state.stats
+    chain: list[tuple[tuple[int, int, tuple[int, ...]], _TraceNode | None, int]] = []
     while True:
-        n, d, mults = cur
-        up_raw = (mults[0] - 1,) + mults[1:]
-        proj = l_map(LinearSystemSpec(n, d, up_raw))
-        proj_key = normalize(proj).key()
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        if stats.nodes > max_nodes:
+            raise RecursionGuardError(f"recursion exceeded {max_nodes} nodes")
+        me = None
+        if nodes is not None:
+            me = _TraceNode(depth, label, key)
+            nodes.append(me)
+        if use_memo and key in state.memo:
+            stats.memo_hits += 1
+            h = state.memo[key]
+            if me is not None:
+                me.memo = True
+            break
+        h = _base_value(key)
+        if h is not None:
+            if use_memo:
+                state.memo[key] = h
+            break
+        n, d, mults = key
+        up = LinearSystemSpec(n, d, (mults[0] - 1,) + mults[1:])
         # Trace the projection child before the +E_1 child so the indented
         # listing nests as a tree (the chain continuation is the +E_1
         # child's subtree and follows it).
+        proj_key = normalize(l_map(up)).key()
         proj_val = _eval(
-            proj_key, state, use_memo, nodes, cur_node.depth + 1, "project", max_nodes
+            proj_key, state, use_memo, nodes, depth + 1, "project", max_nodes
         )
-        up_key = normalize(LinearSystemSpec(n, d, up_raw)).key()
-        up_node = _TraceNode(cur_node.depth + 1, "+E1", up_key)
-        if nodes is not None:
-            nodes.append(up_node)
-        chain.append((cur_node, proj_val))
-        state.stats.nodes += 1
-        state.stats.max_depth = max(state.stats.max_depth, up_node.depth)
-        if use_memo and up_key in state.memo:
-            state.stats.memo_hits += 1
-            up_node.value = state.memo[up_key]
-            up_node.memo = True
-            h = up_node.value
-            break
-        base = _base_value(up_key)
-        if base is not None:
-            up_node.value = base
-            if use_memo:
-                state.memo[up_key] = base
-            h = base
-            break
-        cur = up_key
-        cur_node = up_node
+        chain.append((key, me, proj_val))
+        key, depth, label = normalize(up).key(), depth + 1, "+E1"
 
-    for node, proj_val in reversed(chain):
-        h = h - proj_val
-        node.value = h
+    if me is not None:
+        me.value = h
+    for node_key, node, proj_val in reversed(chain):
+        h -= proj_val
+        if node is not None:
+            node.value = h
         if use_memo:
-            state.memo[node.key] = h
+            state.memo[node_key] = h
     return h
 
 

@@ -2,14 +2,17 @@
 cross-evaluator verification, and the regularity index.
 
 Subcommands:
-  dim       dimension of one system (formula / recursive / oracle / all)
+  dim       dimension of one system by one evaluator (auto / formula /
+            recursive / oracle)
   report    kc, epsilon and the special-effect classes grouped by dimension
   verify    side-by-side evaluator comparison for one instance or a grid
   regindex  regularity index, optionally checked over a degree window
 
-Multiplicities accept exponent shorthand: -m 7,6^2,5^7.
-Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 domain violation
-or a size guard (oracle cell cap, recursion node budget).
+Multiplicities accept exponent shorthand: -m 7,6^2,5^7.  Only dim and
+verify run the oracle, so only they take --seed, --cap-cells and --oracle.
+Exit codes: 0 ok, 1 a verify disagreement or a regindex mismatch, 2 bad
+input, 3 domain violation or a size guard (oracle cell cap, recursion node
+budget).
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ def _structured(
     dim_value: int | None,
     evaluator: str,
     report: DimensionReport | None,
-    verdict: str,
 ) -> dict:
     """The one structured-output object shared by dim and report."""
     kc = kc_value(norm.n, norm.d, norm.mults) if norm.s >= norm.n + 3 else None
@@ -132,7 +134,7 @@ def _structured(
         "evaluator": evaluator,
         "special_effects": effects,
         "trace": [step.as_dict() for step in norm.trace],
-        "verdict": verdict,
+        "verdict": "ok",  # constant; kept so the output keys stay the same
     }
 
 
@@ -156,10 +158,7 @@ def _evaluate(
 ) -> tuple[int, str, DimensionReport | None]:
     """One evaluator's value for the system; returns (value, label, report)."""
     if evaluator == "auto":
-        if norm.s <= norm.n + 2 or norm.n == 1:
-            return recursive_h0(norm), "recursive", None
-        rep = dimension(norm)
-        return rep.dimension, "formula", rep
+        evaluator = "recursive" if norm.s <= norm.n + 2 or norm.n == 1 else "formula"
     if evaluator == "formula":
         if norm.s < norm.n + 3:
             raise DomainViolation(
@@ -180,39 +179,17 @@ def _evaluate(
 def cmd_dim(args: argparse.Namespace) -> int:
     sys_ = system(args.n, args.d, args.mults)
     norm = normalize(sys_)
-
-    if args.evaluators == "all":
-        values: dict[str, int] = {}
-        report = None
-        for ev in ("formula", "recursive", "oracle"):
-            try:
-                value, label, rep = _evaluate(
-                    sys_, norm, ev, args.oracle, args.seed, args.cap_cells
-                )
-            except DomainViolation:
-                continue  # formula off-domain; recursive covers the instance
-            values[label] = value
-            if rep is not None:
-                report = rep
-        agree = len(set(values.values())) == 1
-        dim_value = next(iter(values.values()))
-        verdict = "agree" if agree else "disagree"
-        evaluator = "all"
-    else:
-        dim_value, evaluator, report = _evaluate(
-            sys_, norm, args.evaluators, args.oracle, args.seed, args.cap_cells
-        )
-        values = {evaluator: dim_value}
-        verdict = "ok"
+    dim_value, evaluator, report = _evaluate(
+        sys_, norm, args.evaluators, args.oracle, args.seed, args.cap_cells
+    )
 
     if args.format == "structured":
-        print(json.dumps(_structured(sys_, norm, dim_value, evaluator, report, verdict)))
-        return 0 if verdict in ("ok", "agree") else 1
+        print(json.dumps(_structured(sys_, norm, dim_value, evaluator, report)))
+        return 0
 
     vd = vdim(norm)
     print(_sys_label(sys_))
-    for label, value in values.items():
-        print(f"dimension {value}  [{label}]")
+    print(f"dimension {dim_value}  [{evaluator}]")
     print(f"vdim {vd}  expected {max(vd, 0)}  speciality {speciality(dim_value, vd)}")
     if norm.s >= norm.n + 3:
         print(
@@ -222,9 +199,6 @@ def cmd_dim(args: argparse.Namespace) -> int:
     else:
         print(f"normalized {_sys_label(norm)}")
     _print_trace(norm)
-    if verdict == "disagree":
-        print("verdict: disagree")
-        return 1
     return 0
 
 
@@ -242,11 +216,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     rep = dimension(norm)
 
     if args.format == "structured":
-        print(
-            json.dumps(
-                _structured(sys_, norm, rep.dimension, "formula", rep, "ok")
-            )
-        )
+        print(json.dumps(_structured(sys_, norm, rep.dimension, "formula", rep)))
         return 0
 
     print(_sys_label(sys_))
@@ -328,8 +298,7 @@ def cmd_regindex(args: argparse.Namespace) -> int:
             norm = normalize(sys_d)
             value = recursive_h0(norm)
             vd = vdim(norm)
-            expected = max(vd, 0)
-            special = value != expected
+            special = speciality(value, vd) > 0
             asserted = norm.mults == mults and value > 0
             ok = None
             if asserted:
@@ -374,21 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_d: bool = True) -> None:
-        p.add_argument("-n", type=int, required=True, help="ambient dimension")
+    def add_common(
+        p: argparse.ArgumentParser, need_d: bool = True, required: bool = True
+    ) -> None:
+        p.add_argument("-n", type=int, required=required, help="ambient dimension")
         if need_d:
-            p.add_argument("-d", type=int, required=True, help="degree")
+            p.add_argument("-d", type=int, required=required, help="degree")
         p.add_argument(
             "-m",
             dest="mults",
             type=parse_mults,
-            required=True,
+            required=required,
             help="multiplicities, comma list with ^ shorthand: 7,6^2,5^7",
         )
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--format", choices=("human", "structured"), default="human"
         )
+
+    def add_oracle_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--cap-cells",
             type=int,
@@ -404,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dim", help="dimension of one system")
     add_common(p_dim)
+    add_oracle_options(p_dim)
     p_dim.add_argument(
         "--evaluators",
-        choices=("auto", "formula", "recursive", "oracle", "all"),
+        choices=("auto", "formula", "recursive", "oracle"),
         default="auto",
     )
     p_dim.set_defaults(func=cmd_dim)
@@ -420,17 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="compare evaluators on one instance or a grid"
     )
-    p_verify.add_argument("-n", type=int)
-    p_verify.add_argument("-d", type=int)
-    p_verify.add_argument("-m", dest="mults", type=parse_mults)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--format", choices=("human", "structured"), default="human"
-    )
-    p_verify.add_argument("--cap-cells", type=int, default=2_000_000)
-    p_verify.add_argument(
-        "--oracle", type=parse_oracle_mode, default=("exact", 1)
-    )
+    add_common(p_verify, required=False)
+    add_oracle_options(p_verify)
     p_verify.add_argument(
         "--grid",
         type=parse_grid,

@@ -136,7 +136,6 @@ class DimensionReport:
     dimension: int
     vdim: int
     speciality: int
-    nonpositive_flag: bool
     contributions: tuple[ContributionRecord, ...]
     special_effects: tuple[ContributionRecord, ...]
 
@@ -157,10 +156,10 @@ def dimension(
     raise ValueError; route those to ldim.
 
     vdim and speciality refer to the normalized system (dropping a redundant
-    point changes the virtual dimension but not the dimension).  A point of
+    point changes the virtual dimension but not the dimension); speciality
+    is systems.speciality, dimension - max(vdim, 0).  A point of
     multiplicity above d empties the system: the report then has dimension
-    0 and no classes.  When the formula value is <= 0 the report carries
-    nonpositive_flag and speciality is max(dimension - vdim, 0).
+    0 and no classes.
     """
     if isinstance(sys, NormalizedSystem):
         original = LinearSystemSpec(sys.n, sys.d, sys.mults)
@@ -198,7 +197,6 @@ def dimension(
         dimension=total,
         vdim=v,
         speciality=speciality(total, v),
-        nonpositive_flag=total <= 0,
         contributions=tuple(records),
         special_effects=tuple(effects),
     )

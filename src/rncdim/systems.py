@@ -149,6 +149,7 @@ def expected_dim(sys: LinearSystemSpec | NormalizedSystem) -> int:
 
 
 def speciality(dim: int, vd: int) -> int:
-    """Gap between a dimension and the virtual dimension vd: dim - max(vd, 0)
-    for a nonempty system, max(dim - vd, 0) when dim <= 0."""
-    return dim - max(vd, 0) if dim > 0 else max(dim - vd, 0)
+    """Excess of a dimension over the expected dimension max(vd, 0); the
+    system is special when it is positive.  An empty system (dim 0) is
+    never special."""
+    return dim - max(vd, 0)

@@ -92,15 +92,6 @@ def test_dim_structured(capsys):
     }
 
 
-def test_dim_all_evaluators(capsys):
-    assert main(["dim", "-n", "2", "-d", "4", "-m", "2^5", "--evaluators", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "dimension 1  [formula]" in out
-    assert "dimension 1  [recursive]" in out
-    assert "dimension 1  [oracle:exact]" in out
-    assert "disagree" not in out
-
-
 def test_dim_oracle_modular(capsys):
     code = main(
         ["dim", "-n", "2", "-d", "4", "-m", "2^5",
@@ -108,6 +99,30 @@ def test_dim_oracle_modular(capsys):
     )
     assert code == 0
     assert "dimension 1  [oracle:modular]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dim", "-n", "2", "-d", "4", "-m", "2^5", "--evaluators", "all"]]
+    + [
+        [command, *args, option, value]
+        for command, args in (
+            ("report", WORKED_ARGS),
+            ("regindex", ["-n", "2", "-m", "2^5"]),
+        )
+        for option, value in (
+            ("--seed", "1"), ("--cap-cells", "10"), ("--oracle", "modular"),
+        )
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_rejected_options(capsys, argv):
+    # verify is the one side-by-side check, and only dim and verify run the
+    # oracle, so only they take its options.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_dim_exit_codes(capsys):
@@ -147,6 +162,21 @@ def test_report_worked_example(capsys):
     assert "4-folds (r=4):" in out
     assert "  c=1 sigma=6 t=1 k=3 count=2 f=8 signed=-16" in out
     assert "dimension 6  vdim -561  speciality 6" in out
+
+
+def test_empty_system_speciality(capsys):
+    # dim, report and regindex share systems.speciality: dimension 0 is not
+    # special, however negative vdim is.
+    for d, vd in (("3", -41), ("4", -6)):
+        args = ["-n", "4", "-d", d, "-m", "5,1^6"]
+        assert main(["dim", *args]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "dimension 0  [formula]"
+        assert out[2] == f"vdim {vd}  expected 0  speciality 0"
+        assert main(["report", *args]) == 0
+        assert f"dimension 0  vdim {vd}  speciality 0" in capsys.readouterr().out
+    assert main(["regindex", "-n", "4", "-m", "5,1^6", "--window", "0"]) == 0
+    assert "d=4: dimension 0 vdim -6 non-special" in capsys.readouterr().out
 
 
 def test_report_no_effects(capsys):

@@ -70,7 +70,6 @@ def test_worked_example_report_fields():
     assert report.epsilon == 1
     assert report.vdim == -561
     assert report.speciality == 6
-    assert not report.nonpositive_flag
     assert report.normalized.mults == (7, 6, 6, 5, 5, 5, 5, 5, 5, 5)
     assert len(report.special_effect_varieties) == 15
 
@@ -82,17 +81,18 @@ def test_dimension_values():
     assert dimension(system(3, 8, [2] * 10)).dimension == 125
     report = dimension(system(2, 3, [3, 1, 1, 1, 1]))
     assert report.dimension == 0
-    assert report.nonpositive_flag
 
 
 def test_dimension_speciality_rule():
     # Nonempty: speciality = dimension - max(vdim, 0).
     rep = dimension(system(3, 6, [2] * 10))
     assert rep.speciality == 45 - 44 == rep.dimension - max(rep.vdim, 0)
-    # Nonpositive raw total: speciality clamps at 0 unless the total still
-    # exceeds vdim.
+    # Empty systems follow the same rule: dimension 0 with vdim < 0 is not
+    # special.
     rep = dimension(system(2, 3, [3, 1, 1, 1, 1]))
-    assert rep.speciality == max(rep.dimension - rep.vdim, 0)
+    assert rep.speciality == rep.dimension - max(rep.vdim, 0) == 0
+    rep = dimension(system(4, 3, [5, 1, 1, 1, 1, 1, 1]))
+    assert (rep.dimension, rep.vdim, rep.speciality) == (0, -41, 0)
 
 
 def test_dimension_prune_invariance():
