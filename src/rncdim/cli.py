@@ -24,7 +24,14 @@ from typing import Sequence
 
 from .castelnuovo import RecursionGuardError, recursive_h0
 from .formula import DimensionReport, dimension, regularity_index
-from .oracle import OracleSizeError, SweepGrid, consistency_sweep, h0, verify_one
+from .oracle import (
+    CAP_CELLS,
+    OracleSizeError,
+    SweepGrid,
+    consistency_sweep,
+    h0,
+    verify_one,
+)
 from .systems import (
     LinearSystemSpec,
     epsilon_value,
@@ -258,10 +265,11 @@ def _verify_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    given = [v is not None for v in (args.n, args.d, args.mults)]
+    if any(given) if args.grid is not None else not all(given):
+        raise ValueError("verify needs either --grid or -n, -d and -m, not both")
     if args.grid is not None:
         return _verify_grid(args)
-    if args.n is None or args.d is None or args.mults is None:
-        raise DomainViolation("verify needs either --grid or -n, -d and -m")
     sys_ = system(args.n, args.d, args.mults)
     mode, trials = args.oracle
     res = verify_one(sys_, mode, trials, args.seed, args.cap_cells)
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap-cells",
             type=int,
-            default=2_000_000,
+            default=CAP_CELLS,
             help="largest rows*cols the exact oracle will attempt",
         )
         p.add_argument(
@@ -422,10 +430,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OracleSizeError, RecursionGuardError) as exc:
+    except (DomainViolation, OracleSizeError, RecursionGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

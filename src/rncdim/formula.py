@@ -129,7 +129,6 @@ class DimensionReport:
     has one record per class with k >= 1 and r >= 1, its f value and signed
     term 0 when the class contributes nothing."""
 
-    input: LinearSystemSpec
     normalized: NormalizedSystem
     kc: int
     epsilon: int
@@ -161,12 +160,7 @@ def dimension(
     multiplicity above d empties the system: the report then has dimension
     0 and no classes.
     """
-    if isinstance(sys, NormalizedSystem):
-        original = LinearSystemSpec(sys.n, sys.d, sys.mults)
-        norm = sys
-    else:
-        original = sys
-        norm = normalize(sys)
+    norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     n, d, mults = norm.n, norm.d, norm.mults
     if norm.s < n + 3:
         raise ValueError(
@@ -190,7 +184,6 @@ def dimension(
             effects.append(ContributionRecord(jc, val, signed))
     v = vdim(norm)
     return DimensionReport(
-        input=original,
         normalized=norm,
         kc=kc,
         epsilon=eps,

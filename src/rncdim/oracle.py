@@ -23,7 +23,7 @@ sequence of integers, one per point.
 
 Two rank modes:
   * exact: fraction-free (Bareiss) elimination over Python integers; the
-    certification path.
+    rank over the rationals.
   * modular: elimination over GF(p) for several random ~31-bit primes with
     fresh point draws, taking the max rank observed.  rank mod p never
     exceeds the rational rank, so the reported h0 is an upper bound that is
@@ -261,13 +261,17 @@ def rank_modular(M: np.ndarray, p: int) -> int:
     return rank
 
 
+CAP_CELLS = 2_000_000  # default cell cap of the exact oracle (rows * cols)
+
+
 class OracleSizeError(ValueError):
     """Raised when an exact-mode matrix exceeds the configured cell cap."""
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Rank computation outcome.  params holds one curve-parameter draw per
+    """Rank computation outcome.  mode is "exact" (h0 exact) or "modular"
+    (h0 an upper bound, see h0).  params holds one curve-parameter draw per
     evaluation performed (exact mode: exactly one; modular mode: one per
     trial), primes the modular primes used (empty in exact mode)."""
 
@@ -276,12 +280,8 @@ class OracleResult:
     rows: int
     cols: int
     mode: str
-    certified: bool
     params: tuple[tuple[int, ...], ...]
     primes: tuple[int, ...] = ()
-
-    def __int__(self) -> int:
-        return self.h0
 
 
 def h0(
@@ -297,10 +297,10 @@ def h0(
     pts: curve parameters, one per point of sys, pairwise distinct (None
     picks canonical 1..s in exact mode, fresh random draws per trial in
     modular mode).  Both modes build the matrix with conditions_matrix.
-    mode="exact": Bareiss rank over the integers; the certified path.
-    mode="modular": max rank over `trials` random ~31-bit primes;
-    probabilistic (certified=False).  Degrees d < 0 give h0 = 0;
-    multiplicities <= 0 impose no conditions.
+    mode="exact": Bareiss rank over the integers, h0 exactly.
+    mode="modular": max rank over `trials` random ~31-bit primes; h0 is
+    an upper bound, exact unless every prime divides the same minor.
+    Degrees d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
@@ -308,7 +308,7 @@ def h0(
     if params is not None and len(params) != len(mults):
         raise ValueError("need one curve parameter per point of the system")
     if d < 0:
-        return OracleResult(0, 0, 0, 0, mode, True, ())
+        return OracleResult(0, 0, 0, 0, mode, ())
     ncols = binom(n + d, n)
     nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
     if mode == "exact":
@@ -318,7 +318,7 @@ def h0(
             )
         ps = params if params is not None else sample_params(len(mults))
         rank = rank_exact(conditions_matrix(sys, ps))
-        return OracleResult(ncols - rank, rank, nrows, ncols, "exact", True, (ps,))
+        return OracleResult(ncols - rank, rank, nrows, ncols, "exact", (ps,))
     if mode == "modular":
         rng = random.Random(seed)
         best = 0
@@ -335,7 +335,7 @@ def h0(
             draws.append(ps)
             primes.append(p)
         return OracleResult(
-            ncols - best, best, nrows, ncols, "modular", False, tuple(draws), tuple(primes)
+            ncols - best, best, nrows, ncols, "modular", tuple(draws), tuple(primes)
         )
     raise ValueError(f"unknown oracle mode {mode!r}")
 
@@ -353,7 +353,7 @@ class SweepGrid:
     d: tuple[int, int]
     s: tuple[int, int]
     m: tuple[int, int]
-    cap_cells: int = 2_000_000
+    cap_cells: int = CAP_CELLS
 
 
 @dataclass(frozen=True)

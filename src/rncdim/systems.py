@@ -144,10 +144,6 @@ def vdim(sys: LinearSystemSpec | NormalizedSystem) -> int:
     return total
 
 
-def expected_dim(sys: LinearSystemSpec | NormalizedSystem) -> int:
-    return max(vdim(sys), 0)
-
-
 def speciality(dim: int, vd: int) -> int:
     """Excess of a dimension over the expected dimension max(vd, 0); the
     system is special when it is positive.  An empty system (dim 0) is

@@ -248,8 +248,13 @@ def test_verify_instance_matches_grid(capsys, cell, cap):
 
 
 def test_verify_requires_instance_or_grid(capsys):
-    assert main(["verify", "-n", "2"]) == 3
-    assert "verify needs either --grid" in capsys.readouterr().err
+    grid_and_instance = ["--grid", "n=2,d=1,s=5,m=1", "-n", "3", "-d", "4", "-m", "2^5"]
+    for argv in (["-n", "2"], grid_and_instance):
+        assert main(["verify", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "verify needs either --grid" in captured.err
 
 
 def test_verify_grid(capsys):

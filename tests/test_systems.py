@@ -7,7 +7,6 @@ import pytest
 from rncdim.systems import (
     NormalizedSystem,
     epsilon_value,
-    expected_dim,
     kc_value,
     normalize,
     system,
@@ -125,12 +124,6 @@ def test_vdim_values():
 
 def test_vdim_ignores_nonpositive_mults():
     assert vdim(system(2, 3, [2, -5, 0])) == vdim(system(2, 3, [2]))
-
-
-def test_expected_dim_clamps():
-    assert expected_dim(system(2, 2, [2, 2, 2])) == 0
-    assert expected_dim(system(2, 4, [2] * 5)) == 0
-    assert expected_dim(system(3, 6, [2] * 10)) == 44
 
 
 def test_spec_validation():
