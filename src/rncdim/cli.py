@@ -8,8 +8,10 @@ Subcommands:
   verify    side-by-side evaluator comparison for one instance or a grid
   regindex  regularity index, optionally checked over a degree window
 
-Multiplicities accept exponent shorthand: -m 7,6^2,5^7.  Only dim and
-verify run the oracle, so only they take --seed, --cap-cells and --oracle.
+Multiplicities accept exponent shorthand: -m 7,6^2,5^7, and may start with
+a negative entry: -m -1,5,3.  Only dim and verify run the oracle, so only
+they take --seed, --cap-cells and --oracle.  verify --grid prints NDJSON
+records and rejects --format human.
 Exit codes: 0 ok, 1 a verify disagreement or a regindex mismatch, 2 bad
 input, 3 domain violation or a size guard (oracle cell cap, recursion node
 budget).
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -269,6 +272,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if any(given) if args.grid is not None else not all(given):
         raise ValueError("verify needs either --grid or -n, -d and -m, not both")
     if args.grid is not None:
+        if args.format == "human":
+            raise ValueError("verify --grid prints NDJSON records; --format human"
+                             " is for -n, -d and -m")
         return _verify_grid(args)
     sys_ = system(args.n, args.d, args.mults)
     mode, trials = args.oracle
@@ -403,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="compare evaluators on one instance or a grid"
     )
     add_common(p_verify, required=False)
+    p_verify.set_defaults(format=None)  # human for -n/-d/-m; --grid rejects it if given
     add_oracle_options(p_verify)
     p_verify.add_argument(
         "--grid",
@@ -425,9 +432,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_mults(argv: Sequence[str]) -> list[str]:
+    """Rewrite `-m -1,5,3` as `-m=-1,5,3`.  argparse takes a value that
+    starts with "-" and is not a plain number for an option, though a
+    multiplicity list may start with a negative entry."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "-m" and re.match(r"-\d", token):
+            out[-1] = f"-m={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_mults(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args)
     except (DomainViolation, OracleSizeError, RecursionGuardError) as exc:

@@ -22,12 +22,19 @@ exactly over the integers, or mod a prime.  Curve parameters are a plain
 sequence of integers, one per point.
 
 Two rank modes:
-  * exact: fraction-free (Bareiss) elimination over Python integers; the
-    rank over the rationals.
+  * exact: the rank over the rationals.  The matrix is first reduced mod the
+    fixed prime FULL_RANK_PRIME.  A nonzero minor mod p is a nonzero integer,
+    so rank mod p never exceeds the rational rank, and a full rank mod p
+    (min(rows, cols)) is the rational rank: a proof, not a probability.
+    Only otherwise (h0 above max(cols - rows, 0): a special system) does
+    fraction-free (Bareiss) elimination over Python integers run.
+    Parameters congruent mod the prime are one point over GF(p), so they
+    skip straight to Bareiss.
   * modular: elimination over GF(p) for several random ~31-bit primes with
     fresh point draws, taking the max rank observed.  rank mod p never
     exceeds the rational rank, so the reported h0 is an upper bound that is
-    wrong only if every sampled prime divides the same nonzero minor.
+    wrong only if every sampled prime divides the same nonzero minor.  The
+    draws stop at the first full rank, which no later draw can exceed.
 """
 
 from __future__ import annotations
@@ -262,6 +269,7 @@ def rank_modular(M: np.ndarray, p: int) -> int:
 
 
 CAP_CELLS = 2_000_000  # default cell cap of the exact oracle (rows * cols)
+FULL_RANK_PRIME = (1 << 31) - 1  # exact mode's one prime; < 2^31 for rank_modular
 
 
 class OracleSizeError(ValueError):
@@ -273,7 +281,7 @@ class OracleResult:
     """Rank computation outcome.  mode is "exact" (h0 exact) or "modular"
     (h0 an upper bound, see h0).  params holds one curve-parameter draw per
     evaluation performed (exact mode: exactly one; modular mode: one per
-    trial), primes the modular primes used (empty in exact mode)."""
+    trial made), primes the modular primes drawn (empty in exact mode)."""
 
     h0: int
     rank: int
@@ -297,9 +305,14 @@ def h0(
     pts: curve parameters, one per point of sys, pairwise distinct (None
     picks canonical 1..s in exact mode, fresh random draws per trial in
     modular mode).  Both modes build the matrix with conditions_matrix.
-    mode="exact": Bareiss rank over the integers, h0 exactly.
-    mode="modular": max rank over `trials` random ~31-bit primes; h0 is
-    an upper bound, exact unless every prime divides the same minor.
+    mode="exact": h0 exactly.  The rank mod FULL_RANK_PRIME is computed
+    first; when it is min(rows, cols) it is the rational rank, since rank
+    mod p never exceeds rank over the rationals.  Otherwise, or when two
+    parameters are congruent mod that prime, Bareiss elimination over the
+    integers gives the rank.  params holds the one draw and primes is empty.
+    mode="modular": max rank over up to `trials` random ~31-bit primes,
+    stopping at the first full rank; params and primes hold the draws made.
+    h0 is an upper bound, exact unless every prime divides the same minor.
     Degrees d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.
     """
     n, d = sys.n, sys.d
@@ -317,7 +330,12 @@ def h0(
                 f"exact oracle matrix {nrows}x{ncols} exceeds cap {cap_cells}"
             )
         ps = params if params is not None else sample_params(len(mults))
-        rank = rank_exact(conditions_matrix(sys, ps))
+        p = FULL_RANK_PRIME
+        rank = -1  # stays below full when the parameters collide mod p
+        if len({t % p for t in ps}) == len(ps):
+            rank = rank_modular(conditions_matrix(sys, ps, p), p)
+        if rank < min(nrows, ncols):
+            rank = rank_exact(conditions_matrix(sys, ps))
         return OracleResult(ncols - rank, rank, nrows, ncols, "exact", (ps,))
     if mode == "modular":
         rng = random.Random(seed)
@@ -334,6 +352,8 @@ def h0(
             best = max(best, rank_modular(conditions_matrix(sys, ps, p), p))
             draws.append(ps)
             primes.append(p)
+            if best == min(nrows, ncols):
+                break
         return OracleResult(
             ncols - best, best, nrows, ncols, "modular", tuple(draws), tuple(primes)
         )

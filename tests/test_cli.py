@@ -257,6 +257,25 @@ def test_verify_requires_instance_or_grid(capsys):
         assert "verify needs either --grid" in captured.err
 
 
+def test_verify_grid_rejects_human_format(capsys):
+    # The grid prints NDJSON records; an explicit --format human is an error.
+    assert main(["verify", "--grid", "n=2,d=1,s=5,m=1", "--format", "human"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert main(["verify", "--grid", "n=2,d=1,s=5,m=1", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "agree"
+
+
+def test_leading_negative_multiplicity(capsys):
+    outs = []
+    for mults in (["-m", "-1,5,3"], ["-m=-1,5,3"]):
+        assert main(["dim", "-n", "2", "-d", "6", *mults]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "dimension 8" in outs[0]
+
+
 def test_verify_grid(capsys):
     assert main(["verify", "--grid", "n=2..2,d=1..2,s=5..5,m=1..2"]) == 0
     captured = capsys.readouterr()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rncdim import formula
+from rncdim import formula, oracle
 from rncdim.binomials import binom
 from rncdim.castelnuovo import recursive_h0
 from rncdim.oracle import (
@@ -184,8 +184,57 @@ def test_h0_modular_matches_exact():
         exact = h0(sys)
         mod = h0(sys, mode="modular", seed=rng.randrange(999), trials=3)
         assert mod.h0 == exact.h0, (n, d, mults)
-        assert len(mod.primes) == 3
-        assert len(mod.params) == 3
+        # No draw can exceed a full rank, so the draws stop there.
+        draws = 3 if mod.rank < min(mod.rows, mod.cols) else 1
+        assert len(mod.primes) == draws
+        assert len(mod.params) == draws
+
+
+# Full rank, so the one-prime check settles them, and rank-deficient.
+FULL_RANK = (system(2, 5, [2] * 5), system(3, 4, [2] * 5))
+RANK_DEFICIENT = (system(2, 4, [2] * 5), system(3, 6, [2] * 10))
+
+
+def _seeded_systems(count=50, seed=67):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        s = rng.randint(1, n + 5)
+        yield system(n, rng.randint(0, 6), [rng.randint(0, 4) for _ in range(s)])
+
+
+def test_h0_exact_matches_bareiss():
+    full_rank = {}
+    for sys_ in (*FULL_RANK, *RANK_DEFICIENT, *_seeded_systems()):
+        res = h0(sys_)
+        M = conditions_matrix(sys_, sample_params(len(sys_.mults)))
+        assert res.h0 == res.cols - rank_exact(M), sys_
+        assert (res.mode, res.primes, len(res.params)) == ("exact", (), 1)
+        full_rank[sys_] = res.rank == min(res.rows, res.cols)
+    assert [full_rank[s] for s in FULL_RANK + RANK_DEFICIENT] == [True, True, False, False]
+
+
+def test_h0_exact_params_colliding_mod_prime():
+    # 1 and 2^31 are one point mod 2^31 - 1 but distinct integers.
+    res = h0(system(2, 4, [2] * 5), pts=(1, 2, 3, 4, 2**31))
+    assert res.h0 == 1 and res.params == ((1, 2, 3, 4, 2**31),)
+
+
+def test_h0_exact_full_rank_needs_no_bareiss(monkeypatch):
+    def no_bareiss(matrix):
+        raise AssertionError("Bareiss ran on a full-rank matrix")
+
+    monkeypatch.setattr(oracle, "rank_exact", no_bareiss)
+    res = h0(system(3, 4, [2] * 5))
+    assert res.h0 == 15 and res.rank == res.rows == 20
+
+
+def test_h0_exact_below_full_rank_mod_p_is_not_trusted(monkeypatch):
+    # A prime that divides every maximal minor lowers the rank mod p; a rank
+    # below full proves nothing over the rationals, so Bareiss decides.
+    monkeypatch.setattr(oracle, "rank_modular", lambda M, p: 0)
+    assert h0(system(3, 4, [2] * 5)).h0 == 15
+    assert h0(system(2, 4, [2] * 5)).h0 == 1
 
 
 def test_sample_params():
