@@ -102,7 +102,6 @@ def _base_value(key: tuple[int, int, tuple[int, ...]]) -> int | None:
 def _eval(
     key: tuple[int, int, tuple[int, ...]],
     state: RecState,
-    use_memo: bool,
     nodes: list[_TraceNode] | None,
     depth: int,
     label: str,
@@ -123,7 +122,7 @@ def _eval(
         if nodes is not None:
             me = _TraceNode(depth, label, key)
             nodes.append(me)
-        if use_memo and key in state.memo:
+        if key in state.memo:
             stats.memo_hits += 1
             h = state.memo[key]
             if me is not None:
@@ -131,8 +130,7 @@ def _eval(
             break
         h = _base_value(key)
         if h is not None:
-            if use_memo:
-                state.memo[key] = h
+            state.memo[key] = h
             break
         n, d, mults = key
         up = LinearSystemSpec(n, d, (mults[0] - 1,) + mults[1:])
@@ -140,9 +138,7 @@ def _eval(
         # listing nests as a tree (the chain continuation is the +E_1
         # child's subtree and follows it).
         proj_key = normalize(l_map(up)).key()
-        proj_val = _eval(
-            proj_key, state, use_memo, nodes, depth + 1, "project", max_nodes
-        )
+        proj_val = _eval(proj_key, state, nodes, depth + 1, "project", max_nodes)
         chain.append((key, me, proj_val))
         key, depth, label = normalize(up).key(), depth + 1, "+E1"
 
@@ -152,8 +148,7 @@ def _eval(
         h -= proj_val
         if node is not None:
             node.value = h
-        if use_memo:
-            state.memo[node_key] = h
+        state.memo[node_key] = h
     return h
 
 
@@ -161,21 +156,19 @@ def recursive_h0(
     sys: LinearSystemSpec | NormalizedSystem,
     state: RecState | None = None,
     trace: list[str] | None = None,
-    use_memo: bool = True,
     max_nodes: int = 1_000_000,
 ) -> int:
     """Dimension by the ascending projection recursion; exact.
 
     state carries the memo across calls (pass one RecState to share work in
-    a sweep); use_memo=False re-derives every node, for memo-consistency
-    tests.  If trace is a list, one line per visited node is appended,
+    a sweep).  If trace is a list, one line per visited node is appended,
     depth-indented, with edge labels +E1 / project and memo hits marked.
     """
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     if state is None:
         state = RecState()
     nodes: list[_TraceNode] | None = [] if trace is not None else None
-    val = _eval(norm.key(), state, use_memo, nodes, 0, "root", max_nodes)
+    val = _eval(norm.key(), state, nodes, 0, "root", max_nodes)
     if trace is not None and nodes is not None:
         trace.extend(node.render() for node in nodes)
     return val

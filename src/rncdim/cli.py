@@ -26,7 +26,7 @@ import sys
 from typing import Sequence
 
 from .castelnuovo import RecursionGuardError, recursive_h0
-from .formula import DimensionReport, dimension, regularity_index
+from .formula import DimensionReport, dimension, in_domain, regularity_index
 from .oracle import (
     CAP_CELLS,
     OracleSizeError,
@@ -168,11 +168,11 @@ def _evaluate(
 ) -> tuple[int, str, DimensionReport | None]:
     """One evaluator's value for the system; returns (value, label, report)."""
     if evaluator == "auto":
-        evaluator = "recursive" if norm.s <= norm.n + 2 or norm.n == 1 else "formula"
+        evaluator = "formula" if in_domain(norm) else "recursive"
     if evaluator == "formula":
-        if norm.s < norm.n + 3:
+        if not in_domain(norm):
             raise DomainViolation(
-                f"formula needs s >= n+3 after normalization;"
+                f"formula needs s >= n+3 after normalization and n >= 2;"
                 f" {_sys_label(sys)} normalizes to {norm.s} points"
             )
         rep = dimension(norm)
@@ -218,10 +218,10 @@ _R_LABEL = {1: "curves", 2: "surfaces"}
 def cmd_report(args: argparse.Namespace) -> int:
     sys_ = system(args.n, args.d, args.mults)
     norm = normalize(sys_)
-    if norm.s < norm.n + 3:
+    if not in_domain(norm):
         raise DomainViolation(
-            f"report needs s >= n+3 after normalization; {_sys_label(sys_)}"
-            f" normalizes to {norm.s} points"
+            f"report needs s >= n+3 after normalization and n >= 2;"
+            f" {_sys_label(sys_)} normalizes to {norm.s} points"
         )
     rep = dimension(norm)
 

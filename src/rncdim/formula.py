@@ -138,21 +138,19 @@ class DimensionReport:
     contributions: tuple[ContributionRecord, ...]
     special_effects: tuple[ContributionRecord, ...]
 
-    @property
-    def special_effect_varieties(self) -> tuple[JoinClass, ...]:
-        return tuple(rec.join for rec in self.special_effects)
+
+def in_domain(norm: NormalizedSystem) -> bool:
+    """Whether dimension covers the normalized system: n >= 2 and s >= n+3.
+    On a line (n = 1) the sum can go negative, e.g. -1 for L_1,3(1^5)."""
+    return norm.n >= 2 and norm.s >= norm.n + 3
 
 
-def dimension(
-    sys: LinearSystemSpec | NormalizedSystem, prune: bool = True
-) -> DimensionReport:
-    """Dimension (affine h0) of a system with s >= n+3 after normalization.
+def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
+    """Dimension (affine h0) of a system in_domain after normalization.
 
-    Evaluates the closed sum over join classes exactly.  Classes marked as
-    vanishing are skipped when prune is set; passing prune=False evaluates
-    them anyway (tests assert both paths agree).  Inputs whose normalization
-    leaves fewer than n+3 points are outside this evaluator's domain and
-    raise ValueError; route those to ldim.
+    Evaluates the closed sum over join classes exactly, skipping the
+    classes marked as vanishing.  Inputs outside in_domain raise
+    ValueError; route those to the recursion (or ldim for s <= n+2).
 
     vdim and speciality refer to the normalized system (dropping a redundant
     point changes the virtual dimension but not the dimension); speciality
@@ -162,10 +160,10 @@ def dimension(
     """
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     n, d, mults = norm.n, norm.d, norm.mults
-    if norm.s < n + 3:
+    if not in_domain(norm):
         raise ValueError(
-            f"dimension formula needs s >= n+3 after normalization "
-            f"(got s={norm.s}, n={n}); use ldim for small point counts"
+            f"dimension formula needs s >= n+3 after normalization and n >= 2"
+            f" (got s={norm.s}, n={n})"
         )
     kc = kc_value(n, d, mults)
     eps = epsilon_value(n, d, mults)
@@ -175,7 +173,7 @@ def dimension(
     records: list[ContributionRecord] = []
     effects: list[ContributionRecord] = []
     for jc in classes:
-        val = 0 if prune and jc.vanishes else f(jc.t, n + jc.k - jc.r - 1, norm.s, eps, n)
+        val = 0 if jc.vanishes else f(jc.t, n + jc.k - jc.r - 1, norm.s, eps, n)
         signed = (-1) ** jc.c * jc.count * val
         if val:
             total += signed

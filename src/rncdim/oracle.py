@@ -19,22 +19,20 @@ Both binomial products and exponents depend only on (n, d, m_i), so one
 cached structural block per (n, d, m) serves every point, and
 conditions_matrix, the one builder, substitutes the parameters into it:
 exactly over the integers, or mod a prime.  Curve parameters are a plain
-sequence of integers, one per point.
+sequence of integers, one per point: 1..s unless the caller gives them.
 
-Two rank modes:
-  * exact: the rank over the rationals.  The matrix is first reduced mod the
-    fixed prime FULL_RANK_PRIME.  A nonzero minor mod p is a nonzero integer,
-    so rank mod p never exceeds the rational rank, and a full rank mod p
-    (min(rows, cols)) is the rational rank: a proof, not a probability.
-    Only otherwise (h0 above max(cols - rows, 0): a special system) does
-    fraction-free (Bareiss) elimination over Python integers run.
-    Parameters congruent mod the prime are one point over GF(p), so they
-    skip straight to Bareiss.
-  * modular: elimination over GF(p) for several random ~31-bit primes with
-    fresh point draws, taking the max rank observed.  rank mod p never
-    exceeds the rational rank, so the reported h0 is an upper bound that is
-    wrong only if every sampled prime divides the same nonzero minor.  The
-    draws stop at the first full rank, which no later draw can exceed.
+Both rank modes run one loop at those parameters: the max rank of the
+matrix mod each of their primes, stopping at the first full rank
+(min(rows, cols)).  A nonzero minor mod p is a nonzero integer, so rank
+mod p never exceeds the rational rank, and a full rank mod p is the
+rational rank: a proof, not a probability.
+  * exact: one prime, FULL_RANK_PRIME.  Only below full rank (h0 above
+    max(cols - rows, 0): a special system) does fraction-free (Bareiss)
+    elimination over Python integers run.  Parameters congruent mod the
+    prime are one point over GF(p), so they skip straight to Bareiss.
+  * modular: several random ~31-bit primes, no Bareiss.  The reported h0
+    is an upper bound on the exact h0 of the same matrix, wrong only if
+    every sampled prime divides the same nonzero minor.
 """
 
 from __future__ import annotations
@@ -66,20 +64,6 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
         block.sort(reverse=True)
         out.extend(block)
     return out
-
-
-def sample_params(s: int, mode: str = "canonical", seed: int = 0) -> tuple[int, ...]:
-    """Pairwise distinct integer parameters for s points on the curve.
-
-    canonical: 1..s (the default, keeps exact-mode entries small).
-    random: seeded distinct draws from a fixed window.
-    """
-    if mode == "canonical":
-        return tuple(range(1, s + 1))
-    if mode == "random":
-        rng = random.Random(seed)
-        return tuple(rng.sample(range(1, max(4 * s, 64)), s))
-    raise ValueError(f"unknown parameter mode {mode!r}")
 
 
 def _condition_orders(m: int, n: int) -> list[tuple[int, ...]]:
@@ -279,16 +263,16 @@ class OracleSizeError(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     """Rank computation outcome.  mode is "exact" (h0 exact) or "modular"
-    (h0 an upper bound, see h0).  params holds one curve-parameter draw per
-    evaluation performed (exact mode: exactly one; modular mode: one per
-    trial made), primes the modular primes drawn (empty in exact mode)."""
+    (h0 an upper bound on the exact h0, see h0).  params holds the curve
+    parameters, one per point; primes the primes whose rank was taken, in
+    the order tried."""
 
     h0: int
     rank: int
     rows: int
     cols: int
     mode: str
-    params: tuple[tuple[int, ...], ...]
+    params: tuple[int, ...]
     primes: tuple[int, ...] = ()
 
 
@@ -303,25 +287,26 @@ def h0(
     """Oracle dimension of the system, as an affine count.
 
     pts: curve parameters, one per point of sys, pairwise distinct (None
-    picks canonical 1..s in exact mode, fresh random draws per trial in
-    modular mode).  Both modes build the matrix with conditions_matrix.
-    mode="exact": h0 exactly.  The rank mod FULL_RANK_PRIME is computed
-    first; when it is min(rows, cols) it is the rational rank, since rank
-    mod p never exceeds rank over the rationals.  Otherwise, or when two
-    parameters are congruent mod that prime, Bareiss elimination over the
-    integers gives the rank.  params holds the one draw and primes is empty.
-    mode="modular": max rank over up to `trials` random ~31-bit primes,
-    stopping at the first full rank; params and primes hold the draws made.
-    h0 is an upper bound, exact unless every prime divides the same minor.
+    picks 1..s).  Both modes take the max rank of conditions_matrix(sys,
+    pts, p) over their primes and stop at the first full rank
+    (min(rows, cols)), which no later prime can exceed.
+    mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
+    rank mod p is the rational rank, since rank mod p never exceeds rank
+    over the rationals.  Otherwise Bareiss elimination over the integers
+    gives the rank.  Parameters congruent mod the prime skip it, leaving
+    primes empty.  The matrix must fit in cap_cells when that is given.
+    mode="modular": up to `trials` random ~31-bit primes drawn from seed,
+    no Bareiss.  h0 is an upper bound on the exact h0 at the same
+    parameters, equal to it unless every prime divides the same minor.
     Degrees d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
-    params = None if pts is None else tuple(pts)
-    if params is not None and len(params) != len(mults):
+    ps = tuple(range(1, len(mults) + 1)) if pts is None else tuple(pts)
+    if len(ps) != len(mults):
         raise ValueError("need one curve parameter per point of the system")
     if d < 0:
-        return OracleResult(0, 0, 0, 0, mode, ())
+        return OracleResult(0, 0, 0, 0, mode, ps)
     ncols = binom(n + d, n)
     nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
     if mode == "exact":
@@ -329,35 +314,29 @@ def h0(
             raise OracleSizeError(
                 f"exact oracle matrix {nrows}x{ncols} exceeds cap {cap_cells}"
             )
-        ps = params if params is not None else sample_params(len(mults))
-        p = FULL_RANK_PRIME
-        rank = -1  # stays below full when the parameters collide mod p
-        if len({t % p for t in ps}) == len(ps):
-            rank = rank_modular(conditions_matrix(sys, ps, p), p)
-        if rank < min(nrows, ncols):
-            rank = rank_exact(conditions_matrix(sys, ps))
-        return OracleResult(ncols - rank, rank, nrows, ncols, "exact", (ps,))
-    if mode == "modular":
+        primes = (FULL_RANK_PRIME,)
+    elif mode == "modular":
         rng = random.Random(seed)
-        best = 0
-        draws = []
-        primes = []
-        for _ in range(max(trials, 1)):
-            p = _random_prime(rng)
-            ps = (
-                params
-                if params is not None
-                else sample_params(len(mults), "random", rng.randrange(1 << 30))
-            )
-            best = max(best, rank_modular(conditions_matrix(sys, ps, p), p))
-            draws.append(ps)
-            primes.append(p)
-            if best == min(nrows, ncols):
-                break
-        return OracleResult(
-            ncols - best, best, nrows, ncols, "modular", tuple(draws), tuple(primes)
-        )
-    raise ValueError(f"unknown oracle mode {mode!r}")
+        primes = (_random_prime(rng) for _ in range(max(trials, 1)))
+    else:
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    full = min(nrows, ncols)
+    rank = -1  # below full, even for an empty matrix, until a rank is taken
+    used: list[int] = []
+    for p in primes:
+        try:
+            M = conditions_matrix(sys, ps, p)
+        except ValueError:  # parameters congruent mod p
+            if mode == "modular":
+                raise
+            break  # Bareiss decides; its builder re-raises any other fault
+        used.append(p)
+        rank = max(rank, rank_modular(M, p))
+        if rank == full:
+            break
+    if mode == "exact" and rank < full:
+        rank = rank_exact(conditions_matrix(sys, ps))
+    return OracleResult(ncols - rank, rank, nrows, ncols, mode, ps, tuple(used))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +379,7 @@ def verify_one(
     """Every evaluator on one system, compared against the oracle.
 
     The oracle runs unless its exact matrix exceeds cap_cells.  The closed
-    formula runs on the normalized system whenever that has s >= n+3, the
+    formula runs on the normalized system whenever formula.in_domain, the
     recursion always, the planar form for n = 2 with normalized s >= 5, and
     ldim for at most n+2 positive multiplicities.  Every value is compared,
     empty systems included.  With the oracle, the verdict is agree when all
@@ -420,7 +399,7 @@ def verify_one(
     except OracleSizeError:
         notes.append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
 
-    if norm.s >= norm.n + 3:
+    if formula.in_domain(norm):
         values["formula"] = formula.dimension(norm).dimension
         if norm.mults != tuple(sorted((m for m in spec.mults if m > 0), reverse=True)):
             notes.append("formula evaluated on the normalized system")

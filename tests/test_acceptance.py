@@ -58,7 +58,8 @@ def test_criterion_1_worked_example():
     assert formula_elapsed < 1.0, f"formula path took {formula_elapsed:.2f}s"
 
     k_values = {
-        (jc.c, jc.sigma, jc.t): jc.k for jc in report.special_effect_varieties
+        (rec.join.c, rec.join.sigma, rec.join.t): rec.join.k
+        for rec in report.special_effects
     }
     assert k_values[(1, 6, 1)] == 3
     assert f(1, 5, 10, 1, 5) == 8
@@ -88,7 +89,7 @@ def test_criterion_2_special_effect_listing():
     }
     report = dimension(WORKED_RAW)
     got: dict[int, set] = {}
-    for jc in report.special_effect_varieties:
+    for jc in (rec.join for rec in report.special_effects):
         got.setdefault(jc.r, set()).add((jc.c, jc.sigma, jc.t, jc.k, jc.count))
     assert got == expected
     tier_counts = {

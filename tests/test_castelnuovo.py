@@ -68,6 +68,8 @@ def test_recursive_permutation_invariance():
 
 
 def test_recursive_memo_consistency():
+    # One memo across all 20 systems, checked against the exact oracle.
+    state = RecState()
     rng = random.Random(19)
     for _ in range(20):
         n = rng.randint(3, 4)
@@ -75,7 +77,8 @@ def test_recursive_memo_consistency():
         d = rng.randint(0, 5)
         mults = sorted((rng.randint(1, 3) for _ in range(s)), reverse=True)
         sys = system(n, d, mults)
-        assert recursive_h0(sys, use_memo=True) == recursive_h0(sys, use_memo=False)
+        assert recursive_h0(sys, state=state) == h0(sys).h0, (n, d, mults)
+    assert state.stats.memo_hits > 0
 
 
 def test_recursive_shared_state():

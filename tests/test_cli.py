@@ -191,6 +191,23 @@ def test_report_domain_violation(capsys):
     assert "needs s >= n+3" in capsys.readouterr().err
 
 
+def test_formula_domain_excludes_lines(capsys):
+    # On a line the closed sum answers -1 for L_1,3(1^5); the formula's
+    # domain is n >= 2, so dim and report refuse it and auto recurses.
+    args = ["-n", "1", "-d", "3", "-m", "1^5"]
+    assert main(["dim", *args, "--evaluators", "formula"]) == 3
+    assert "formula needs s >= n+3 after normalization and n >= 2" in (
+        capsys.readouterr().err
+    )
+    assert main(["report", *args]) == 3
+    assert "n >= 2" in capsys.readouterr().err
+    assert main(["dim", *args]) == 0
+    assert "dimension 0  [recursive]" in capsys.readouterr().out
+    for cell in ("n=1,d=0..4,s=4..6,m=1..3", "n=1,d=0..6,s=1..7,m=0..4"):
+        assert main(["verify", "--grid", cell]) == 0
+        assert capsys.readouterr().err.endswith(" 0 failures\n")
+
+
 def test_verify_single_instance(capsys):
     assert main(["verify", "-n", "2", "-d", "4", "-m", "2^5"]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from rncdim.binomials import binom
+from rncdim.binomials import binom, f
 from rncdim.formula import (
     dimension,
     double_points_h1,
@@ -20,7 +20,7 @@ from rncdim.formula import (
     regularity_index,
     subset_counts,
 )
-from rncdim.systems import normalize, system, vdim
+from rncdim.systems import epsilon_value, normalize, system, vdim
 
 WORKED = system(5, 8, [7, 6, 6] + [5] * 7)
 
@@ -71,7 +71,7 @@ def test_worked_example_report_fields():
     assert report.vdim == -561
     assert report.speciality == 6
     assert report.normalized.mults == (7, 6, 6, 5, 5, 5, 5, 5, 5, 5)
-    assert len(report.special_effect_varieties) == 15
+    assert len(report.special_effects) == 15
 
 
 def test_dimension_values():
@@ -96,6 +96,7 @@ def test_dimension_speciality_rule():
 
 
 def test_dimension_prune_invariance():
+    # dimension skips the classes flagged vanishes; their f must be 0.
     rng = random.Random(5)
     checked = 0
     for _ in range(250):
@@ -104,11 +105,12 @@ def test_dimension_prune_invariance():
         d = rng.randint(0, 8)
         mults = sorted((rng.randint(1, 5) for _ in range(s)), reverse=True)
         norm = normalize(system(n, d, mults))
-        if norm.s < n + 3:
+        if norm.s < n + 3 or norm.mults[0] > d:
             continue
-        assert dimension(norm, prune=True).dimension == dimension(
-            norm, prune=False
-        ).dimension
+        eps = epsilon_value(n, d, norm.mults)
+        for jc in enumerate_join_classes(norm):
+            if jc.vanishes:
+                assert f(jc.t, n + jc.k - jc.r - 1, norm.s, eps, n) == 0, (norm, jc)
         checked += 1
     assert checked >= 60
 
@@ -119,6 +121,9 @@ def test_dimension_rejects_small_point_counts():
     # Raw s >= n+3 but zeros normalize away.
     with pytest.raises(ValueError):
         dimension(system(2, 3, [2, 2, 0, 0, 0]))
+    # s >= n+3 on a line, where the sum would answer -1.
+    with pytest.raises(ValueError, match="n >= 2"):
+        dimension(system(1, 3, [1] * 5))
 
 
 def test_subset_counts_row_sums():

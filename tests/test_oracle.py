@@ -20,7 +20,6 @@ from rncdim.oracle import (
     monomial_exponents,
     rank_exact,
     rank_modular,
-    sample_params,
     verify_one,
 )
 from rncdim.systems import normalize, system, vdim
@@ -43,8 +42,8 @@ def test_h0_exact_values():
 def test_h0_result_shape():
     res = h0(system(2, 1, [1, 1]))
     assert res.mode == "exact"
-    assert res.params == ((1, 2),)
-    assert res.primes == ()
+    assert res.params == (1, 2)
+    assert res.primes == (2**31 - 1,)
     assert (res.rows, res.cols) == (2, 3)
     assert res.rank == 2
 
@@ -144,7 +143,7 @@ def test_h0_bounds_and_monotonicity():
 def test_h0_point_choice_independence():
     sys = system(2, 4, [2] * 5)
     vals = {
-        h0(sys, pts=sample_params(5, "random", seed)).h0
+        h0(sys, pts=random.Random(seed).sample(range(1, 64), 5)).h0
         for seed in (1, 2, 3)
     }
     assert vals == {1}
@@ -156,7 +155,7 @@ def test_h0_point_choice_independence():
         mults = sorted((rng.randint(1, 3) for _ in range(s)), reverse=True)
         sys = system(n, d, mults)
         canonical = h0(sys).h0
-        drawn = h0(sys, pts=sample_params(s, "random", rng.randrange(999)))
+        drawn = h0(sys, pts=rng.sample(range(1, 64), s))
         assert drawn.h0 == canonical, (n, d, mults)
 
 
@@ -184,10 +183,25 @@ def test_h0_modular_matches_exact():
         exact = h0(sys)
         mod = h0(sys, mode="modular", seed=rng.randrange(999), trials=3)
         assert mod.h0 == exact.h0, (n, d, mults)
-        # No draw can exceed a full rank, so the draws stop there.
+        # No prime can exceed a full rank, so the primes stop there.
         draws = 3 if mod.rank < min(mod.rows, mod.cols) else 1
         assert len(mod.primes) == draws
-        assert len(mod.params) == draws
+        # Both modes use the points 1..s.
+        assert mod.params == exact.params == tuple(range(1, s + 1))
+
+
+def test_h0_modular_bounds_exact_at_same_params():
+    # The same matrix mod p: its rank can only drop, so h0 can only rise.
+    rng = random.Random(71)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        s = rng.randint(1, n + 5)
+        sys_ = system(n, rng.randint(0, 5), [rng.randint(0, 3) for _ in range(s)])
+        pts = tuple(rng.sample(range(-50, 50), s))
+        exact = h0(sys_, pts=pts)
+        mod = h0(sys_, pts=pts, mode="modular", seed=rng.randrange(999), trials=1)
+        assert mod.params == exact.params == pts
+        assert mod.h0 >= exact.h0, (sys_, pts)
 
 
 # Full rank, so the one-prime check settles them, and rank-deficient.
@@ -207,9 +221,9 @@ def test_h0_exact_matches_bareiss():
     full_rank = {}
     for sys_ in (*FULL_RANK, *RANK_DEFICIENT, *_seeded_systems()):
         res = h0(sys_)
-        M = conditions_matrix(sys_, sample_params(len(sys_.mults)))
-        assert res.h0 == res.cols - rank_exact(M), sys_
-        assert (res.mode, res.primes, len(res.params)) == ("exact", (), 1)
+        params = tuple(range(1, len(sys_.mults) + 1))
+        assert res.h0 == res.cols - rank_exact(conditions_matrix(sys_, params)), sys_
+        assert (res.mode, res.primes, res.params) == ("exact", (2**31 - 1,), params)
         full_rank[sys_] = res.rank == min(res.rows, res.cols)
     assert [full_rank[s] for s in FULL_RANK + RANK_DEFICIENT] == [True, True, False, False]
 
@@ -217,7 +231,9 @@ def test_h0_exact_matches_bareiss():
 def test_h0_exact_params_colliding_mod_prime():
     # 1 and 2^31 are one point mod 2^31 - 1 but distinct integers.
     res = h0(system(2, 4, [2] * 5), pts=(1, 2, 3, 4, 2**31))
-    assert res.h0 == 1 and res.params == ((1, 2, 3, 4, 2**31),)
+    assert res.h0 == 1 and res.params == (1, 2, 3, 4, 2**31)
+    # The collision skips the prime: no modular rank was taken.
+    assert res.primes == ()
 
 
 def test_h0_exact_full_rank_needs_no_bareiss(monkeypatch):
@@ -237,24 +253,14 @@ def test_h0_exact_below_full_rank_mod_p_is_not_trusted(monkeypatch):
     assert h0(system(2, 4, [2] * 5)).h0 == 1
 
 
-def test_sample_params():
-    assert sample_params(4) == (1, 2, 3, 4)
-    assert sample_params(0) == ()
-    drawn = sample_params(5, "random", 7)
-    assert drawn == sample_params(5, "random", 7)
-    assert drawn != sample_params(5, "random", 8)
-    assert len(set(drawn)) == 5 and all(t >= 1 for t in drawn)
-    big = sample_params(40, "random", 3)
-    assert len(set(big)) == 40
-    with pytest.raises(ValueError):
-        sample_params(3, "spread")
-
-
 @pytest.mark.parametrize("mode", ["exact", "modular"])
 def test_repeated_params_rejected(mode):
     # The true value is 1; a repeated parameter is one point, not two.
     with pytest.raises(ValueError, match="distinct"):
         h0(system(2, 4, [2] * 5), pts=(1, 1, 2, 3, 4), mode=mode, trials=1)
+    # Also when no point imposes a condition.
+    with pytest.raises(ValueError, match="distinct"):
+        h0(system(2, 4, [0, 0]), pts=(1, 1), mode=mode, trials=1)
 
 
 def test_conditions_matrix_modular_matches_exact():
@@ -285,7 +291,7 @@ def test_conditions_matrix_modular_matches_exact():
 
 
 def test_h0_with_zero_mult_slots():
-    pts = sample_params(7, "random", 3)
+    pts = random.Random(3).sample(range(1, 64), 7)
     res = h0(system(2, 4, [2, 2, 2, 0, 2, 2, 0]), pts=pts)
     assert res.h0 == 1
 
