@@ -305,6 +305,8 @@ def h0(
     ps = tuple(range(1, len(mults) + 1)) if pts is None else tuple(pts)
     if len(ps) != len(mults):
         raise ValueError("need one curve parameter per point of the system")
+    if mode not in ("exact", "modular"):
+        raise ValueError(f"unknown oracle mode {mode!r}")
     if d < 0:
         return OracleResult(0, 0, 0, 0, mode, ps)
     ncols = binom(n + d, n)
@@ -315,11 +317,9 @@ def h0(
                 f"exact oracle matrix {nrows}x{ncols} exceeds cap {cap_cells}"
             )
         primes = (FULL_RANK_PRIME,)
-    elif mode == "modular":
+    else:
         rng = random.Random(seed)
         primes = (_random_prime(rng) for _ in range(max(trials, 1)))
-    else:
-        raise ValueError(f"unknown oracle mode {mode!r}")
     full = min(nrows, ncols)
     rank = -1  # below full, even for an empty matrix, until a rank is taken
     used: list[int] = []

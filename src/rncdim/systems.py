@@ -83,10 +83,36 @@ def kc_value(n: int, d: int, mults: Sequence[int]) -> int:
     Negative values are meaningful (the curve is not forced at all).
     """
     s = len(mults)
-    q = s - n - 2
-    if q < 1:
+    if s < n + 3:
         raise ValueError(f"k_C needs s >= n + 3 points (s={s}, n={n})")
-    return -((n * d - sum(mults)) // q)
+    return kc_from_sum(n, d, s, sum(mults))
+
+
+def kc_from_sum(n: int, d: int, s: int, total: int) -> int:
+    """kc_value from the point count and multiplicity sum; s >= n + 3."""
+    return -((n * d - total) // (s - n - 2))
+
+
+def kept_points(
+    n: int, d: int, mults: Sequence[int], total: int, kcs: list[int] | None = None
+) -> int:
+    """The redundant-point rule: how many leading points of mults stay.
+
+    mults is non-increasing and positive with sum total.  While s >= n + 3
+    and the last point has 0 < m_s < k_C, that point is dropped and k_C is
+    recomputed from the running sum, since a removal can raise it.  The
+    k_C of each drop is appended to kcs when it is given.
+    """
+    s = len(mults)
+    while s >= n + 3:
+        kc = kc_from_sum(n, d, s, total)
+        if kc < 1 or mults[s - 1] >= kc:
+            break
+        s -= 1
+        total -= mults[s]
+        if kcs is not None:
+            kcs.append(kc)
+    return s
 
 
 def epsilon_value(n: int, d: int, mults: Sequence[int]) -> int:
@@ -121,12 +147,13 @@ def normalize(spec: LinearSystemSpec) -> NormalizedSystem:
             pts.append((m, idx))
     # Sort by multiplicity descending; ties keep input order.
     pts.sort(key=lambda p: (-p[0], p[1]))
-    while len(pts) >= n + 3:
-        kc = kc_value(n, d, [m for m, _ in pts])
-        if kc < 1 or pts[-1][0] >= kc:
-            break
-        m, idx = pts.pop()  # minimal multiplicity, largest original index
+    ms = [m for m, _ in pts]
+    kcs: list[int] = []
+    keep = kept_points(n, d, ms, sum(ms), kcs)
+    # Drops go from the end: minimal multiplicity, largest original index.
+    for kc, (m, idx) in zip(kcs, reversed(pts[keep:])):
         trace.append(TraceStep("drop-redundant", idx, m, kc=kc))
+    del pts[keep:]
     return NormalizedSystem(n, d, tuple(m for m, _ in pts), tuple(trace))
 
 

@@ -1,18 +1,21 @@
 """Projection recursion: l_map, base cases, memoization, trace."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from rncdim.castelnuovo import (
     RecState,
     RecursionGuardError,
+    _base_value,
+    _children,
     l_map,
     recursive_h0,
 )
 from rncdim.formula import dimension
 from rncdim.oracle import h0
-from rncdim.systems import system
+from rncdim.systems import kc_value, normalize, system
 
 
 def test_l_map_worked_example():
@@ -38,6 +41,39 @@ def test_l_map_guards():
         l_map(system(2, 3, [2, 2, 2, 2, 2]))
     with pytest.raises(ValueError):
         l_map(system(3, 4, [2, 2, 2]))
+
+
+def test_children_match_normalize():
+    # The key-level step against the spec-level one, along the first +E1
+    # steps of random raw systems with multiplicities in -2..d+1.  Half the
+    # systems draw from lo..d+1; the other half sit near n*d/(n+2), where
+    # k_C is close to the multiplicities and lowering m_1 makes a point
+    # redundant.
+    rng = random.Random(29)
+    seen = Counter()
+    for i in range(3000):
+        n = rng.randint(3, 10)
+        d = rng.randint(0, 60)
+        s = rng.randint(n + 3, n + 12)
+        if i % 2:
+            lo, hi = rng.randint(-2, d + 1), d + 1
+        else:
+            lo = max(n * d // (n + 2) - rng.randint(0, 2), -2)
+            hi = min(lo + 2, d + 1)
+        key = normalize(system(n, d, [rng.randint(lo, hi) for _ in range(s)])).key()
+        for _ in range(20):
+            if _base_value(key) is not None:
+                break
+            n, d, mults = key
+            up = system(n, d, (mults[0] - 1,) + mults[1:])
+            up_norm, proj_norm = normalize(up), normalize(l_map(up))
+            assert _children(key) == (up_norm.key(), proj_norm.key()), key
+            seen["keys"] += 1
+            seen["kc<0"] += kc_value(n, d, up.mults) < 0
+            seen.update(step.action for step in up_norm.trace + proj_norm.trace)
+            key = up_norm.key()
+    assert seen["keys"] > 10_000
+    assert min(seen[k] for k in ("kc<0", "clamp", "drop-zero", "drop-redundant")) > 0
 
 
 def test_recursive_base_cases():

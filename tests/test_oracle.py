@@ -296,6 +296,13 @@ def test_h0_with_zero_mult_slots():
     assert res.h0 == 1
 
 
+@pytest.mark.parametrize("d", [-1, 1])
+def test_h0_unknown_mode_rejected(d):
+    # Checked before the d < 0 early return, so every degree rejects it.
+    with pytest.raises(ValueError, match="unknown oracle mode"):
+        h0(system(2, d, [1]), mode="bogus")
+
+
 def test_oracle_size_cap():
     with pytest.raises(OracleSizeError):
         h0(system(3, 6, [2] * 10), cap_cells=10)
