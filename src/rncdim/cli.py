@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap-cells",
             type=int,
             default=CAP_CELLS,
-            help="largest rows*cols the exact oracle will attempt",
+            help="largest rows*cols of the matrix the oracle eliminates, "
+            "in both modes",
         )
         p.add_argument(
             "--oracle",

@@ -2,12 +2,12 @@
 
 The oracle evaluates the dimension of a system L(n, d; m_1..m_s) with no
 recourse to any closed formula: put s points with pairwise distinct
-parameters t_i on the standard rational normal curve (t, t^2, ..., t^n) in
-the affine chart x_0 = 1, write down the vanishing conditions as an integer
-matrix, and count h0 = (#monomials of degree <= d) - rank.
+parameters t_i on the standard rational normal curve [1 : t : ... : t^n],
+write down the vanishing conditions as an integer matrix, and count
+h0 = (#monomials of degree <= d) - rank.
 
 Condition rows use Taylor coefficients rather than raw partial derivatives:
-the row for (point i, order alpha) has entry
+in the affine chart x_0 = 1 the row for (point i, order alpha) has entry
 
     prod_j binom(gamma_j, alpha_j) * t_i^(sum_j j*(gamma_j - alpha_j))
 
@@ -18,21 +18,36 @@ keeps every entry an integer.  Vanishing of all Taylor coefficients of order
 Both binomial products and exponents depend only on (n, d, m_i), so one
 cached structural block per (n, d, m) serves every point, and
 conditions_matrix, the one builder, substitutes the parameters into it:
-exactly over the integers, or mod a prime.  Curve parameters are a plain
-sequence of integers, one per point: 1..s unless the caller gives them.
+exactly over the integers, or mod a prime.
 
-Both rank modes run one loop at those parameters: the max rank of the
-matrix mod each of their primes, stopping at the first full rank
-(min(rows, cols)).  A nonzero minor mod p is a nonzero integer, so rank
-mod p never exceeds the rational rank, and a full rank mod p is the
-rational rank: a proof, not a probability.
-  * exact: one prime, FULL_RANK_PRIME.  Only below full rank (h0 above
-    max(cols - rows, 0): a special system) does fraction-free (Bareiss)
-    elimination over Python integers run.  Parameters congruent mod the
-    prime are one point over GF(p), so they skip straight to Bareiss.
+Two parameters are the curve's coordinate points and add no rows.  At
+t = 0 (the point e_0) every Taylor row is the unit vector at column alpha,
+so multiplicity m there deletes the monomial columns with |gamma| < m.  The
+parameter None stands for t = infinity, the point e_n = [0 : ... : 0 : 1];
+in the chart x_n = 1 the monomial x^gamma has local degree d - gamma_n, so
+multiplicity m there deletes the columns with gamma_n > d - m.  Unit rows on
+the deleted columns add exactly their number to the rank, so h0 is
+(#kept columns) - rank of the kept block, also when the two deletions
+overlap.  PGL(2) acts 3-transitively on the curve through projective
+automorphisms of P^n, so any two points can be moved to 0 and infinity
+without leaving the standard curve, and the dimension does not depend on
+which distinct points of the curve carry the multiplicities (the paper's
+formula holds for arbitrary distinct points).  So h0 places the largest
+multiplicity at t = 0, the next at infinity and the others at 1..s-2
+unless the caller gives points.
+
+Both rank modes run one loop on that kept block: the max rank mod each of
+their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
+minor mod p is a nonzero integer, so rank mod p never exceeds the rational
+rank, and a full rank mod p is the rational rank: a proof, not a
+probability.
+  * exact: one prime, FULL_RANK_PRIME.  Only below full rank (a special
+    system) does fraction-free (Bareiss) elimination over Python integers
+    run.  Parameters congruent mod the prime are one point over GF(p), so
+    they skip straight to Bareiss.
   * modular: several random ~31-bit primes, no Bareiss.  The reported h0
-    is an upper bound on the exact h0 of the same matrix, wrong only if
-    every sampled prime divides the same nonzero minor.
+    is an upper bound on the exact h0 at the same parameters, wrong only
+    if every sampled prime divides the same nonzero minor.
 """
 
 from __future__ import annotations
@@ -184,34 +199,75 @@ def _structural_block(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return B, E
 
 
-def conditions_matrix(
-    sys: LinearSystemSpec | NormalizedSystem,
-    params: Sequence[int],
-    p: int | None = None,
-) -> np.ndarray:
-    """Conditions matrix; rows (point, order), columns monomials.
+@lru_cache(maxsize=64)
+def _kept_columns(n: int, d: int, m_zero: int, m_inf: int) -> np.ndarray:
+    """Indices of the monomial columns that multiplicity m_zero at t = 0 and
+    m_inf at t = infinity leave: |gamma| >= m_zero and gamma_n <= d - m_inf.
+    Callers must not mutate the returned array."""
+    return np.array(
+        [
+            ci
+            for ci, gamma in enumerate(monomial_exponents(n, d))
+            if sum(gamma) >= m_zero and gamma[-1] <= d - m_inf
+        ],
+        dtype=np.intp,
+    )
 
-    Each point's rows are its cached structural block with t_i substituted.
-    With p None the entries are exact Python integers (object dtype); with a
-    prime p < 2^31 they are reduced mod p in int64.  The parameters must be
-    pairwise distinct, mod p when p is given: congruent parameters are the
-    same point over GF(p).
-    """
-    n, d = sys.n, sys.d
-    if d < 0:
+
+def _layout(
+    sys: LinearSystemSpec | NormalizedSystem,
+    params: Sequence[int | None],
+    p: int | None = None,
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The kept monomial columns and the (t, m) of every point that adds
+    rows, t reduced mod p when p is given.  Checks that there is one
+    parameter per point, pairwise distinct (mod p when p is given).  Whether
+    a parameter is the coordinate point t = 0 is decided on the integer, so
+    a parameter that is 0 only mod p adds rows like any other."""
+    if sys.d < 0:
         raise ValueError("conditions matrix undefined for negative degree")
     if len(params) != len(sys.mults):
         raise ValueError("need one curve parameter per point")
-    ts = tuple(params) if p is None else tuple(t % p for t in params)
+    ts = tuple(t if t is None or p is None else t % p for t in params)
     if len(set(ts)) != len(ts):
         where = "" if p is None else f" mod {p}"
         raise ValueError(f"curve parameters must be pairwise distinct{where}")
+    m_zero = m_inf = 0
+    rows = []
+    for t0, t, m in zip(params, ts, sys.mults):
+        if t0 is None:
+            m_inf = m
+        elif t0 == 0:
+            m_zero = m
+        elif m > 0:
+            rows.append((t, m))
+    return _kept_columns(sys.n, sys.d, max(m_zero, 0), max(m_inf, 0)), rows
+
+
+def conditions_matrix(
+    sys: LinearSystemSpec | NormalizedSystem,
+    params: Sequence[int | None],
+    p: int | None = None,
+) -> np.ndarray:
+    """Conditions matrix; rows (point, order), columns the kept monomials.
+
+    Each point's rows are its cached structural block with t_i substituted.
+    A parameter 0 or None (t = infinity) is a coordinate point of the curve:
+    it adds no rows and deletes the monomial columns it forces to vanish
+    (see the module docstring), so the matrix has binom(n+d, n) columns only
+    when neither is given.  With p None the entries are exact Python
+    integers (object dtype); with a prime p < 2^31 they are reduced mod p in
+    int64, and conditions_matrix(sys, ps, p) equals conditions_matrix(sys,
+    ps) % p.  The parameters must be pairwise distinct, mod p when p is
+    given: congruent parameters are the same point over GF(p).
+    """
+    n, d = sys.n, sys.d
+    keep, rows = _layout(sys, params, p)
     dtype = object if p is None else np.int64
     blocks = []
-    for t, m in zip(ts, sys.mults):
-        if m <= 0:
-            continue
+    for t, m in rows:
         B, E = _structural_block(n, d, m)
+        B, E = B[:, keep], E[:, keep]
         tp = np.empty(int(E.max(initial=0)) + 1, dtype=dtype)
         acc = 1
         for e in range(tp.size):
@@ -223,7 +279,7 @@ def conditions_matrix(
             Bp = (B % p).astype(np.int64) if B.dtype == object else B % p
             blocks.append(Bp * tp[E] % p)
     if not blocks:
-        return np.zeros((0, binom(n + d, n)), dtype=dtype)
+        return np.zeros((0, keep.size), dtype=dtype)
     return np.vstack(blocks)
 
 
@@ -252,33 +308,48 @@ def rank_modular(M: np.ndarray, p: int) -> int:
     return rank
 
 
-CAP_CELLS = 2_000_000  # default cell cap of the exact oracle (rows * cols)
+CAP_CELLS = 2_000_000  # default cell cap (rows * cols of the eliminated block)
 FULL_RANK_PRIME = (1 << 31) - 1  # exact mode's one prime; < 2^31 for rank_modular
 
 
 class OracleSizeError(ValueError):
-    """Raised when an exact-mode matrix exceeds the configured cell cap."""
+    """Raised when the block the oracle would eliminate exceeds the cell cap."""
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """Rank computation outcome.  mode is "exact" (h0 exact) or "modular"
-    (h0 an upper bound on the exact h0, see h0).  params holds the curve
-    parameters, one per point; primes the primes whose rank was taken, in
-    the order tried."""
+    (h0 an upper bound on the exact h0, see h0).  rows, cols and rank are
+    those of the full conditions matrix, sum_i binom(n+m_i-1, n) by
+    binom(n+d, n) with rank = cols - h0, whichever block was eliminated.
+    params holds the curve parameters, one per point, 0 and None (t =
+    infinity) included; primes the primes whose rank was taken, in the
+    order tried."""
 
     h0: int
     rank: int
     rows: int
     cols: int
     mode: str
-    params: tuple[int, ...]
+    params: tuple[int | None, ...]
     primes: tuple[int, ...] = ()
+
+
+def _default_params(mults: Sequence[int]) -> tuple[int | None, ...]:
+    """0 for the largest multiplicity, None (t = infinity) for the next
+    largest, 1..s-2 for the other points in index order; ties go to the
+    lower index."""
+    coord = sorted(range(len(mults)), key=lambda i: -mults[i])[:2]
+    rest = iter(range(1, len(mults)))
+    return tuple(
+        (0, None)[coord.index(i)] if i in coord else next(rest)
+        for i in range(len(mults))
+    )
 
 
 def h0(
     sys: LinearSystemSpec | NormalizedSystem,
-    pts: Sequence[int] | None = None,
+    pts: Sequence[int | None] | None = None,
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
@@ -286,41 +357,49 @@ def h0(
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
-    pts: curve parameters, one per point of sys, pairwise distinct (None
-    picks 1..s).  Both modes take the max rank of conditions_matrix(sys,
-    pts, p) over their primes and stop at the first full rank
-    (min(rows, cols)), which no later prime can exceed.
+    pts: curve parameters, one per point of sys, pairwise distinct; None as
+    a parameter is t = infinity.  pts None puts the largest multiplicity at
+    t = 0, the next at infinity and the rest at 1..s-2 in index order: the
+    two coordinate points only delete columns (see conditions_matrix), and
+    the dimension is the same at any distinct points of the curve.  h0 is
+    the kept column count less the rank of the kept block M'.  Both modes
+    take the max rank of M' = conditions_matrix(sys, pts, p) over their
+    primes and stop at the first full rank (min of M'.shape), which no
+    later prime can exceed.
     mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
     rank mod p is the rational rank, since rank mod p never exceeds rank
-    over the rationals.  Otherwise Bareiss elimination over the integers
-    gives the rank.  Parameters congruent mod the prime skip it, leaving
-    primes empty.  The matrix must fit in cap_cells when that is given.
+    over the rationals.  Otherwise Bareiss elimination of M' over the
+    integers gives the rank.  Parameters congruent mod the prime skip it,
+    leaving primes empty.
     mode="modular": up to `trials` random ~31-bit primes drawn from seed,
     no Bareiss.  h0 is an upper bound on the exact h0 at the same
     parameters, equal to it unless every prime divides the same minor.
-    Degrees d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.
+    In both modes M' must fit in cap_cells (rows * cols) when that is given;
+    its shape is known before it is built.  Degrees d < 0 give h0 = 0;
+    multiplicities <= 0 impose no conditions.
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
-    ps = tuple(range(1, len(mults) + 1)) if pts is None else tuple(pts)
+    ps = _default_params(mults) if pts is None else tuple(pts)
     if len(ps) != len(mults):
         raise ValueError("need one curve parameter per point of the system")
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     if d < 0:
         return OracleResult(0, 0, 0, 0, mode, ps)
-    ncols = binom(n + d, n)
-    nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
+    keep, rows = _layout(sys, ps)
+    erows = sum(binom(n + m - 1, n) for _, m in rows)
+    ecols = keep.size
+    if cap_cells is not None and erows * ecols > cap_cells:
+        raise OracleSizeError(
+            f"oracle matrix {erows}x{ecols} exceeds cap {cap_cells}"
+        )
     if mode == "exact":
-        if cap_cells is not None and nrows * ncols > cap_cells:
-            raise OracleSizeError(
-                f"exact oracle matrix {nrows}x{ncols} exceeds cap {cap_cells}"
-            )
         primes = (FULL_RANK_PRIME,)
     else:
         rng = random.Random(seed)
         primes = (_random_prime(rng) for _ in range(max(trials, 1)))
-    full = min(nrows, ncols)
+    full = min(erows, ecols)
     rank = -1  # below full, even for an empty matrix, until a rank is taken
     used: list[int] = []
     for p in primes:
@@ -336,7 +415,10 @@ def h0(
             break
     if mode == "exact" and rank < full:
         rank = rank_exact(conditions_matrix(sys, ps))
-    return OracleResult(ncols - rank, rank, nrows, ncols, mode, ps, tuple(used))
+    h = ecols - rank
+    ncols = binom(n + d, n)
+    nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
+    return OracleResult(h, ncols - h, nrows, ncols, mode, ps, tuple(used))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +428,7 @@ def h0(
 @dataclass(frozen=True)
 class SweepGrid:
     """Inclusive bounds for a sweep: n, d, s ranges and the multiplicity
-    window every point draws from; cap_cells bounds the exact oracle."""
+    window every point draws from; cap_cells bounds the oracle's matrix."""
 
     n: tuple[int, int]
     d: tuple[int, int]
@@ -378,10 +460,10 @@ def verify_one(
 ) -> Verification:
     """Every evaluator on one system, compared against the oracle.
 
-    The oracle runs unless its exact matrix exceeds cap_cells.  The closed
-    formula runs on the normalized system whenever formula.in_domain, the
-    recursion always, the planar form for n = 2 with normalized s >= 5, and
-    ldim for at most n+2 positive multiplicities.  Every value is compared,
+    The oracle runs unless the block it would eliminate exceeds cap_cells.
+    The closed formula runs on the normalized system whenever
+    formula.in_domain, the recursion always, the planar form for n = 2 with
+    normalized s >= 5, and ldim for at most n+2 positive multiplicities.  Every value is compared,
     empty systems included.  With the oracle, the verdict is agree when all
     values equal it and disagree:<names> naming the ones that do not.
     Without it, the verdict is skip-size when the closed values agree with

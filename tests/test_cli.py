@@ -239,7 +239,7 @@ def test_verify_empty_system_note(capsys):
 
 @pytest.mark.parametrize(
     "cell, cap",
-    [("n=2,d=2,s=4,m=1..4", 2_000_000), ("n=2,d=3,s=5,m=1..3", 120)],
+    [("n=2,d=2,s=4,m=1..4", 2_000_000), ("n=2,d=3,s=5,m=1..3", 12)],
 )
 def test_verify_instance_matches_grid(capsys, cell, cap):
     code = main(["verify", "--grid", cell, "--cap-cells", str(cap)])

@@ -1,6 +1,7 @@
 """Interpolation oracle: matrix construction, exact and modular rank."""
 
 import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -42,7 +43,7 @@ def test_h0_exact_values():
 def test_h0_result_shape():
     res = h0(system(2, 1, [1, 1]))
     assert res.mode == "exact"
-    assert res.params == (1, 2)
+    assert res.params == (0, None)
     assert res.primes == (2**31 - 1,)
     assert (res.rows, res.cols) == (2, 3)
     assert res.rank == 2
@@ -186,8 +187,8 @@ def test_h0_modular_matches_exact():
         # No prime can exceed a full rank, so the primes stop there.
         draws = 3 if mod.rank < min(mod.rows, mod.cols) else 1
         assert len(mod.primes) == draws
-        # Both modes use the points 1..s.
-        assert mod.params == exact.params == tuple(range(1, s + 1))
+        # Both modes use the default points: 0, infinity, then 1..s-2.
+        assert mod.params == exact.params == (0, None, *range(1, s - 1))
 
 
 def test_h0_modular_bounds_exact_at_same_params():
@@ -217,13 +218,30 @@ def _seeded_systems(count=50, seed=67):
         yield system(n, rng.randint(0, 6), [rng.randint(0, 4) for _ in range(s)])
 
 
+def default_params(mults):
+    """0 at the first largest multiplicity, None at the first largest of
+    the others, 1..s-2 at the rest in index order."""
+    i0 = mults.index(max(mults)) if mults else None
+    others = [i for i in range(len(mults)) if i != i0]
+    i_inf = max(others, key=lambda i: (mults[i], -i)) if others else None
+    finite = iter(range(1, len(mults)))
+    return tuple(
+        0 if i == i0 else None if i == i_inf else next(finite)
+        for i in range(len(mults))
+    )
+
+
 def test_h0_exact_matches_bareiss():
     full_rank = {}
     for sys_ in (*FULL_RANK, *RANK_DEFICIENT, *_seeded_systems()):
         res = h0(sys_)
-        params = tuple(range(1, len(sys_.mults) + 1))
-        assert res.h0 == res.cols - rank_exact(conditions_matrix(sys_, params)), sys_
+        params = default_params(sys_.mults)
         assert (res.mode, res.primes, res.params) == ("exact", (2**31 - 1,), params)
+        kept = conditions_matrix(sys_, params)
+        assert res.h0 == kept.shape[1] - rank_exact(kept), sys_
+        # The full matrix at the points 1..s has the same rank.
+        at_1_to_s = conditions_matrix(sys_, range(1, len(sys_.mults) + 1))
+        assert res.h0 == res.cols - rank_exact(at_1_to_s), sys_
         full_rank[sys_] = res.rank == min(res.rows, res.cols)
     assert [full_rank[s] for s in FULL_RANK + RANK_DEFICIENT] == [True, True, False, False]
 
@@ -261,6 +279,9 @@ def test_repeated_params_rejected(mode):
     # Also when no point imposes a condition.
     with pytest.raises(ValueError, match="distinct"):
         h0(system(2, 4, [0, 0]), pts=(1, 1), mode=mode, trials=1)
+    # Two points at infinity are one point.
+    with pytest.raises(ValueError, match="distinct"):
+        h0(system(2, 4, [2] * 5), pts=(None, None, 1, 2, 3), mode=mode, trials=1)
 
 
 def test_conditions_matrix_modular_matches_exact():
@@ -286,8 +307,47 @@ def test_conditions_matrix_modular_matches_exact():
             exact = conditions_matrix(sys_, ps)
             mod = conditions_matrix(sys_, ps, p)
             assert mod.dtype == np.int64
-            assert mod.shape == (len(exact), binom(n + d, n))
+            assert mod.shape == exact.shape
             assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, mults)
+
+
+def test_conditions_matrix_coordinate_points():
+    # Infinity adds no rows and keeps the columns with gamma_2 <= d - m = 0.
+    assert conditions_matrix(system(2, 2, [2]), (None,)).shape == (0, 3)
+    # The kept columns are 1, x_1, x_1^2: at t = 2 the value row is 1, 2, 4.
+    assert conditions_matrix(system(2, 2, [2, 1]), (None, 2)).tolist() == [[1, 2, 4]]
+    # t = 0 deletes the columns of degree < m: 1, x_1, x_2.
+    assert conditions_matrix(system(2, 2, [2, 1]), (0, 2)).tolist() == [[4, 8, 16]]
+    # A parameter that is 0 only mod p is an ordinary point: no column goes.
+    mod = conditions_matrix(system(2, 2, [1, 1]), (7, 1), 7)
+    assert mod.shape == (2, 6)
+    assert mod.tolist() == (conditions_matrix(system(2, 2, [1, 1]), (7, 1)) % 7).tolist()
+    with pytest.raises(ValueError, match="distinct mod 7"):
+        conditions_matrix(system(2, 2, [1, 1]), (0, 7), 7)
+
+
+def test_h0_coordinate_points():
+    # m_1 + m_2 = 4 > d + 1: the deletions at 0 and infinity overlap (the
+    # line through the two points is in the base locus).  The double line.
+    assert h0(system(2, 2, [2, 2])).h0 == 1
+    for pts in itertools.permutations((0, None, 1, 2, 3)):
+        assert h0(system(2, 4, [2] * 5), pts=pts).h0 == 1, pts
+
+
+def test_h0_default_points_match_points_1_to_s():
+    # Unsorted multiplicities, zeros and some m_i > d.
+    rng = random.Random(73)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        d = rng.randint(0, 6)
+        s = rng.randint(1, n + 3)
+        sys_ = system(n, d, [rng.randint(0, min(d + 2, 4)) for _ in range(s)])
+        res = h0(sys_)
+        assert res.params == default_params(sys_.mults)
+        full = conditions_matrix(sys_, range(1, s + 1))
+        assert res.h0 == binom(n + d, n) - rank_exact(full), sys_
+        mod = h0(sys_, mode="modular", seed=rng.randrange(999), trials=1)
+        assert mod.params == res.params and mod.h0 >= res.h0, sys_
 
 
 def test_h0_with_zero_mult_slots():
@@ -304,10 +364,16 @@ def test_h0_unknown_mode_rejected(d):
 
 
 def test_oracle_size_cap():
-    with pytest.raises(OracleSizeError):
-        h0(system(3, 6, [2] * 10), cap_cells=10)
-    # The cap only applies to the exact path.
-    assert h0(system(3, 6, [2] * 10), mode="modular", trials=1, cap_cells=10).h0 == 45
+    # The cap bounds the eliminated block, in both modes: the 8 points off
+    # t = 0 and infinity give 32 rows; t = 0 deletes the 4 columns of degree
+    # < 2 and infinity the 4 with gamma_3 > 4, leaving 76 of 84.
+    sys_ = system(3, 6, [2] * 10)
+    for mode in ("exact", "modular"):
+        with pytest.raises(OracleSizeError, match="32x76 exceeds cap 2431"):
+            h0(sys_, mode=mode, trials=1, cap_cells=2431)
+        res = h0(sys_, mode=mode, trials=1, cap_cells=32 * 76)
+        # The result reports the full 40 x 84 matrix.
+        assert (res.h0, res.rows, res.cols) == (45, 40, 84)
 
 
 def test_consistency_sweep_small_grid():
