@@ -26,7 +26,13 @@ import sys
 from typing import Sequence
 
 from .castelnuovo import RecursionGuardError, recursive_h0
-from .formula import DimensionReport, dimension, in_domain, regularity_index
+from .formula import (
+    DimensionReport,
+    DomainViolation,
+    dimension,
+    in_domain,
+    regularity_index,
+)
 from .oracle import (
     CAP_CELLS,
     OracleSizeError,
@@ -44,10 +50,6 @@ from .systems import (
     system,
     vdim,
 )
-
-
-class DomainViolation(Exception):
-    """Input is well-formed but outside the requested evaluator's domain."""
 
 
 def parse_mults(text: str) -> tuple[int, ...]:
@@ -88,13 +90,16 @@ def parse_oracle_mode(text: str) -> tuple[str, int]:
 
 
 def parse_grid(text: str) -> dict[str, tuple[int, int]]:
-    """Parse --grid "n=2..3,d=0..6,s=5..9,m=1..4" into inclusive ranges."""
+    """Parse --grid "n=2..3,d=0..6,s=5..9,m=1..4" into inclusive ranges.
+    Each key is set once; n starts at 1 or more and s at 0 or more."""
     ranges: dict[str, tuple[int, int]] = {}
     for part in text.split(","):
         key, _, span = part.partition("=")
         key = key.strip()
         if key not in ("n", "d", "s", "m") or not span:
             raise argparse.ArgumentTypeError(f"bad grid component {part!r}")
+        if key in ranges:
+            raise argparse.ArgumentTypeError(f"grid sets {key} twice")
         lo, sep, hi = span.partition("..")
         try:
             lo_i = int(lo)
@@ -103,6 +108,11 @@ def parse_grid(text: str) -> dict[str, tuple[int, int]]:
             raise argparse.ArgumentTypeError(f"bad grid range {span!r}")
         if hi_i < lo_i:
             raise argparse.ArgumentTypeError(f"empty grid range {span!r}")
+        least = {"n": 1, "s": 0}.get(key)
+        if least is not None and lo_i < least:
+            raise argparse.ArgumentTypeError(
+                f"grid {key} must be >= {least}, got {span!r}"
+            )
         ranges[key] = (lo_i, hi_i)
     missing = {"n", "d", "s", "m"} - set(ranges)
     if missing:
@@ -170,11 +180,6 @@ def _evaluate(
     if evaluator == "auto":
         evaluator = "formula" if in_domain(norm) else "recursive"
     if evaluator == "formula":
-        if not in_domain(norm):
-            raise DomainViolation(
-                f"formula needs s >= n+3 after normalization and n >= 2;"
-                f" {_sys_label(sys)} normalizes to {norm.s} points"
-            )
         rep = dimension(norm)
         return rep.dimension, "formula", rep
     if evaluator == "recursive":
@@ -218,11 +223,6 @@ _R_LABEL = {1: "curves", 2: "surfaces"}
 def cmd_report(args: argparse.Namespace) -> int:
     sys_ = system(args.n, args.d, args.mults)
     norm = normalize(sys_)
-    if not in_domain(norm):
-        raise DomainViolation(
-            f"report needs s >= n+3 after normalization and n >= 2;"
-            f" {_sys_label(sys_)} normalizes to {norm.s} points"
-        )
     rep = dimension(norm)
 
     if args.format == "structured":
@@ -298,6 +298,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_regindex(args: argparse.Namespace) -> int:
+    if args.window is not None and args.window < 0:
+        raise ValueError(f"--window must be >= 0, got {args.window}")
     mults = tuple(m for m in args.mults if m > 0)
     if len(mults) < args.n + 3:
         raise DomainViolation(
@@ -426,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=None,
-        help="also check speciality for d in [delta-1, delta+window]",
+        help="also check speciality for d in [delta-1, delta+window];"
+        " window >= 0",
     )
     p_reg.set_defaults(func=cmd_regindex)
 

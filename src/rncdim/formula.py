@@ -139,6 +139,10 @@ class DimensionReport:
     special_effects: tuple[ContributionRecord, ...]
 
 
+class DomainViolation(ValueError):
+    """Input is well-formed but outside the requested evaluator's domain."""
+
+
 def in_domain(norm: NormalizedSystem) -> bool:
     """Whether dimension covers the normalized system: n >= 2 and s >= n+3.
     On a line (n = 1) the sum can go negative, e.g. -1 for L_1,3(1^5)."""
@@ -150,7 +154,7 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
 
     Evaluates the closed sum over join classes exactly, skipping the
     classes marked as vanishing.  Inputs outside in_domain raise
-    ValueError; route those to the recursion (or ldim for s <= n+2).
+    DomainViolation; route those to the recursion (or ldim for s <= n+2).
 
     vdim and speciality refer to the normalized system (dropping a redundant
     point changes the virtual dimension but not the dimension); speciality
@@ -161,7 +165,7 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     n, d, mults = norm.n, norm.d, norm.mults
     if not in_domain(norm):
-        raise ValueError(
+        raise DomainViolation(
             f"dimension formula needs s >= n+3 after normalization and n >= 2"
             f" (got s={norm.s}, n={n})"
         )
@@ -339,7 +343,9 @@ def planar_h0(sys: LinearSystemSpec | NormalizedSystem) -> int:
 def regularity_index(n: int, mults: Sequence[int]) -> int:
     """Least degree from which the system is non-special:
     max(m_1 + m_2 - 1, floor((sum m_i + n - 2) / n)) for the two largest
-    multiplicities m_1 >= m_2.  Needs at least two points."""
+    multiplicities m_1 >= m_2.  Needs n >= 1 and at least two points."""
+    if n < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {n}")
     ms = sorted((m for m in mults if m > 0), reverse=True)
     if len(ms) < 2:
         raise ValueError("regularity index needs at least two points")

@@ -33,8 +33,7 @@ automorphisms of P^n, so any two points can be moved to 0 and infinity
 without leaving the standard curve, and the dimension does not depend on
 which distinct points of the curve carry the multiplicities (the paper's
 formula holds for arbitrary distinct points).  So h0 places the largest
-multiplicity at t = 0, the next at infinity and the others at 1..s-2
-unless the caller gives points.
+multiplicity at t = 0, the next at infinity and the others at 1..s-2.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -43,8 +42,7 @@ rank, and a full rank mod p is the rational rank: a proof, not a
 probability.
   * exact: one prime, FULL_RANK_PRIME.  Only below full rank (a special
     system) does fraction-free (Bareiss) elimination over Python integers
-    run.  Parameters congruent mod the prime are one point over GF(p), so
-    they skip straight to Bareiss.
+    run.
   * modular: several random ~31-bit primes, no Bareiss.  The reported h0
     is an upper bound on the exact h0 at the same parameters, wrong only
     if every sampled prime divides the same nonzero minor.
@@ -79,11 +77,6 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
         block.sort(reverse=True)
         out.extend(block)
     return out
-
-
-def _condition_orders(m: int, n: int) -> list[tuple[int, ...]]:
-    """All derivative orders alpha with |alpha| < m."""
-    return monomial_exponents(n, m - 1) if m >= 1 else []
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -179,7 +172,7 @@ def _structural_block(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     not mutate the returned arrays.
     """
     cols = monomial_exponents(n, d)
-    alphas = _condition_orders(m, n)
+    alphas = monomial_exponents(n, m - 1)  # the orders alpha with |alpha| < m
     dtype = np.int64 if d <= 62 else object
     B = np.zeros((len(alphas), len(cols)), dtype=dtype)
     E = np.zeros((len(alphas), len(cols)), dtype=np.int64)
@@ -349,7 +342,6 @@ def _default_params(mults: Sequence[int]) -> tuple[int | None, ...]:
 
 def h0(
     sys: LinearSystemSpec | NormalizedSystem,
-    pts: Sequence[int | None] | None = None,
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
@@ -357,21 +349,20 @@ def h0(
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
-    pts: curve parameters, one per point of sys, pairwise distinct; None as
-    a parameter is t = infinity.  pts None puts the largest multiplicity at
-    t = 0, the next at infinity and the rest at 1..s-2 in index order: the
-    two coordinate points only delete columns (see conditions_matrix), and
-    the dimension is the same at any distinct points of the curve.  h0 is
-    the kept column count less the rank of the kept block M'.  Both modes
-    take the max rank of M' = conditions_matrix(sys, pts, p) over their
-    primes and stop at the first full rank (min of M'.shape), which no
-    later prime can exceed.
+    The points are the curve parameters _default_params(sys.mults): the
+    largest multiplicity at t = 0, the next at infinity (parameter None) and
+    the rest at 1..s-2 in index order.  The two coordinate points only delete
+    columns (see conditions_matrix), and the dimension is the same at any
+    distinct points of the curve.  h0 is the kept column count less the rank
+    of the kept block M'.  Both modes take the max rank of M' =
+    conditions_matrix(sys, params, p) over their primes and stop at the
+    first full rank (min of M'.shape), which no later prime can exceed.  The
+    parameters are distinct mod every prime used here.
     mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
     rank mod p is the rational rank, since rank mod p never exceeds rank
     over the rationals.  Otherwise Bareiss elimination of M' over the
-    integers gives the rank.  Parameters congruent mod the prime skip it,
-    leaving primes empty.
-    mode="modular": up to `trials` random ~31-bit primes drawn from seed,
+    integers gives the rank.
+    mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed,
     no Bareiss.  h0 is an upper bound on the exact h0 at the same
     parameters, equal to it unless every prime divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols) when that is given;
@@ -380,11 +371,11 @@ def h0(
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
-    ps = _default_params(mults) if pts is None else tuple(pts)
-    if len(ps) != len(mults):
-        raise ValueError("need one curve parameter per point of the system")
+    ps = _default_params(mults)
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown oracle mode {mode!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if d < 0:
         return OracleResult(0, 0, 0, 0, mode, ps)
     keep, rows = _layout(sys, ps)
@@ -398,19 +389,13 @@ def h0(
         primes = (FULL_RANK_PRIME,)
     else:
         rng = random.Random(seed)
-        primes = (_random_prime(rng) for _ in range(max(trials, 1)))
+        primes = (_random_prime(rng) for _ in range(trials))
     full = min(erows, ecols)
-    rank = -1  # below full, even for an empty matrix, until a rank is taken
+    rank = 0
     used: list[int] = []
     for p in primes:
-        try:
-            M = conditions_matrix(sys, ps, p)
-        except ValueError:  # parameters congruent mod p
-            if mode == "modular":
-                raise
-            break  # Bareiss decides; its builder re-raises any other fault
         used.append(p)
-        rank = max(rank, rank_modular(M, p))
+        rank = max(rank, rank_modular(conditions_matrix(sys, ps, p), p))
         if rank == full:
             break
     if mode == "exact" and rank < full:

@@ -39,9 +39,23 @@ def test_parse_grid():
         "m": (1, 4),
     }
     assert parse_grid("n=2,d=1,s=5,m=1..2")["n"] == (2, 2)
-    for bad in ("n=2,d=1,s=5", "n=2..1,d=1,s=5,m=1", "q=1,n=2,d=1,s=5,m=1"):
+    for bad in (
+        "n=2,d=1,s=5", "n=2..1,d=1,s=5,m=1", "q=1,n=2,d=1,s=5,m=1",
+        # n < 1, s < 0, a key set twice.
+        "n=0..2,d=1,s=5,m=1", "n=2,d=1,s=-1,m=1", "n=2,n=3,d=1,s=5,m=1",
+        "n=2,d=1,s=5,m=1,d=2",
+    ):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_grid(bad)
+
+
+def test_verify_grid_rejects_bad_ranges(capsys):
+    # n < 1 is bad input, caught while parsing, not an evaluator failure.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--grid", "n=0,d=0,s=1,m=1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid n must be >= 1" in captured.err
 
 
 def test_dim_simple(capsys):
@@ -322,6 +336,18 @@ def test_regindex_structured(capsys):
     assert [row["d"] for row in obj["window"]] == [6, 7, 8]
     assert obj["window"][0]["special"] is True
     assert obj["window"][1]["special"] is False
+
+
+def test_regindex_negative_window(capsys):
+    assert main(["regindex", "-n", "2", "-m", "2^5", "--window", "-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --window must be >= 0, got -4\n"
+    # So is an ambient dimension below 1, with or without a window.
+    for n in ("0", "-3"):
+        assert main(["regindex", "-n", n, "-m", "2^5"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ambient dimension must be >= 1, got {n}\n"
 
 
 def test_regindex_domain_violation(capsys):

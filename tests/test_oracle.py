@@ -141,10 +141,16 @@ def test_h0_bounds_and_monotonicity():
         assert h0(system(n, d, mults + [1])).h0 <= res.h0
 
 
+def exact_h0_at(sys_, params):
+    """h0 at the given curve parameters: kept columns less the exact rank."""
+    M = conditions_matrix(sys_, params)
+    return M.shape[1] - rank_exact(M)
+
+
 def test_h0_point_choice_independence():
     sys = system(2, 4, [2] * 5)
     vals = {
-        h0(sys, pts=random.Random(seed).sample(range(1, 64), 5)).h0
+        exact_h0_at(sys, random.Random(seed).sample(range(1, 64), 5))
         for seed in (1, 2, 3)
     }
     assert vals == {1}
@@ -156,8 +162,8 @@ def test_h0_point_choice_independence():
         mults = sorted((rng.randint(1, 3) for _ in range(s)), reverse=True)
         sys = system(n, d, mults)
         canonical = h0(sys).h0
-        drawn = h0(sys, pts=rng.sample(range(1, 64), s))
-        assert drawn.h0 == canonical, (n, d, mults)
+        drawn = exact_h0_at(sys, rng.sample(range(1, 64), s))
+        assert drawn == canonical, (n, d, mults)
 
 
 def test_h0_mult_permutation_invariance():
@@ -199,10 +205,10 @@ def test_h0_modular_bounds_exact_at_same_params():
         s = rng.randint(1, n + 5)
         sys_ = system(n, rng.randint(0, 5), [rng.randint(0, 3) for _ in range(s)])
         pts = tuple(rng.sample(range(-50, 50), s))
-        exact = h0(sys_, pts=pts)
-        mod = h0(sys_, pts=pts, mode="modular", seed=rng.randrange(999), trials=1)
-        assert mod.params == exact.params == pts
-        assert mod.h0 >= exact.h0, (sys_, pts)
+        p = oracle._random_prime(random.Random(rng.randrange(999)))
+        mod = conditions_matrix(sys_, pts, p)
+        mod_h0 = mod.shape[1] - rank_modular(mod, p)
+        assert mod_h0 >= exact_h0_at(sys_, pts), (sys_, pts)
 
 
 # Full rank, so the one-prime check settles them, and rank-deficient.
@@ -246,14 +252,6 @@ def test_h0_exact_matches_bareiss():
     assert [full_rank[s] for s in FULL_RANK + RANK_DEFICIENT] == [True, True, False, False]
 
 
-def test_h0_exact_params_colliding_mod_prime():
-    # 1 and 2^31 are one point mod 2^31 - 1 but distinct integers.
-    res = h0(system(2, 4, [2] * 5), pts=(1, 2, 3, 4, 2**31))
-    assert res.h0 == 1 and res.params == (1, 2, 3, 4, 2**31)
-    # The collision skips the prime: no modular rank was taken.
-    assert res.primes == ()
-
-
 def test_h0_exact_full_rank_needs_no_bareiss(monkeypatch):
     def no_bareiss(matrix):
         raise AssertionError("Bareiss ran on a full-rank matrix")
@@ -271,17 +269,17 @@ def test_h0_exact_below_full_rank_mod_p_is_not_trusted(monkeypatch):
     assert h0(system(2, 4, [2] * 5)).h0 == 1
 
 
-@pytest.mark.parametrize("mode", ["exact", "modular"])
-def test_repeated_params_rejected(mode):
+@pytest.mark.parametrize("p", [None, 2**31 - 1], ids=["exact", "modular"])
+def test_repeated_params_rejected(p):
     # The true value is 1; a repeated parameter is one point, not two.
     with pytest.raises(ValueError, match="distinct"):
-        h0(system(2, 4, [2] * 5), pts=(1, 1, 2, 3, 4), mode=mode, trials=1)
+        conditions_matrix(system(2, 4, [2] * 5), (1, 1, 2, 3, 4), p)
     # Also when no point imposes a condition.
     with pytest.raises(ValueError, match="distinct"):
-        h0(system(2, 4, [0, 0]), pts=(1, 1), mode=mode, trials=1)
+        conditions_matrix(system(2, 4, [0, 0]), (1, 1), p)
     # Two points at infinity are one point.
     with pytest.raises(ValueError, match="distinct"):
-        h0(system(2, 4, [2] * 5), pts=(None, None, 1, 2, 3), mode=mode, trials=1)
+        conditions_matrix(system(2, 4, [2] * 5), (None, None, 1, 2, 3), p)
 
 
 def test_conditions_matrix_modular_matches_exact():
@@ -331,7 +329,7 @@ def test_h0_coordinate_points():
     # line through the two points is in the base locus).  The double line.
     assert h0(system(2, 2, [2, 2])).h0 == 1
     for pts in itertools.permutations((0, None, 1, 2, 3)):
-        assert h0(system(2, 4, [2] * 5), pts=pts).h0 == 1, pts
+        assert exact_h0_at(system(2, 4, [2] * 5), pts) == 1, pts
 
 
 def test_h0_default_points_match_points_1_to_s():
@@ -352,8 +350,7 @@ def test_h0_default_points_match_points_1_to_s():
 
 def test_h0_with_zero_mult_slots():
     pts = random.Random(3).sample(range(1, 64), 7)
-    res = h0(system(2, 4, [2, 2, 2, 0, 2, 2, 0]), pts=pts)
-    assert res.h0 == 1
+    assert exact_h0_at(system(2, 4, [2, 2, 2, 0, 2, 2, 0]), pts) == 1
 
 
 @pytest.mark.parametrize("d", [-1, 1])
@@ -361,6 +358,13 @@ def test_h0_unknown_mode_rejected(d):
     # Checked before the d < 0 early return, so every degree rejects it.
     with pytest.raises(ValueError, match="unknown oracle mode"):
         h0(system(2, d, [1]), mode="bogus")
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_h0_trials_must_be_positive(trials):
+    # No prime would be drawn; the CLI rejects the same count at parse time.
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        h0(system(2, 4, [2] * 5), mode="modular", trials=trials)
 
 
 def test_oracle_size_cap():
