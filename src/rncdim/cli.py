@@ -14,13 +14,15 @@ they take --seed, --cap-cells and --oracle.  verify --grid prints NDJSON
 records and rejects --format human.
 Exit codes: 0 ok, 1 a verify disagreement or a regindex mismatch, 2 bad
 input, 3 domain violation or a size guard (oracle cell cap, recursion node
-budget).
+budget), 141 (128 + SIGPIPE) the reader closed the output pipe early, as
+in `rncdim verify --grid ... | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -87,6 +89,17 @@ def parse_oracle_mode(text: str) -> tuple[str, int]:
             raise argparse.ArgumentTypeError("trial count must be >= 1")
         return "modular", trials
     raise argparse.ArgumentTypeError(f"unknown oracle mode {text!r}")
+
+
+def parse_cap(text: str) -> int:
+    """Parse --cap-cells: a cell count >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad cell cap {text!r}")
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cell cap must be >= 0, got {cap}")
+    return cap
 
 
 def parse_grid(text: str) -> dict[str, tuple[int, int]]:
@@ -380,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--cap-cells",
-            type=int,
+            type=parse_cap,
             default=CAP_CELLS,
             help="largest rows*cols of the matrix the oracle eliminates, "
-            "in both modes",
+            "in both modes; >= 0",
         )
         p.add_argument(
             "--oracle",
@@ -455,7 +468,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         _join_negative_mults(sys.argv[1:] if argv is None else argv)
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the exit-time flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as for a process that SIGPIPE ended
     except (DomainViolation, OracleSizeError, RecursionGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

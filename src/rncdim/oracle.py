@@ -2,38 +2,44 @@
 
 The oracle evaluates the dimension of a system L(n, d; m_1..m_s) with no
 recourse to any closed formula: put s points with pairwise distinct
-parameters t_i on the standard rational normal curve [1 : t : ... : t^n],
-write down the vanishing conditions as an integer matrix, and count
-h0 = (#monomials of degree <= d) - rank.
+parameters t_i on one rational normal curve, write down the vanishing
+conditions as an integer matrix, and count h0 = (#monomials of degree <= d)
+- rank.
 
-Condition rows use Taylor coefficients rather than raw partial derivatives:
-in the affine chart x_0 = 1 the row for (point i, order alpha) has entry
+The curve is C_n(t) = (prod_{k != j} (t - a_k))_{j=0..n} with the nodes
+a = (0, 1, -1, 2, -2, ...)[:n+1]: it passes through the n+1 coordinate
+points, C_n(a_j) being a multiple of e_j.  Every rational normal curve of
+degree n is projectively equivalent to it (Harris, Algebraic Geometry: A
+First Course, Lecture 1), and the paper's formula holds for any distinct
+points on any such curve, so the dimension does not depend on the choice.
 
-    prod_j binom(gamma_j, alpha_j) * t_i^(sum_j j*(gamma_j - alpha_j))
+Columns are the monomials x^gamma of degree d, indexed by gamma' =
+(gamma_1..gamma_n) with gamma_0 = d - |gamma'|.
 
-at the monomial column gamma.  This scales the derivative by 1/alpha! and
-keeps every entry an integer.  Vanishing of all Taylor coefficients of order
-< m_i is equivalent to multiplicity >= m_i (characteristic zero).
+  * A parameter equal, as an integer, to the node a_j is the point e_j.  In
+    the chart x_j = 1 the monomial x^gamma has local degree d - gamma_j and
+    is its own Taylor coefficient, so multiplicity m there deletes the
+    columns with gamma_j > d - m and adds no rows.  Unit rows on the deleted
+    columns add exactly their number to the rank, so h0 is (#kept columns)
+    - rank of the kept block, also when several deletions overlap.
+  * Any other parameter t gives the point q = C_n(t) / gcd, every q_j
+    nonzero.  Its rows are Taylor coefficients in the chart x_0 = 1, each
+    scaled by q_0^(d - |alpha|): the row for order alpha (|alpha| < m) has
+    entry
 
-Both binomial products and exponents depend only on (n, d, m_i), so one
-cached structural block per (n, d, m) serves every point, and
-conditions_matrix, the one builder, substitutes the parameters into it:
-exactly over the integers, or mod a prime.
+        B[alpha, gamma] * q_0^gamma_0 * prod_{j>=1} q_j^(gamma_j - alpha_j),
+        B[alpha, gamma] = prod_j binom(gamma_j, alpha_j),
 
-Two parameters are the curve's coordinate points and add no rows.  At
-t = 0 (the point e_0) every Taylor row is the unit vector at column alpha,
-so multiplicity m there deletes the monomial columns with |gamma| < m.  The
-parameter None stands for t = infinity, the point e_n = [0 : ... : 0 : 1];
-in the chart x_n = 1 the monomial x^gamma has local degree d - gamma_n, so
-multiplicity m there deletes the columns with gamma_n > d - m.  Unit rows on
-the deleted columns add exactly their number to the rank, so h0 is
-(#kept columns) - rank of the kept block, also when the two deletions
-overlap.  PGL(2) acts 3-transitively on the curve through projective
-automorphisms of P^n, so any two points can be moved to 0 and infinity
-without leaving the standard curve, and the dimension does not depend on
-which distinct points of the curve carry the multiplicities (the paper's
-formula holds for arbitrary distinct points).  So h0 places the largest
-multiplicity at t = 0, the next at infinity and the others at 1..s-2.
+    an integer.  The Taylor coefficient scales the derivative by
+    1/alpha!, and vanishing of all of order < m is equivalent to
+    multiplicity >= m (characteristic zero).
+
+B and the monomial gamma - alpha each entry evaluates depend only on
+(n, d, m), so one cached structural block per (n, d, m) serves every
+point: conditions_matrix, the one builder, evaluates each point's monomials
+once and gathers them into the block, exactly over the integers or mod a
+prime.  h0 puts the n+1 largest multiplicities on the nodes, so only the
+other s-n-1 points add rows.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -50,6 +56,7 @@ probability.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -159,125 +166,188 @@ def _random_prime(rng: random.Random) -> int:
             return c
 
 
+def _node(k: int) -> int:
+    """The k-th integer (from 0) of 0, 1, -1, 2, -2, ...: the node a_k of
+    C_n for k <= n; h0 puts the points off the nodes at k = n+1, n+2, ..."""
+    return (k + 1) // 2 if k % 2 else -(k // 2)
+
+
+@lru_cache(maxsize=1024)
+def _curve_point(n: int, t: int) -> tuple[int, ...]:
+    """C_n(t) / gcd, the primitive integer point of the curve at t."""
+    nodes = [_node(k) for k in range(n + 1)]
+    q = [1] * (n + 1)
+    for j in range(n + 1):
+        for k, a in enumerate(nodes):
+            if k != j:
+                q[j] *= t - a
+    g = math.gcd(*q)
+    return tuple(x // g for x in q)
+
+
+@lru_cache(maxsize=32)
+def _columns(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The monomial columns gamma' as an array G (one row each), and the
+    division table D: D[c, j] is the column of G[c] - e_j, or the sentinel
+    len(G) when G[c, j] = 0 (D[len(G)] is all sentinel).  Callers must not
+    mutate the returned arrays."""
+    exps = monomial_exponents(n, d)
+    G = np.array(exps, dtype=np.intp).reshape(len(exps), n)
+    index = {e: c for c, e in enumerate(exps)}
+    D = np.full((len(exps) + 1, n), len(exps), dtype=np.intp)
+    for c, e in enumerate(exps):
+        for j in range(n):
+            if e[j]:
+                D[c, j] = index[e[:j] + (e[j] - 1,) + e[j + 1 :]]
+    return G, D
+
+
 @lru_cache(maxsize=32)
 def _structural_block(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and parameter exponents of one point's condition rows.
+    """Coefficients and monomial indices of one point's condition rows.
 
-    The entry at (order alpha, monomial gamma) is coeff * t^exp with
-    coeff = prod_j binom(gamma_j, alpha_j) and exp = sum_j j*(gamma_j -
-    alpha_j); both depend only on (n, d, m), not on the point, so the pair
-    of arrays is cached and reused across points, primes and oracle calls.
-    coeff <= 2^d, so int64 is exact up to d = 62; beyond that the
-    coefficients are kept as Python integers (object dtype).  Callers must
-    not mutate the returned arrays.
+    The entry at (order alpha, column gamma) is B[alpha, gamma] times the
+    point's monomial q_0^gamma_0 * q'^(gamma' - alpha), which sits at index
+    I[alpha, gamma] = gamma_0 * N + (column of gamma' - alpha) of the
+    point's value table (see _point_values; N columns).  Both depend only
+    on (n, d, m), not on the point, so the pair of arrays is cached and
+    reused across points, primes and oracle calls.  B is a product of
+    gathers on a binomial table, and I follows gamma' down the division
+    table alpha_j times per variable j; where B is 0 (some gamma_j <
+    alpha_j) I is 0.  B <= 2^d, so int64 is exact up to d = 62; beyond
+    that the coefficients are kept as Python integers (object dtype).
+    Callers must not mutate the returned arrays.
     """
-    cols = monomial_exponents(n, d)
-    alphas = monomial_exponents(n, m - 1)  # the orders alpha with |alpha| < m
+    G, D = _columns(n, d)
+    ncols = len(G)
+    A = np.array(monomial_exponents(n, m - 1), dtype=np.intp).reshape(-1, n)
+    top = max(d, m - 1)
     dtype = np.int64 if d <= 62 else object
-    B = np.zeros((len(alphas), len(cols)), dtype=dtype)
-    E = np.zeros((len(alphas), len(cols)), dtype=np.int64)
-    for ri, alpha in enumerate(alphas):
-        for ci, gamma in enumerate(cols):
-            c = 1
-            for gj, aj in zip(gamma, alpha):
-                if gj < aj:
-                    c = 0
-                    break
-                c *= binom(gj, aj)
-            if c:
-                B[ri, ci] = c
-                E[ri, ci] = sum(
-                    (j + 1) * (gj - aj) for j, (gj, aj) in enumerate(zip(gamma, alpha))
-                )
-    return B, E
+    table = np.array(
+        [[math.comb(g, a) for a in range(top + 1)] for g in range(d + 1)], dtype=dtype
+    )
+    B = np.ones((len(A), ncols), dtype=dtype)
+    idx = np.broadcast_to(np.arange(ncols), B.shape).copy()
+    for j in range(n):
+        B = B * table[G[None, :, j], A[:, j, None]]
+        for k in range(1, int(A[:, j].max(initial=0)) + 1):
+            rows = A[:, j] >= k
+            idx[rows] = D[idx[rows], j]
+    gamma0 = d - G.sum(axis=1)
+    I = np.where(B != 0, gamma0 * ncols + idx, 0)
+    return B, I
 
 
 @lru_cache(maxsize=64)
-def _kept_columns(n: int, d: int, m_zero: int, m_inf: int) -> np.ndarray:
-    """Indices of the monomial columns that multiplicity m_zero at t = 0 and
-    m_inf at t = infinity leave: |gamma| >= m_zero and gamma_n <= d - m_inf.
-    Callers must not mutate the returned array."""
-    return np.array(
-        [
-            ci
-            for ci, gamma in enumerate(monomial_exponents(n, d))
-            if sum(gamma) >= m_zero and gamma[-1] <= d - m_inf
-        ],
-        dtype=np.intp,
-    )
+def _kept_columns(n: int, d: int, node_mults: tuple[int, ...]) -> np.ndarray:
+    """Indices of the monomial columns that multiplicity node_mults[j] at
+    each node e_j leaves: gamma_j <= d - node_mults[j] for j = 0..n, with
+    gamma_0 = d - |gamma'|.  Callers must not mutate the returned array."""
+    G, _ = _columns(n, d)
+    H = np.column_stack([d - G.sum(axis=1), G])
+    return np.flatnonzero((H <= d - np.array(node_mults)).all(axis=1))
 
 
 def _layout(
     sys: LinearSystemSpec | NormalizedSystem,
-    params: Sequence[int | None],
+    params: Sequence[int],
     p: int | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The kept monomial columns and the (t, m) of every point that adds
-    rows, t reduced mod p when p is given.  Checks that there is one
-    parameter per point, pairwise distinct (mod p when p is given).  Whether
-    a parameter is the coordinate point t = 0 is decided on the integer, so
-    a parameter that is 0 only mod p adds rows like any other."""
-    if sys.d < 0:
+) -> tuple[np.ndarray, list[tuple[tuple[int, ...], int]]]:
+    """The kept monomial columns and the (q, m) of every point that adds
+    rows, q = C_n(t) / gcd.  Checks that there is one parameter per point,
+    pairwise distinct (mod p when p is given).  Whether a parameter is a
+    node is decided on the integer, so a parameter congruent to a node only
+    mod p adds rows like any other."""
+    n, d = sys.n, sys.d
+    if d < 0:
         raise ValueError("conditions matrix undefined for negative degree")
     if len(params) != len(sys.mults):
         raise ValueError("need one curve parameter per point")
-    ts = tuple(t if t is None or p is None else t % p for t in params)
+    ts = params if p is None else [t % p for t in params]
     if len(set(ts)) != len(ts):
         where = "" if p is None else f" mod {p}"
         raise ValueError(f"curve parameters must be pairwise distinct{where}")
-    m_zero = m_inf = 0
+    node_of = {_node(k): k for k in range(n + 1)}
+    node_mults = [0] * (n + 1)
     rows = []
-    for t0, t, m in zip(params, ts, sys.mults):
-        if t0 is None:
-            m_inf = m
-        elif t0 == 0:
-            m_zero = m
+    for t, m in zip(params, sys.mults):
+        if t in node_of:
+            node_mults[node_of[t]] = max(m, 0)
         elif m > 0:
-            rows.append((t, m))
-    return _kept_columns(sys.n, sys.d, max(m_zero, 0), max(m_inf, 0)), rows
+            rows.append((_curve_point(n, t), m))
+    return _kept_columns(n, d, tuple(node_mults)), rows
+
+
+def _point_values(Q: np.ndarray, d: int, G: np.ndarray, p: int | None) -> np.ndarray:
+    """Row i: the monomials q_0^g0 * q'^G[c] of the point q = Q[i] at index
+    g0 * len(G) + c, for g0 = 0..d; exact Python integers (Q of object
+    dtype), or int64 mod p (Q reduced mod p)."""
+    powers = [np.ones_like(Q)]
+    for _ in range(d):
+        powers.append(powers[-1] * Q if p is None else powers[-1] * Q % p)
+    pw = np.stack(powers, axis=2)  # pw[i, j, e] = Q[i, j]^e
+    cols = pw[:, 1, G[:, 0]]
+    for j in range(2, Q.shape[1]):
+        cols = cols * pw[:, j, G[:, j - 1]]
+        if p is not None:
+            cols %= p
+    vals = pw[:, 0, :, None] * cols[:, None, :]
+    return (vals if p is None else vals % p).reshape(len(Q), -1)
+
+
+def _check_prime(p: int) -> None:
+    """Products of two residues must fit int64: p < 2^31."""
+    if not 1 < p < 1 << 31:
+        raise ValueError(f"the prime must be in [2, 2^31) for int64 products, got {p}")
 
 
 def conditions_matrix(
     sys: LinearSystemSpec | NormalizedSystem,
-    params: Sequence[int | None],
+    params: Sequence[int],
     p: int | None = None,
 ) -> np.ndarray:
     """Conditions matrix; rows (point, order), columns the kept monomials.
 
-    Each point's rows are its cached structural block with t_i substituted.
-    A parameter 0 or None (t = infinity) is a coordinate point of the curve:
-    it adds no rows and deletes the monomial columns it forces to vanish
-    (see the module docstring), so the matrix has binom(n+d, n) columns only
-    when neither is given.  With p None the entries are exact Python
-    integers (object dtype); with a prime p < 2^31 they are reduced mod p in
-    int64, and conditions_matrix(sys, ps, p) equals conditions_matrix(sys,
-    ps) % p.  The parameters must be pairwise distinct, mod p when p is
-    given: congruent parameters are the same point over GF(p).
+    A parameter equal to a node a_j is the point e_j: it adds no rows and
+    deletes the monomial columns with gamma_j > d - m (see the module
+    docstring), so the matrix has binom(n+d, n) columns only when no
+    parameter is a node.  Every other point's rows are its cached
+    structural block with the point's monomials gathered in.  With p None
+    the entries are exact Python integers (object dtype); with a prime
+    p < 2^31 they are reduced mod p in int64, and conditions_matrix(sys,
+    ps, p) equals conditions_matrix(sys, ps) % p.  The parameters must be
+    pairwise distinct, mod p when p is given: congruent parameters are the
+    same point over GF(p).
     """
+    if p is not None:
+        _check_prime(p)
     n, d = sys.n, sys.d
     keep, rows = _layout(sys, params, p)
-    dtype = object if p is None else np.int64
+    G, _ = _columns(n, d)
+    if not rows:
+        return np.zeros((0, keep.size), dtype=object if p is None else np.int64)
+    if p is None:
+        Q = np.array([q for q, _ in rows], dtype=object)
+    else:
+        Q = np.array([[x % p for x in q] for q, _ in rows], dtype=np.int64)
+    vals = _point_values(Q, d, G, p)
     blocks = []
-    for t, m in rows:
-        B, E = _structural_block(n, d, m)
-        B, E = B[:, keep], E[:, keep]
-        tp = np.empty(int(E.max(initial=0)) + 1, dtype=dtype)
-        acc = 1
-        for e in range(tp.size):
-            tp[e] = acc
-            acc = acc * t if p is None else acc * t % p
-        if p is None:
-            blocks.append(B * tp[E])
-        else:
-            Bp = (B % p).astype(np.int64) if B.dtype == object else B % p
-            blocks.append(Bp * tp[E] % p)
-    if not blocks:
-        return np.zeros((0, keep.size), dtype=dtype)
+    sliced: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per multiplicity
+    for v, (_, m) in zip(vals, rows):
+        if m not in sliced:
+            B, I = _structural_block(n, d, m)
+            B = B[:, keep]
+            if p is not None:
+                B = (B % p).astype(np.int64)
+            sliced[m] = B, I[:, keep]
+        B, I = sliced[m]
+        blocks.append(B * v[I] if p is None else B * v[I] % p)
     return np.vstack(blocks)
 
 
 def rank_modular(M: np.ndarray, p: int) -> int:
     """Rank over GF(p) by vectorized elimination; requires p < 2^31."""
+    _check_prime(p)
     M = M % p
     nrows, ncols = M.shape
     rank = 0
@@ -315,28 +385,28 @@ class OracleResult:
     (h0 an upper bound on the exact h0, see h0).  rows, cols and rank are
     those of the full conditions matrix, sum_i binom(n+m_i-1, n) by
     binom(n+d, n) with rank = cols - h0, whichever block was eliminated.
-    params holds the curve parameters, one per point, 0 and None (t =
-    infinity) included; primes the primes whose rank was taken, in the
-    order tried."""
+    params holds the curve parameters, one per point, the nodes included;
+    primes the primes whose rank was taken, in the order tried."""
 
     h0: int
     rank: int
     rows: int
     cols: int
     mode: str
-    params: tuple[int | None, ...]
+    params: tuple[int, ...]
     primes: tuple[int, ...] = ()
 
 
-def _default_params(mults: Sequence[int]) -> tuple[int | None, ...]:
-    """0 for the largest multiplicity, None (t = infinity) for the next
-    largest, 1..s-2 for the other points in index order; ties go to the
-    lower index."""
-    coord = sorted(range(len(mults)), key=lambda i: -mults[i])[:2]
-    rest = iter(range(1, len(mults)))
+def _default_params(n: int, mults: Sequence[int]) -> tuple[int, ...]:
+    """The nodes a_0..a_n for the n+1 largest multiplicities, largest
+    first (ties go to the lower index), and a_{n+1}, a_{n+2}, ... = the
+    smallest unused integers of 0, 1, -1, 2, -2, ... for the other points
+    in index order."""
+    order = sorted(range(len(mults)), key=lambda i: -mults[i])
+    node = {i: k for k, i in enumerate(order[: n + 1])}
+    rest = iter(range(n + 1, len(mults)))
     return tuple(
-        (0, None)[coord.index(i)] if i in coord else next(rest)
-        for i in range(len(mults))
+        _node(node[i] if i in node else next(rest)) for i in range(len(mults))
     )
 
 
@@ -349,15 +419,15 @@ def h0(
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
-    The points are the curve parameters _default_params(sys.mults): the
-    largest multiplicity at t = 0, the next at infinity (parameter None) and
-    the rest at 1..s-2 in index order.  The two coordinate points only delete
-    columns (see conditions_matrix), and the dimension is the same at any
-    distinct points of the curve.  h0 is the kept column count less the rank
-    of the kept block M'.  Both modes take the max rank of M' =
-    conditions_matrix(sys, params, p) over their primes and stop at the
-    first full rank (min of M'.shape), which no later prime can exceed.  The
-    parameters are distinct mod every prime used here.
+    The points are the curve parameters _default_params(sys.n, sys.mults):
+    the n+1 largest multiplicities on the nodes, where they only delete
+    columns (see conditions_matrix), and the other points at the next
+    integers of 0, 1, -1, 2, -2, ... in index order.  The dimension is the
+    same at any distinct points of the curve.  h0 is the kept column count
+    less the rank of the kept block M'.  Both modes take the max rank of
+    M' = conditions_matrix(sys, params, p) over their primes and stop at
+    the first full rank (min of M'.shape), which no later prime can exceed.
+    The parameters are distinct mod every prime used here.
     mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
     rank mod p is the rational rank, since rank mod p never exceeds rank
     over the rationals.  Otherwise Bareiss elimination of M' over the
@@ -365,17 +435,19 @@ def h0(
     mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed,
     no Bareiss.  h0 is an upper bound on the exact h0 at the same
     parameters, equal to it unless every prime divides the same minor.
-    In both modes M' must fit in cap_cells (rows * cols) when that is given;
-    its shape is known before it is built.  Degrees d < 0 give h0 = 0;
-    multiplicities <= 0 impose no conditions.
+    In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
+    given; its shape is known before it is built.  Degrees d < 0 give
+    h0 = 0; multiplicities <= 0 impose no conditions.
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
-    ps = _default_params(mults)
+    ps = _default_params(n, mults)
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if cap_cells is not None and cap_cells < 0:
+        raise ValueError(f"cap_cells must be >= 0, got {cap_cells}")
     if d < 0:
         return OracleResult(0, 0, 0, 0, mode, ps)
     keep, rows = _layout(sys, ps)

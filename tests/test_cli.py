@@ -2,13 +2,18 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import rncdim
 from rncdim import castelnuovo, cli
 from rncdim.castelnuovo import recursive_h0
-from rncdim.cli import main, parse_grid, parse_mults, parse_oracle_mode
+from rncdim.cli import main, parse_cap, parse_grid, parse_mults, parse_oracle_mode
 
 WORKED_ARGS = ["-n", "5", "-d", "8", "-m", "7,6^2,5^7,2^3"]
 
@@ -29,6 +34,60 @@ def test_parse_oracle_mode():
     for bad in ("exact:2", "modular:0", "modular:x", "fast"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_oracle_mode(bad)
+
+
+def test_parse_cap():
+    assert parse_cap("0") == 0 and parse_cap("2000000") == 2_000_000
+    for bad in ("-1", "-5", "x", "1.5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_cap(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "-n", "2", "-d", "4", "-m", "2^5", "--evaluators", "oracle"],
+        ["verify", "-n", "2", "-d", "4", "-m", "2^5"],
+        ["verify", "--grid", "n=2,d=0..2,s=5,m=1..2"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_negative_cap_is_usage_error(capsys, argv):
+    # A negative cap is bad input (exit 2), not a cap that every block
+    # exceeds: a grid would skip every oracle.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap-cells", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cell cap must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Fails inside the record loop, once the output buffer fills.
+        ["verify", "--grid", "n=4,d=0..4,s=7..8,m=1..3"],
+        # Fails at the final flush: the output fits the buffer.
+        ["dim", "-n", "2", "-d", "4", "-m", "2^5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_pipe_exits_quietly(argv):
+    # As in `rncdim verify --grid ... | head -1`, with the reader gone
+    # before the first write: no traceback, exit 128 + SIGPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(rncdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rncdim.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_parse_grid():

@@ -1,7 +1,7 @@
 """Interpolation oracle: matrix construction, exact and modular rank."""
 
 import dataclasses
-import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -43,7 +43,7 @@ def test_h0_exact_values():
 def test_h0_result_shape():
     res = h0(system(2, 1, [1, 1]))
     assert res.mode == "exact"
-    assert res.params == (0, None)
+    assert res.params == (0, 1)
     assert res.primes == (2**31 - 1,)
     assert (res.rows, res.cols) == (2, 3)
     assert res.rank == 2
@@ -61,12 +61,13 @@ def test_monomial_exponents_enumeration():
 
 
 def test_conditions_matrix_shape():
+    # Off the nodes 0, 1, -1 every point adds rows and no column goes.
     sys = system(2, 4, [2, 2, 1])
-    M = conditions_matrix(sys, (1, 2, 3))
+    M = conditions_matrix(sys, (2, 3, 4))
     assert len(M) == 2 * binom(3, 2) + 1 == 7
     assert all(len(row) == binom(6, 2) for row in M)
     # Zero multiplicities contribute no rows but still need a parameter slot.
-    M2 = conditions_matrix(system(2, 4, [2, 0, 2, 1]), (1, 5, 2, 3))
+    M2 = conditions_matrix(system(2, 4, [2, 0, 2, 1]), (2, 5, 3, 4))
     assert len(M2) == 7
 
 
@@ -193,8 +194,9 @@ def test_h0_modular_matches_exact():
         # No prime can exceed a full rank, so the primes stop there.
         draws = 3 if mod.rank < min(mod.rows, mod.cols) else 1
         assert len(mod.primes) == draws
-        # Both modes use the default points: 0, infinity, then 1..s-2.
-        assert mod.params == exact.params == (0, None, *range(1, s - 1))
+        # Both modes use the default points: the sorted multiplicities sit
+        # at 0, 1, -1, 2, -2, ..., the first n+1 of them on the nodes.
+        assert mod.params == exact.params == NODE_SEQUENCE[:s]
 
 
 def test_h0_modular_bounds_exact_at_same_params():
@@ -224,30 +226,42 @@ def _seeded_systems(count=50, seed=67):
         yield system(n, rng.randint(0, 6), [rng.randint(0, 4) for _ in range(s)])
 
 
-def default_params(mults):
-    """0 at the first largest multiplicity, None at the first largest of
-    the others, 1..s-2 at the rest in index order."""
-    i0 = mults.index(max(mults)) if mults else None
-    others = [i for i in range(len(mults)) if i != i0]
-    i_inf = max(others, key=lambda i: (mults[i], -i)) if others else None
-    finite = iter(range(1, len(mults)))
+# The curve's nodes a_0, a_1, ... and the default parameters after them.
+NODE_SEQUENCE = (0,) + tuple(x for k in range(1, 40) for x in (k, -k))
+
+
+def default_params(n, mults):
+    """The nodes 0, 1, -1, ... for the n+1 largest multiplicities in
+    decreasing order (ties to the lower index), then the next integers of
+    that sequence for the other points in index order."""
+    ranked = sorted(range(len(mults)), key=lambda i: (-mults[i], i))
+    rest = iter(NODE_SEQUENCE[n + 1 :])
     return tuple(
-        0 if i == i0 else None if i == i_inf else next(finite)
+        NODE_SEQUENCE[ranked.index(i)] if ranked.index(i) <= n else next(rest)
         for i in range(len(mults))
     )
+
+
+def curve_point(n, t):
+    """C_n(t) / gcd: coordinate j is prod over the other nodes of (t - a_k)."""
+    nodes = NODE_SEQUENCE[: n + 1]
+    q = [math.prod(t - a for k, a in enumerate(nodes) if k != j) for j in range(n + 1)]
+    return [x // math.gcd(*q) for x in q]
 
 
 def test_h0_exact_matches_bareiss():
     full_rank = {}
     for sys_ in (*FULL_RANK, *RANK_DEFICIENT, *_seeded_systems()):
         res = h0(sys_)
-        params = default_params(sys_.mults)
+        params = default_params(sys_.n, sys_.mults)
         assert (res.mode, res.primes, res.params) == ("exact", (2**31 - 1,), params)
         kept = conditions_matrix(sys_, params)
         assert res.h0 == kept.shape[1] - rank_exact(kept), sys_
-        # The full matrix at the points 1..s has the same rank.
-        at_1_to_s = conditions_matrix(sys_, range(1, len(sys_.mults) + 1))
-        assert res.h0 == res.cols - rank_exact(at_1_to_s), sys_
+        # The full matrix at node-free points has the same corank.
+        n, s = sys_.n, len(sys_.mults)
+        node_free = conditions_matrix(sys_, NODE_SEQUENCE[n + 1 : n + 1 + s])
+        assert node_free.shape == (res.rows, res.cols)
+        assert res.h0 == res.cols - rank_exact(node_free), sys_
         full_rank[sys_] = res.rank == min(res.rows, res.cols)
     assert [full_rank[s] for s in FULL_RANK + RANK_DEFICIENT] == [True, True, False, False]
 
@@ -277,18 +291,19 @@ def test_repeated_params_rejected(p):
     # Also when no point imposes a condition.
     with pytest.raises(ValueError, match="distinct"):
         conditions_matrix(system(2, 4, [0, 0]), (1, 1), p)
-    # Two points at infinity are one point.
+    # A parameter off the nodes, repeated, is one point too.
     with pytest.raises(ValueError, match="distinct"):
-        conditions_matrix(system(2, 4, [2] * 5), (None, None, 1, 2, 3), p)
+        conditions_matrix(system(2, 4, [2] * 5), (0, 1, -1, 5, 5), p)
 
 
 def test_conditions_matrix_modular_matches_exact():
-    # L_2,2(2) at t = 2: row alpha = (1, 0), column gamma = (2, 0) is the
-    # Taylor coefficient binom(2, 1) * t^(1*(2-1)) = 4.
+    # L_2,2(2) at t = 2, the point q = C_2(2) = (3, 6, 2): row alpha =
+    # (1, 0), column gamma = (2, 0) (gamma_0 = 0) is the scaled Taylor
+    # coefficient binom(2, 1) * q_0^0 * q_1^(2-1) = 12.
     M = conditions_matrix(system(2, 2, [2]), (2,))
     cols = monomial_exponents(2, 2)
     rows = monomial_exponents(2, 1)
-    assert M[rows.index((1, 0))][cols.index((2, 0))] == 4
+    assert M[rows.index((1, 0))][cols.index((2, 0))] == 12
     # Parameters congruent mod p are one point over GF(p).
     with pytest.raises(ValueError, match="distinct mod 7"):
         conditions_matrix(system(2, 3, [1, 1]), (1, 8), 7)
@@ -310,26 +325,53 @@ def test_conditions_matrix_modular_matches_exact():
 
 
 def test_conditions_matrix_coordinate_points():
-    # Infinity adds no rows and keeps the columns with gamma_2 <= d - m = 0.
-    assert conditions_matrix(system(2, 2, [2]), (None,)).shape == (0, 3)
-    # The kept columns are 1, x_1, x_1^2: at t = 2 the value row is 1, 2, 4.
-    assert conditions_matrix(system(2, 2, [2, 1]), (None, 2)).tolist() == [[1, 2, 4]]
-    # t = 0 deletes the columns of degree < m: 1, x_1, x_2.
-    assert conditions_matrix(system(2, 2, [2, 1]), (0, 2)).tolist() == [[4, 8, 16]]
-    # A parameter that is 0 only mod p is an ordinary point: no column goes.
-    mod = conditions_matrix(system(2, 2, [1, 1]), (7, 1), 7)
+    # n = 2, nodes 0, 1, -1.  The node 1 is e_1: no rows, and multiplicity 2
+    # keeps the columns with gamma_1 <= d - m = 0: 1, x_2, x_2^2.
+    assert conditions_matrix(system(2, 2, [2]), (1,)).shape == (0, 3)
+    # t = 2 is q = C_2(2) = (3, 6, 2); its value row is q^gamma.  The node 0
+    # keeps the columns of degree 2 (gamma_0 = 0), the node 1 the gamma_1 = 0.
+    assert conditions_matrix(system(2, 2, [2, 1]), (0, 2)).tolist() == [[36, 12, 4]]
+    assert conditions_matrix(system(2, 2, [2, 1]), (1, 2)).tolist() == [[9, 6, 4]]
+    # A node deletes exactly the columns with gamma_j > d - m, and an
+    # ordinary point's value row is q^gamma on the columns that stay.
+    for n in range(1, 4):
+        for d in range(4):
+            homogeneous = [(d - sum(g), *g) for g in monomial_exponents(n, d)]
+            for j, a_j in enumerate(NODE_SEQUENCE[: n + 1]):
+                for m in range(d + 2):
+                    t = NODE_SEQUENCE[n + 1 + j]
+                    q = curve_point(n, t)
+                    want = [math.prod(x**e for x, e in zip(q, g))
+                            for g in homogeneous if g[j] <= d - m]
+                    got = conditions_matrix(system(n, d, [m, 1]), (a_j, t))
+                    assert got.tolist() == [want], (n, d, j, m)
+    # A parameter congruent to a node only mod p is an ordinary point: no
+    # column goes, and the mod-p matrix is the exact one reduced mod p.
+    mod = conditions_matrix(system(2, 2, [1, 1]), (7, 2), 7)
     assert mod.shape == (2, 6)
-    assert mod.tolist() == (conditions_matrix(system(2, 2, [1, 1]), (7, 1)) % 7).tolist()
+    assert mod.tolist() == (conditions_matrix(system(2, 2, [1, 1]), (7, 2)) % 7).tolist()
     with pytest.raises(ValueError, match="distinct mod 7"):
         conditions_matrix(system(2, 2, [1, 1]), (0, 7), 7)
 
 
 def test_h0_coordinate_points():
-    # m_1 + m_2 = 4 > d + 1: the deletions at 0 and infinity overlap (the
-    # line through the two points is in the base locus).  The double line.
+    # m_1 + m_2 = 4 > d + 1: the deletions at two nodes overlap (the line
+    # through the two points is in the base locus).  The double line.
     assert h0(system(2, 2, [2, 2])).h0 == 1
-    for pts in itertools.permutations((0, None, 1, 2, 3)):
-        assert exact_h0_at(system(2, 4, [2] * 5), pts) == 1, pts
+    # Which points sit on the nodes does not change h0: special and
+    # non-special systems, each at 25 shuffles of nodes and other points.
+    rng = random.Random(79)
+    for sys_, want in (
+        (system(2, 4, [2] * 5), 1),
+        (system(2, 5, [3, 2, 2, 2, 1, 1]), 4),
+        (system(3, 4, [3, 2, 2, 1, 1, 1, 1]), 13),
+        (system(3, 6, [2] * 10), 45),
+    ):
+        assert h0(sys_).h0 == want
+        s = len(sys_.mults)
+        for _ in range(25):
+            pts = rng.sample(NODE_SEQUENCE[: s + 2], s)
+            assert exact_h0_at(sys_, pts) == want, (sys_, pts)
 
 
 def test_h0_default_points_match_points_1_to_s():
@@ -341,9 +383,10 @@ def test_h0_default_points_match_points_1_to_s():
         s = rng.randint(1, n + 3)
         sys_ = system(n, d, [rng.randint(0, min(d + 2, 4)) for _ in range(s)])
         res = h0(sys_)
-        assert res.params == default_params(sys_.mults)
-        full = conditions_matrix(sys_, range(1, s + 1))
-        assert res.h0 == binom(n + d, n) - rank_exact(full), sys_
+        assert res.params == default_params(n, sys_.mults)
+        # 1..s puts some points on nodes, others off them.
+        at_1_to_s = conditions_matrix(sys_, range(1, s + 1))
+        assert res.h0 == at_1_to_s.shape[1] - rank_exact(at_1_to_s), sys_
         mod = h0(sys_, mode="modular", seed=rng.randrange(999), trials=1)
         assert mod.params == res.params and mod.h0 >= res.h0, sys_
 
@@ -368,16 +411,57 @@ def test_h0_trials_must_be_positive(trials):
 
 
 def test_oracle_size_cap():
-    # The cap bounds the eliminated block, in both modes: the 8 points off
-    # t = 0 and infinity give 32 rows; t = 0 deletes the 4 columns of degree
-    # < 2 and infinity the 4 with gamma_3 > 4, leaving 76 of 84.
+    # The cap bounds the eliminated block, in both modes: the 6 points off
+    # the 4 nodes give 24 rows; each node deletes the 4 columns with
+    # gamma_j > 4, leaving 68 of 84.
     sys_ = system(3, 6, [2] * 10)
     for mode in ("exact", "modular"):
-        with pytest.raises(OracleSizeError, match="32x76 exceeds cap 2431"):
-            h0(sys_, mode=mode, trials=1, cap_cells=2431)
-        res = h0(sys_, mode=mode, trials=1, cap_cells=32 * 76)
+        with pytest.raises(OracleSizeError, match="24x68 exceeds cap 1631"):
+            h0(sys_, mode=mode, trials=1, cap_cells=1631)
+        res = h0(sys_, mode=mode, trials=1, cap_cells=24 * 68)
         # The result reports the full 40 x 84 matrix.
         assert (res.h0, res.rows, res.cols) == (45, 40, 84)
+
+
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_negative_cap_rejected(cap):
+    # A negative cap would skip every oracle; it is an error, not a cap.
+    with pytest.raises(ValueError, match="cap_cells must be >= 0"):
+        h0(system(2, 4, [2] * 5), cap_cells=cap)
+    # All three points on nodes: the block has no rows, so it fits cap 0.
+    assert h0(system(2, 4, [2] * 3), cap_cells=0).h0 == 6
+
+
+def test_primes_from_2_31_rejected():
+    # int64 products of residues overflow from p = 2^31 on; unchecked,
+    # p = 2^61 - 1 gave rank 28 here, above the rational rank 27.
+    sys_ = system(2, 6, [3] * 5)
+    pts = range(10**9 + 1, 10**9 + 6)
+    exact = conditions_matrix(sys_, pts)
+    assert exact.shape == (30, 28) and rank_exact(exact) == 27
+    p = 2**31 - 1
+    assert rank_modular(conditions_matrix(sys_, pts, p), p) == 27
+    for big in (2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match="2\\^31"):
+            conditions_matrix(sys_, pts, big)
+        with pytest.raises(ValueError, match="2\\^31"):
+            rank_modular(conditions_matrix(sys_, pts, p), big)
+
+
+def test_structural_block_entries():
+    # The vectorized block against the per-entry definition, int64 and
+    # object (d > 62) coefficients; I indexes the point's value table.
+    for n, d, m in ((1, 3, 2), (2, 4, 3), (3, 3, 5), (4, 2, 2), (2, 63, 2)):
+        B, I = oracle._structural_block(n, d, m)
+        cols = monomial_exponents(n, d)
+        for r, alpha in enumerate(monomial_exponents(n, m - 1)):
+            for c, gamma in enumerate(cols):
+                coeff = math.prod(binom(g, a) for g, a in zip(gamma, alpha))
+                assert B[r, c] == coeff, (n, d, m, alpha, gamma)
+                if coeff:
+                    rest = tuple(g - a for g, a in zip(gamma, alpha))
+                    assert I[r, c] == (d - sum(gamma)) * len(cols) + cols.index(rest)
+        assert B.dtype == (object if d > 62 else np.int64)
 
 
 def test_consistency_sweep_small_grid():
@@ -390,6 +474,14 @@ def test_consistency_sweep_small_grid():
         assert rec["oracle"] is not None
         assert rec["recursive"] is not None
         assert rec["kc"] is not None
+
+
+def test_consistency_sweep_n4_n5_agrees():
+    # 1632 instances where the nodes carry 5 or 6 of the 7..9 points.
+    grid = SweepGrid(n=(4, 5), d=(0, 5), s=(7, 9), m=(1, 3))
+    records = consistency_sweep(grid)
+    assert len(records) == 1632
+    assert [r for r in records if r["verdict"] != "agree"] == []
 
 
 def test_consistency_sweep_size_skip():
