@@ -21,6 +21,7 @@ in `rncdim verify --grid ... | head -1`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -364,7 +365,12 @@ def cmd_regindex(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+    parse_args leaves it unchanged and gives every call a new namespace
+    filled from the defaults, so main reuses it; callers must not modify
+    it."""
     parser = argparse.ArgumentParser(
         prog="rncdim",
         description="Dimensions of linear systems through points on a"

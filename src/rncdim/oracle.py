@@ -36,10 +36,21 @@ Columns are the monomials x^gamma of degree d, indexed by gamma' =
 
 B and the monomial gamma - alpha each entry evaluates depend only on
 (n, d, m), so one cached structural block per (n, d, m) serves every
-point: conditions_matrix, the one builder, evaluates each point's monomials
-once and gathers them into the block, exactly over the integers or mod a
-prime.  h0 puts the n+1 largest multiplicities on the nodes, so only the
-other s-n-1 points add rows.
+point: one private builder, behind both conditions_matrix and h0,
+evaluates each point's monomials once and gathers them into the block,
+exactly over the integers or mod a prime.  h0 puts the n+1 largest
+multiplicities on the nodes, so only the other s-n-1 points add rows; it
+lays the points out once and builds the block for each prime from that
+layout.
+
+A condition-row store carries those rows across h0 calls: a dict keyed
+(n, d, t, m, p), with t the curve parameter, m the multiplicity and p the
+prime (None for exact rows), whose value is the point's rows on all
+binom(n+d, n) columns.  Each call then only gathers its kept columns.
+consistency_sweep makes one per (n, d) slice and drops it when the slice
+is done; there is no process-wide store, since random primes never
+repeat.  A store is emptied before it would hold more than STORE_CELLS
+cells.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -52,6 +63,13 @@ probability.
   * modular: several random ~31-bit primes, no Bareiss.  The reported h0
     is an upper bound on the exact h0 at the same parameters, wrong only
     if every sampled prime divides the same nonzero minor.
+
+rank_modular delays reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS
+34(3), 2008): the pivot row and the multipliers are centered into
+[-(p-1)/2, (p-1)/2], so one update moves an entry by less than 2^60, and
+the rows below, reduced into [0, p), take 7 updates before the next
+reduction.  Every int64 entry stays in (-2^63, 2^63), so the arithmetic is
+exact for every prime p < 2^31.
 """
 
 from __future__ import annotations
@@ -252,12 +270,12 @@ def _layout(
     sys: LinearSystemSpec | NormalizedSystem,
     params: Sequence[int],
     p: int | None = None,
-) -> tuple[np.ndarray, list[tuple[tuple[int, ...], int]]]:
-    """The kept monomial columns and the (q, m) of every point that adds
-    rows, q = C_n(t) / gcd.  Checks that there is one parameter per point,
-    pairwise distinct (mod p when p is given).  Whether a parameter is a
-    node is decided on the integer, so a parameter congruent to a node only
-    mod p adds rows like any other."""
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The kept monomial columns and the (t, m) of every point that adds
+    rows.  Checks that there is one parameter per point, pairwise distinct
+    (mod p when p is given).  Whether a parameter is a node is decided on
+    the integer, so a parameter congruent to a node only mod p adds rows
+    like any other."""
     n, d = sys.n, sys.d
     if d < 0:
         raise ValueError("conditions matrix undefined for negative degree")
@@ -274,25 +292,75 @@ def _layout(
         if t in node_of:
             node_mults[node_of[t]] = max(m, 0)
         elif m > 0:
-            rows.append((_curve_point(n, t), m))
+            rows.append((t, m))
     return _kept_columns(n, d, tuple(node_mults)), rows
 
 
-def _point_values(Q: np.ndarray, d: int, G: np.ndarray, p: int | None) -> np.ndarray:
-    """Row i: the monomials q_0^g0 * q'^G[c] of the point q = Q[i] at index
-    g0 * len(G) + c, for g0 = 0..d; exact Python integers (Q of object
-    dtype), or int64 mod p (Q reduced mod p)."""
+def _point_values(q: Sequence[int], d: int, G: np.ndarray, p: int | None) -> np.ndarray:
+    """The monomials q_0^g0 * q'^G[c] of the point q at index g0 * len(G) + c,
+    for g0 = 0..d; exact Python integers (object dtype), or int64 mod p."""
+    if p is None:
+        Q = np.array(q, dtype=object)
+    else:
+        Q = np.array([x % p for x in q], dtype=np.int64)
     powers = [np.ones_like(Q)]
     for _ in range(d):
         powers.append(powers[-1] * Q if p is None else powers[-1] * Q % p)
-    pw = np.stack(powers, axis=2)  # pw[i, j, e] = Q[i, j]^e
-    cols = pw[:, 1, G[:, 0]]
-    for j in range(2, Q.shape[1]):
-        cols = cols * pw[:, j, G[:, j - 1]]
+    pw = np.stack(powers, axis=1)  # pw[j, e] = q_j^e
+    cols = pw[1, G[:, 0]]
+    for j in range(2, len(Q)):
+        cols = cols * pw[j, G[:, j - 1]]
         if p is not None:
             cols %= p
-    vals = pw[:, 0, :, None] * cols[:, None, :]
-    return (vals if p is None else vals % p).reshape(len(Q), -1)
+    vals = np.multiply.outer(pw[0], cols)
+    return (vals if p is None else vals % p).ravel()
+
+
+def _point_rows(
+    n: int, d: int, t: int, m: int, p: int | None, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """The condition rows of the point at parameter t (not a node) with
+    multiplicity m on the columns cols (all when None): its structural
+    block with its monomials gathered in, exact or mod p."""
+    B, I = _structural_block(n, d, m)
+    if cols is not None:
+        B, I = B[:, cols], I[:, cols]
+    v = _point_values(_curve_point(n, t), d, _columns(n, d)[0], p)
+    if p is None:
+        return B * v[I]
+    return (B % p).astype(np.int64, copy=False) * v[I] % p
+
+
+STORE_CELLS = 1 << 20  # cells a condition-row store holds at most (8 MiB as int64)
+
+
+def _block(
+    n: int,
+    d: int,
+    keep: np.ndarray,
+    rows: list[tuple[int, int]],
+    p: int | None,
+    store: dict | None = None,
+) -> np.ndarray:
+    """The kept block of a _layout: the rows of every (t, m) in rows on the
+    kept columns, exact (object dtype) or int64 mod p.  With a store (see
+    the module docstring) each point's rows on all columns are built once
+    per key and every block gathers its kept columns from them; without
+    one only the kept columns are built."""
+    if not rows:
+        return np.zeros((0, keep.size), dtype=object if p is None else np.int64)
+    if store is None:
+        return np.concatenate([_point_rows(n, d, t, m, p, keep) for t, m in rows])
+    parts = []
+    for t, m in rows:
+        part = store.get((n, d, t, m, p))
+        if part is None:
+            part = _point_rows(n, d, t, m, p)
+            if sum(v.size for v in store.values()) + part.size > STORE_CELLS:
+                store.clear()
+            store[n, d, t, m, p] = part
+        parts.append(part[:, keep])
+    return np.concatenate(parts)
 
 
 def _check_prime(p: int) -> None:
@@ -321,53 +389,57 @@ def conditions_matrix(
     """
     if p is not None:
         _check_prime(p)
-    n, d = sys.n, sys.d
     keep, rows = _layout(sys, params, p)
-    G, _ = _columns(n, d)
-    if not rows:
-        return np.zeros((0, keep.size), dtype=object if p is None else np.int64)
-    if p is None:
-        Q = np.array([q for q, _ in rows], dtype=object)
-    else:
-        Q = np.array([[x % p for x in q] for q, _ in rows], dtype=np.int64)
-    vals = _point_values(Q, d, G, p)
-    blocks = []
-    sliced: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per multiplicity
-    for v, (_, m) in zip(vals, rows):
-        if m not in sliced:
-            B, I = _structural_block(n, d, m)
-            B = B[:, keep]
-            if p is not None:
-                B = (B % p).astype(np.int64)
-            sliced[m] = B, I[:, keep]
-        B, I = sliced[m]
-        blocks.append(B * v[I] if p is None else B * v[I] % p)
-    return np.vstack(blocks)
+    return _block(sys.n, sys.d, keep, rows, p)
+
+
+# Updates between reductions of the rows below, see rank_modular.  Eight
+# would still be exact, as (p-1) + 8 * ((p-1)/2)^2 = (p-1)(2p-1) < 2^63;
+# seven keeps the simpler bound 7 * 2^60 < 2^63 - 2^31.
+REDUCE_EVERY = 7
 
 
 def rank_modular(M: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by vectorized elimination; requires p < 2^31."""
+    """Rank over GF(p) by elimination with delayed reduction; requires p < 2^31.
+
+    The elimination runs along the shorter side (a tall matrix is
+    transposed) and updates the rows below each pivot in place.  The pivot
+    row and the multipliers (the entries below the pivot over the pivot)
+    are centered into [-(p-1)/2, (p-1)/2], so one update moves an entry by
+    at most ((p-1)/2)^2 < 2^60.  The rows below are reduced into [0, p)
+    before the first update and after every REDUCE_EVERY = 7 updates, so
+    their entries stay below p + 7 * 2^60 < 2^63 in magnitude and int64 is
+    exact throughout.  Pivots and multipliers are read mod p.
+    """
     _check_prime(p)
-    M = M % p
+    M = (M % p).astype(np.int64, copy=False)
+    if M.shape[0] > M.shape[1]:
+        M = np.ascontiguousarray(M.T)
     nrows, ncols = M.shape
+    half = p // 2
     rank = 0
+    pending = 0  # updates since the rows below were last reduced
     for col in range(ncols):
         if rank == nrows:
             break
-        pivots = np.nonzero(M[rank:, col])[0]
-        if pivots.size == 0:
+        c = M[rank:, col] % p
+        nz = c.nonzero()[0]
+        if nz.size == 0:
             continue
-        i = rank + int(pivots[0])
-        if i != rank:
-            M[[rank, i]] = M[[i, rank]]
-        inv = pow(int(M[rank, col]), p - 2, p)
-        M[rank, col:] = M[rank, col:] * inv % p
-        below = M[rank + 1 :, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            idx = nz + rank + 1
-            M[idx, col:] = (M[idx, col:] - np.outer(M[idx, col], M[rank, col:])) % p
+        i = int(nz[0])
+        if i:
+            M[[rank, rank + i], col:] = M[[rank + i, rank], col:]
+            c[[0, i]] = c[[i, 0]]
         rank += 1
+        if nz.size > 1:  # some row below has a nonzero entry in this column
+            f = (c[1:] * pow(int(c[0]), -1, p) + half) % p - half
+            piv = (M[rank - 1, col + 1 :] + half) % p - half
+            below = M[rank:, col + 1 :]
+            below -= np.multiply.outer(f, piv)
+            pending += 1
+            if pending == REDUCE_EVERY:
+                below %= p
+                pending = 0
     return rank
 
 
@@ -416,6 +488,7 @@ def h0(
     seed: int = 0,
     trials: int = 3,
     cap_cells: int | None = None,
+    store: dict | None = None,
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
@@ -438,6 +511,13 @@ def h0(
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
     given; its shape is known before it is built.  Degrees d < 0 give
     h0 = 0; multiplicities <= 0 impose no conditions.
+    The points are laid out once, and M' is built from that layout for
+    each prime (and once exactly for Bareiss).  store, when given, is a
+    condition-row store (see the module docstring): a dict that maps
+    (n, d, t, m, p) to the rows on all columns of the point at parameter t
+    with multiplicity m, mod p (exactly when p is None).  h0 reads it and
+    fills it, so calls that share it build each point's rows once; the
+    result is the same with or without it.  The caller owns its lifetime.
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
@@ -467,11 +547,11 @@ def h0(
     used: list[int] = []
     for p in primes:
         used.append(p)
-        rank = max(rank, rank_modular(conditions_matrix(sys, ps, p), p))
+        rank = max(rank, rank_modular(_block(n, d, keep, rows, p, store), p))
         if rank == full:
             break
     if mode == "exact" and rank < full:
-        rank = rank_exact(conditions_matrix(sys, ps))
+        rank = rank_exact(_block(n, d, keep, rows, None, store))
     h = ecols - rank
     ncols = binom(n + d, n)
     nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
@@ -514,6 +594,7 @@ def verify_one(
     seed: int = 0,
     cap_cells: int | None = None,
     state: castelnuovo.RecState | None = None,
+    store: dict | None = None,
 ) -> Verification:
     """Every evaluator on one system, compared against the oracle.
 
@@ -526,14 +607,17 @@ def verify_one(
     Without it, the verdict is skip-size when the closed values agree with
     each other and disagree:<names> naming all of them when they do not,
     since none can be preferred.  state carries the recursion memo across
-    calls.  Evaluators are looked up in their modules at call time.
+    calls, and store the oracle's condition rows across calls on systems of
+    one (n, d) (see h0).  Evaluators are looked up in their modules at call
+    time.
     """
     norm = systems.normalize(spec)
     values: dict[str, int] = {}
     notes: list[str] = []
     try:
         values["oracle"] = h0(
-            spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells
+            spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells,
+            store=store,
         ).h0
     except OracleSizeError:
         notes.append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
@@ -576,14 +660,17 @@ def consistency_sweep(
     non-increasingly.  Record fields are RECORD_KEYS in that order: kc and
     epsilon of the input when s >= n+3, the value of each evaluator
     (None when it did not run), and the verdict of verify_one.  One
-    recursion memo is shared across the sweep.  A failure inside one
-    instance becomes its error:<type>:<message> verdict, never an
-    exception.
+    recursion memo is shared across the sweep.  Each (n, d) slice has its
+    own condition-row store (see h0), dropped when the slice is done, so
+    each point's rows are built once per slice and prime and the sweep
+    never holds the rows of two slices.  A failure inside one instance
+    becomes its error:<type>:<message> verdict, never an exception.
     """
     rec_state = castelnuovo.RecState()
     records: list[dict] = []
     for n in range(grid.n[0], grid.n[1] + 1):
         for d in range(grid.d[0], grid.d[1] + 1):
+            store: dict = {}
             for s in range(grid.s[0], grid.s[1] + 1):
                 for combo in combinations_with_replacement(
                     range(grid.m[0], grid.m[1] + 1), s
@@ -597,7 +684,7 @@ def consistency_sweep(
                             rec["epsilon"] = systems.epsilon_value(n, d, ms)
                         res = verify_one(
                             LinearSystemSpec(n, d, ms), oracle_mode, trials, seed,
-                            grid.cap_cells, rec_state,
+                            grid.cap_cells, rec_state, store,
                         )
                         rec.update(res.values, verdict=res.verdict)
                     except Exception as exc:  # a sweep must survive any instance

@@ -281,6 +281,47 @@ def test_formula_domain_excludes_lines(capsys):
         assert capsys.readouterr().err.endswith(" 0 failures\n")
 
 
+def test_parser_reused_without_leaks(capsys, monkeypatch):
+    # One parser serves every call in the process; each call's options and
+    # defaults are its own, verify's format=None included.
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    seen = []
+    real_parse = parser.parse_args
+
+    def spy(argv):
+        ns = real_parse(argv)
+        seen.append({k: v for k, v in vars(ns).items() if k != "func"})
+        return ns
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    system_args = ["-n", "2", "-d", "4", "-m", "2^5"]
+    oracle_defaults = {"seed": 0, "cap_cells": cli.CAP_CELLS, "oracle": ("exact", 1)}
+    calls = [
+        (["dim", *system_args, "--format", "structured", "--evaluators", "oracle",
+          "--oracle", "modular:2", "--seed", "7", "--cap-cells", "500"],
+         {"format": "structured", "evaluators": "oracle", "oracle": ("modular", 2),
+          "seed": 7, "cap_cells": 500}),
+        (["verify", *system_args, "--format", "structured", "--oracle", "modular:2"],
+         {"format": "structured", "grid": None, **oracle_defaults,
+          "oracle": ("modular", 2)}),
+        (["verify", *system_args], {"format": None, "grid": None, **oracle_defaults}),
+        (["dim", *system_args], {"format": "human", "evaluators": "auto",
+                                 **oracle_defaults}),
+    ]
+    outputs = []
+    for argv, options in calls:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        want = {"command": argv[0], "n": 2, "d": 4, "mults": (2,) * 5, **options}
+        assert seen[-1] == want, argv
+    assert json.loads(outputs[0])["evaluator"] == "oracle:modular"
+    assert json.loads(outputs[1])["values"]["oracle:modular"] == 1
+    assert outputs[2].splitlines()[-1] == "verdict: agree"
+    assert "oracle:exact" in outputs[2]
+    assert outputs[3].splitlines()[1] == "dimension 1  [formula]"
+
+
 def test_verify_single_instance(capsys):
     assert main(["verify", "-n", "2", "-d", "4", "-m", "2^5"]) == 0
     out = capsys.readouterr().out

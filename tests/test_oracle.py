@@ -1,6 +1,7 @@
 """Interpolation oracle: matrix construction, exact and modular rank."""
 
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from rncdim import formula, oracle
 from rncdim.binomials import binom
-from rncdim.castelnuovo import recursive_h0
+from rncdim.castelnuovo import RecState, recursive_h0
 from rncdim.oracle import (
     OracleSizeError,
     SweepGrid,
@@ -23,7 +24,7 @@ from rncdim.oracle import (
     rank_modular,
     verify_one,
 )
-from rncdim.systems import normalize, system, vdim
+from rncdim.systems import LinearSystemSpec, normalize, system, vdim
 
 RECORD_KEYS = [
     "n", "d", "mults", "s", "kc", "epsilon",
@@ -124,6 +125,75 @@ def test_rank_modular_matches_exact_on_small_matrices():
         M = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
         got = rank_modular(np.array(M, dtype=np.int64), p)
         assert got == fraction_rank(M)
+
+
+def rank_mod_reference(matrix, p):
+    """Rank over GF(p) by Gaussian elimination on Python integers."""
+    m = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for i in range(rank + 1, len(m)):
+            fac = m[i][col] * inv % p
+            m[i] = [(a - fac * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629], ids=["2^31-1", "2^31-19"])
+def test_rank_modular_worst_case_magnitudes(p):
+    # K pivot rows e_k + v * (1..1) on the tail, and rows below that are
+    # combinations of them with coefficients -h, h = (p-1)/2: with v = h
+    # every one of the K eliminations on those rows adds h^2 (about 2^60)
+    # to each tail entry, the largest step the centered kernel takes; with
+    # v = p-1 (-1 centered) an uncentered pivot row would add about 2^61.
+    # Correct arithmetic leaves the rows below zero (rank K); a wrapped
+    # int64 entry leaves a nonzero residue mod p and a higher rank.
+    h = (p - 1) // 2
+    for K, v in itertools.product((8, 9, 12, 20), (h, p - 1)):
+        tail = 2 * K
+        pivots = [[int(j == k) for j in range(K)] + [v] * tail for k in range(K)]
+        for coeffs in ([-h] * K, [h + 1] * K, [p - 1] * K, [-h, h] * (K // 2)):
+            dep = [sum(c * row[j] for c, row in zip(coeffs, pivots)) % p
+                   for j in range(K + tail)]
+            # One row at p-1 everywhere: rank K+1, and the rows below
+            # also start at the largest residue.
+            for extra in ([], [[p - 1] * (K + tail)]):
+                M = pivots + [dep, [(-x) % p for x in dep]] + extra
+                want = rank_mod_reference(M, p)
+                assert want == K + len(extra)
+                assert rank_modular(np.array(M, dtype=np.int64), p) == want, (K, v, coeffs)
+                # The transpose is tall: the kernel eliminates it transposed.
+                assert rank_modular(np.array(M, dtype=np.int64).T, p) == want
+
+
+def test_rank_modular_matches_reference():
+    # Tall, wide and square blocks; zero columns and rows; rank-deficient
+    # blocks; tiny primes, and entries outside [0, p) of either sign.
+    rng = random.Random(83)
+    for p in (2, 3, 7, 2147483629, 2**31 - 1):
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            pool = [0, 1, p - 1, p // 2, -(p // 2), p, -p, 3 * p + 1]
+            M = [[rng.choice(pool) if rng.random() < 0.5 else rng.randint(-p, 2 * p)
+                  for _ in range(ncols)] for _ in range(nrows)]
+            if ncols > 1:
+                for row in M:
+                    row[rng.randrange(ncols)] = 0 if rng.random() < 0.5 else row[0]
+            if nrows > 2:
+                a, b = rng.randrange(1, p) if p > 2 else 1, rng.randrange(p)
+                M[-1] = [(a * x + b * y) % p for x, y in zip(M[0], M[1])]
+            if rng.random() < 0.2:
+                for row in M:
+                    row[0] = 0
+            got = rank_modular(np.array(M, dtype=np.int64), p)
+            assert got == rank_mod_reference(M, p), (p, M)
+    for shape in ((0, 5), (5, 0), (0, 0), (3, 4), (4, 3)):
+        assert rank_modular(np.zeros(shape, dtype=np.int64), 7) == 0
 
 
 def test_h0_bounds_and_monotonicity():
@@ -489,6 +559,78 @@ def test_consistency_sweep_size_skip():
     records = consistency_sweep(grid, seed=1)
     assert [rec["verdict"] for rec in records] == ["skip-size"]
     assert records[0]["oracle"] is None
+
+
+@pytest.mark.parametrize("mode,trials", [("exact", 3), ("modular", 2)])
+def test_consistency_sweep_store_matches_per_instance_calls(mode, trials):
+    # Zero multiplicities, m > d, d = 0 and systems with every point on a
+    # node; the sweep shares a condition-row store per (n, d), the
+    # per-instance calls have none.
+    grid = SweepGrid(n=(2, 3), d=(0, 6), s=(3, 7), m=(0, 4))
+    records = consistency_sweep(grid, seed=5, oracle_mode=mode, trials=trials)
+    state = RecState()
+    for rec in records:
+        spec = LinearSystemSpec(rec["n"], rec["d"], tuple(rec["mults"]))
+        res = verify_one(spec, mode, trials, 5, grid.cap_cells, state)
+        want = {key: res.values.get(key) for key in RECORD_KEYS[6:11]}
+        assert {key: rec[key] for key in want} == want, rec
+        assert rec["verdict"] == res.verdict, rec
+
+
+def test_h0_store_shared_across_primes_and_modes():
+    # One store, filled at random primes of other seeds, at the exact
+    # prime and exactly (Bareiss) in turn, and for other n and d: its keys
+    # carry (n, d), so rows of another degree are never gathered.
+    store = {}
+    rng = random.Random(89)
+    for _ in range(40):
+        mults = [rng.randint(0, 4) for _ in range(rng.randint(1, 9))]
+        sys_ = system(rng.choice((2, 3)), rng.choice((4, 5)), mults)
+        for mode, seed in (("modular", rng.randrange(3)), ("exact", 0),
+                           ("modular", rng.randrange(3))):
+            got = h0(sys_, mode=mode, seed=seed, trials=2, store=store)
+            assert got == h0(sys_, mode=mode, seed=seed, trials=2), (mults, mode)
+    assert {key[-1] for key in store} >= {None, 2**31 - 1}
+
+
+def test_consistency_sweep_store_holds_one_slice(monkeypatch):
+    # Every h0 call of a slice gets that slice's store, empty at the
+    # slice's first call, and holding only rows on binom(n+d, n) columns.
+    real = oracle.h0
+    calls = []
+
+    def spy(sys_, *args, store=None, **kwargs):
+        ncols = binom(sys_.n + sys_.d, sys_.n)
+        assert all(key[:2] == (sys_.n, sys_.d) for key in store), sys_
+        assert all(rows.shape[1] == ncols for rows in store.values()), sys_
+        calls.append(((sys_.n, sys_.d), store, len(store)))
+        return real(sys_, *args, store=store, **kwargs)
+
+    monkeypatch.setattr(oracle, "h0", spy)
+    records = consistency_sweep(SweepGrid(n=(2, 3), d=(3, 4), s=(5, 7), m=(1, 3)))
+    assert len(calls) == len(records)
+    slices = {}
+    for key, store, size in calls:
+        if key not in slices:
+            assert size == 0, key
+            slices[key] = store
+        assert store is slices[key]
+    assert len({id(store) for store in slices.values()}) == 4
+    assert all(slices.values())  # each slice did fill its store
+
+
+def test_store_is_bounded(monkeypatch):
+    # A store about to exceed STORE_CELLS is emptied first; the answers do
+    # not change.  At n = 3, d = 6 a point's rows are 4 x 84 (m = 2) or
+    # 10 x 84 (m = 3) cells, so a 1000-cell store holds two at most.
+    monkeypatch.setattr(oracle, "STORE_CELLS", 1000)
+    store = {}
+    sizes = []
+    for mults in ([3] * 8, [4, 3, 3, 3, 2, 2, 2, 2], [4] * 7 + [1], [3] * 8):
+        sys_ = system(3, 6, mults)
+        assert h0(sys_, store=store) == h0(sys_)
+        sizes.append(sum(rows.size for rows in store.values()))
+    assert max(sizes) <= 1000 and min(sizes) > 0
 
 
 # Empty systems: some m_i > d.  The first 20 are the instances of the
