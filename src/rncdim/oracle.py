@@ -23,22 +23,26 @@ Columns are the monomials x^gamma of degree d, indexed by gamma' =
     columns add exactly their number to the rank, so h0 is (#kept columns)
     - rank of the kept block, also when several deletions overlap.
   * Any other parameter t gives the point q = C_n(t) / gcd, every q_j
-    nonzero.  Its rows are Taylor coefficients in the chart x_0 = 1, each
-    scaled by q_0^(d - |alpha|): the row for order alpha (|alpha| < m) has
-    entry
+    nonzero.  Its row for the order alpha (|alpha| < m) is its Taylor
+    coefficient of that order in the chart x_0 = 1, times
+    q_0^(d - |alpha|) * q'^alpha with q'^alpha = prod_{j>=1} q_j^alpha_j:
 
-        B[alpha, gamma] * q_0^gamma_0 * prod_{j>=1} q_j^(gamma_j - alpha_j),
+        B[alpha, gamma] * q^gamma,
         B[alpha, gamma] = prod_j binom(gamma_j, alpha_j),
 
-    an integer.  The Taylor coefficient scales the derivative by
-    1/alpha!, and vanishing of all of order < m is equivalent to
-    multiplicity >= m (characteristic zero).
+    so a point's rows are B with column gamma scaled by the monomial
+    q^gamma.  The Taylor coefficient scales the derivative by 1/alpha!,
+    and vanishing of all of order < m is equivalent to multiplicity >= m
+    (characteristic zero).  The row factors are nonzero, so they keep the
+    rank over the rationals.  Rank mod p never exceeds the rational rank
+    for any integer matrix, and for h0's own parameters every factor
+    t - a_k of a q_j is below n + s + 2 in magnitude, far below p >= 2^30,
+    so q'^alpha is a unit mod p and the rank mod p is kept too.
 
-B and the monomial gamma - alpha each entry evaluates depend only on
-(n, d, m), so one cached structural block per (n, d, m) serves every
-point: one private builder, behind both conditions_matrix and h0,
-evaluates each point's monomials once and gathers them into the block,
-exactly over the integers or mod a prime.  h0 puts the n+1 largest
+B depends only on (n, d, m), so one cached block per (n, d, m) serves
+every point: one private builder, behind both conditions_matrix and h0,
+evaluates each point's monomials once and scales the block's columns by
+them, exactly over the integers or mod a prime.  h0 puts the n+1 largest
 multiplicities on the nodes, so only the other s-n-1 points add rows; it
 lays the points out once and builds the block for each prime from that
 layout.
@@ -59,10 +63,11 @@ rank, and a full rank mod p is the rational rank: a proof, not a
 probability.
   * exact: one prime, FULL_RANK_PRIME.  Only below full rank (a special
     system) does fraction-free (Bareiss) elimination over Python integers
-    run.
-  * modular: several random ~31-bit primes, no Bareiss.  The reported h0
-    is an upper bound on the exact h0 at the same parameters, wrong only
-    if every sampled prime divides the same nonzero minor.
+    run, on the rows divided by their contents (see rank_exact).
+  * modular: several random ~31-bit primes, each drawn from the seed once
+    per process, no Bareiss.  The reported h0 is an upper bound on the
+    exact h0 at the same parameters, wrong only if every sampled prime
+    divides the same nonzero minor.
 
 rank_modular delays reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS
 34(3), 2008): the pivot row and the multipliers are centered into
@@ -107,15 +112,19 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    One-step Bareiss: every 2x2 update is divided by the previous pivot, a
-    division that is exact by Sylvester's determinant identity, so entries
+    The rows are copied as Python integers (int64 products would wrap) and
+    divided by their contents (gcd of entries), zero rows dropped: the rank
+    stays, and the minors, so the cost, stay small.  One-step Bareiss: every
+    2x2 update is divided by the previous pivot, a division that is exact
+    by Sylvester's determinant identity, so entries
     stay integers (they are minors of the input).  The update must be applied
     to every row of the active block, zero factor or not, or the exactness
     invariant breaks.  Row pivoting picks the smallest nonzero entry in the
     column to slow coefficient growth.  Columns left of the current one are
     zero throughout the active block, so updates work on row tails only.
     """
-    m = [list(row) for row in matrix if any(row)]
+    rows = [[int(x) for x in row] for row in matrix]
+    m = [[x // g for x in row] for row in rows if (g := math.gcd(*row))]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -184,6 +193,22 @@ def _random_prime(rng: random.Random) -> int:
             return c
 
 
+@lru_cache(maxsize=64)
+def _prime_draws(seed: int) -> tuple[random.Random, list[int]]:
+    """Random(seed) and its primes drawn so far; only _seeded_primes extends them."""
+    return random.Random(seed), []
+
+
+def _seeded_primes(seed: int, trials: int):
+    """The first `trials` primes _random_prime draws from Random(seed), each
+    drawn once per process (in _prime_draws) when a caller first needs it."""
+    rng, drawn = _prime_draws(seed)
+    for k in range(trials):
+        if k == len(drawn):
+            drawn.append(_random_prime(rng))
+        yield drawn[k]
+
+
 def _node(k: int) -> int:
     """The k-th integer (from 0) of 0, 1, -1, 2, -2, ...: the node a_k of
     C_n for k <= n; h0 puts the points off the nodes at k = n+1, n+2, ..."""
@@ -204,56 +229,31 @@ def _curve_point(n: int, t: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _columns(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The monomial columns gamma' as an array G (one row each), and the
-    division table D: D[c, j] is the column of G[c] - e_j, or the sentinel
-    len(G) when G[c, j] = 0 (D[len(G)] is all sentinel).  Callers must not
-    mutate the returned arrays."""
-    exps = monomial_exponents(n, d)
-    G = np.array(exps, dtype=np.intp).reshape(len(exps), n)
-    index = {e: c for c, e in enumerate(exps)}
-    D = np.full((len(exps) + 1, n), len(exps), dtype=np.intp)
-    for c, e in enumerate(exps):
-        for j in range(n):
-            if e[j]:
-                D[c, j] = index[e[:j] + (e[j] - 1,) + e[j + 1 :]]
-    return G, D
+def _columns(n: int, d: int) -> np.ndarray:
+    """The monomial columns as an array H, one row (gamma_0, gamma') each,
+    gamma_0 = d - |gamma'|.  Callers must not mutate the returned array."""
+    G = np.array(monomial_exponents(n, d), dtype=np.intp).reshape(-1, n)
+    return np.column_stack([d - G.sum(axis=1), G])
 
 
 @lru_cache(maxsize=32)
-def _structural_block(n: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and monomial indices of one point's condition rows.
-
-    The entry at (order alpha, column gamma) is B[alpha, gamma] times the
-    point's monomial q_0^gamma_0 * q'^(gamma' - alpha), which sits at index
-    I[alpha, gamma] = gamma_0 * N + (column of gamma' - alpha) of the
-    point's value table (see _point_values; N columns).  Both depend only
-    on (n, d, m), not on the point, so the pair of arrays is cached and
-    reused across points, primes and oracle calls.  B is a product of
-    gathers on a binomial table, and I follows gamma' down the division
-    table alpha_j times per variable j; where B is 0 (some gamma_j <
-    alpha_j) I is 0.  B <= 2^d, so int64 is exact up to d = 62; beyond
-    that the coefficients are kept as Python integers (object dtype).
-    Callers must not mutate the returned arrays.
-    """
-    G, D = _columns(n, d)
-    ncols = len(G)
+def _structural_block(n: int, d: int, m: int) -> np.ndarray:
+    """B[alpha, gamma] = prod_{j>=1} binom(gamma_j, alpha_j), orders alpha
+    (|alpha| < m) by columns gamma: the point-independent factor of one
+    point's condition rows.  B <= 2^d, so int64 is exact up to d = 62;
+    beyond that the coefficients are Python integers (object dtype).
+    Callers must not mutate the returned array."""
+    G = _columns(n, d)[:, 1:]
     A = np.array(monomial_exponents(n, m - 1), dtype=np.intp).reshape(-1, n)
     top = max(d, m - 1)
     dtype = np.int64 if d <= 62 else object
     table = np.array(
         [[math.comb(g, a) for a in range(top + 1)] for g in range(d + 1)], dtype=dtype
     )
-    B = np.ones((len(A), ncols), dtype=dtype)
-    idx = np.broadcast_to(np.arange(ncols), B.shape).copy()
+    B = np.ones((len(A), len(G)), dtype=dtype)
     for j in range(n):
         B = B * table[G[None, :, j], A[:, j, None]]
-        for k in range(1, int(A[:, j].max(initial=0)) + 1):
-            rows = A[:, j] >= k
-            idx[rows] = D[idx[rows], j]
-    gamma0 = d - G.sum(axis=1)
-    I = np.where(B != 0, gamma0 * ncols + idx, 0)
-    return B, I
+    return B
 
 
 @lru_cache(maxsize=64)
@@ -261,8 +261,7 @@ def _kept_columns(n: int, d: int, node_mults: tuple[int, ...]) -> np.ndarray:
     """Indices of the monomial columns that multiplicity node_mults[j] at
     each node e_j leaves: gamma_j <= d - node_mults[j] for j = 0..n, with
     gamma_0 = d - |gamma'|.  Callers must not mutate the returned array."""
-    G, _ = _columns(n, d)
-    H = np.column_stack([d - G.sum(axis=1), G])
+    H = _columns(n, d)
     return np.flatnonzero((H <= d - np.array(node_mults)).all(axis=1))
 
 
@@ -296,24 +295,23 @@ def _layout(
     return _kept_columns(n, d, tuple(node_mults)), rows
 
 
-def _point_values(q: Sequence[int], d: int, G: np.ndarray, p: int | None) -> np.ndarray:
-    """The monomials q_0^g0 * q'^G[c] of the point q at index g0 * len(G) + c,
-    for g0 = 0..d; exact Python integers (object dtype), or int64 mod p."""
+def _point_values(q: Sequence[int], H: np.ndarray, p: int | None) -> np.ndarray:
+    """The monomials q^H[c] of the point q, one per column H[c]; exact
+    Python integers (object dtype), or int64 mod p."""
     if p is None:
         Q = np.array(q, dtype=object)
     else:
         Q = np.array([x % p for x in q], dtype=np.int64)
     powers = [np.ones_like(Q)]
-    for _ in range(d):
+    for _ in range(int(H.max(initial=0))):
         powers.append(powers[-1] * Q if p is None else powers[-1] * Q % p)
     pw = np.stack(powers, axis=1)  # pw[j, e] = q_j^e
-    cols = pw[1, G[:, 0]]
-    for j in range(2, len(Q)):
-        cols = cols * pw[j, G[:, j - 1]]
+    v = pw[0, H[:, 0]]
+    for j in range(1, len(Q)):
+        v = v * pw[j, H[:, j]]
         if p is not None:
-            cols %= p
-    vals = np.multiply.outer(pw[0], cols)
-    return (vals if p is None else vals % p).ravel()
+            v %= p
+    return v
 
 
 def _point_rows(
@@ -321,14 +319,14 @@ def _point_rows(
 ) -> np.ndarray:
     """The condition rows of the point at parameter t (not a node) with
     multiplicity m on the columns cols (all when None): its structural
-    block with its monomials gathered in, exact or mod p."""
-    B, I = _structural_block(n, d, m)
+    block with each column scaled by the point's monomial, exact or mod p."""
+    B, H = _structural_block(n, d, m), _columns(n, d)
     if cols is not None:
-        B, I = B[:, cols], I[:, cols]
-    v = _point_values(_curve_point(n, t), d, _columns(n, d)[0], p)
+        B, H = B[:, cols], H[cols]
+    v = _point_values(_curve_point(n, t), H, p)
     if p is None:
-        return B * v[I]
-    return (B % p).astype(np.int64, copy=False) * v[I] % p
+        return B * v
+    return (B % p).astype(np.int64, copy=False) * v % p
 
 
 STORE_CELLS = 1 << 20  # cells a condition-row store holds at most (8 MiB as int64)
@@ -379,8 +377,9 @@ def conditions_matrix(
     A parameter equal to a node a_j is the point e_j: it adds no rows and
     deletes the monomial columns with gamma_j > d - m (see the module
     docstring), so the matrix has binom(n+d, n) columns only when no
-    parameter is a node.  Every other point's rows are its cached
-    structural block with the point's monomials gathered in.  With p None
+    parameter is a node.  Every other point q adds the rows
+    B[alpha, gamma] * q^gamma, its Taylor rows scaled by q'^alpha (see the
+    module docstring), one per order alpha, |alpha| < m.  With p None
     the entries are exact Python integers (object dtype); with a prime
     p < 2^31 they are reduced mod p in int64, and conditions_matrix(sys,
     ps, p) equals conditions_matrix(sys, ps) % p.  The parameters must be
@@ -505,9 +504,10 @@ def h0(
     rank mod p is the rational rank, since rank mod p never exceeds rank
     over the rationals.  Otherwise Bareiss elimination of M' over the
     integers gives the rank.
-    mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed,
-    no Bareiss.  h0 is an upper bound on the exact h0 at the same
-    parameters, equal to it unless every prime divides the same minor.
+    mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed
+    (once per process), no Bareiss.  h0 is an upper bound on the exact h0
+    at the same parameters, equal to it unless every prime divides the
+    same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
     given; its shape is known before it is built.  Degrees d < 0 give
     h0 = 0; multiplicities <= 0 impose no conditions.
@@ -540,8 +540,7 @@ def h0(
     if mode == "exact":
         primes = (FULL_RANK_PRIME,)
     else:
-        rng = random.Random(seed)
-        primes = (_random_prime(rng) for _ in range(trials))
+        primes = _seeded_primes(seed, trials)
     full = min(erows, ecols)
     rank = 0
     used: list[int] = []

@@ -116,6 +116,28 @@ def test_rank_exact_matches_fraction_elimination():
         assert rank_exact(M) == fraction_rank(M), M
 
 
+def test_rank_exact_on_int64_and_scaled_rows():
+    # 34-bit int64 entries: Bareiss products reach about 2^70, so entries
+    # kept as numpy int64 would wrap.  The last row is row 0 + row 1.
+    rng = random.Random(31)
+    for _ in range(300):
+        ncols = rng.randint(3, 5)
+        nrows = rng.randint(3, ncols + 1)
+        M = [[rng.randrange(-(1 << 34), 1 << 34) for _ in range(ncols)]
+             for _ in range(nrows - 1)]
+        M.append([a + b for a, b in zip(M[0], M[1])])
+        want = rank_exact(np.array(M, dtype=object))
+        assert want == fraction_rank(M) < nrows
+        assert rank_exact(np.array(M, dtype=np.int64)) == want, M
+        # Rows scaled by nonzero integers of either sign, and zero rows.
+        factors = [rng.choice((-1, 1)) * rng.randint(1, 1 << 20) for _ in M]
+        scaled = [[f * x for x in row] for f, row in zip(factors, M)]
+        assert rank_exact(scaled + [[0] * ncols]) == want, M
+        assert rank_exact(np.array([[0] * ncols] + M, dtype=np.int64)) == want, M
+    assert rank_exact(np.zeros((3, 0), dtype=np.int64)) == 0
+    assert rank_exact([[], []]) == 0
+
+
 def test_rank_modular_matches_exact_on_small_matrices():
     rng = random.Random(37)
     p = (1 << 31) - 1
@@ -368,12 +390,12 @@ def test_repeated_params_rejected(p):
 
 def test_conditions_matrix_modular_matches_exact():
     # L_2,2(2) at t = 2, the point q = C_2(2) = (3, 6, 2): row alpha =
-    # (1, 0), column gamma = (2, 0) (gamma_0 = 0) is the scaled Taylor
-    # coefficient binom(2, 1) * q_0^0 * q_1^(2-1) = 12.
+    # (1, 0), column gamma = (2, 0) (gamma_0 = 0) is the Taylor coefficient
+    # binom(2, 1) * q_0^0 * q_1^(2-1) = 12 scaled by q_1^1 = 6: 72.
     M = conditions_matrix(system(2, 2, [2]), (2,))
     cols = monomial_exponents(2, 2)
     rows = monomial_exponents(2, 1)
-    assert M[rows.index((1, 0))][cols.index((2, 0))] == 12
+    assert M[rows.index((1, 0))][cols.index((2, 0))] == 72
     # Parameters congruent mod p are one point over GF(p).
     with pytest.raises(ValueError, match="distinct mod 7"):
         conditions_matrix(system(2, 3, [1, 1]), (1, 8), 7)
@@ -520,18 +542,37 @@ def test_primes_from_2_31_rejected():
 
 def test_structural_block_entries():
     # The vectorized block against the per-entry definition, int64 and
-    # object (d > 62) coefficients; I indexes the point's value table.
+    # object (d > 62) coefficients.
     for n, d, m in ((1, 3, 2), (2, 4, 3), (3, 3, 5), (4, 2, 2), (2, 63, 2)):
-        B, I = oracle._structural_block(n, d, m)
+        B = oracle._structural_block(n, d, m)
         cols = monomial_exponents(n, d)
         for r, alpha in enumerate(monomial_exponents(n, m - 1)):
             for c, gamma in enumerate(cols):
                 coeff = math.prod(binom(g, a) for g, a in zip(gamma, alpha))
                 assert B[r, c] == coeff, (n, d, m, alpha, gamma)
-                if coeff:
-                    rest = tuple(g - a for g, a in zip(gamma, alpha))
-                    assert I[r, c] == (d - sum(gamma)) * len(cols) + cols.index(rest)
         assert B.dtype == (object if d > 62 else np.int64)
+
+
+@pytest.mark.parametrize("n,d,m,t", [
+    (2, 4, 3, 2), (3, 5, 3, -2), (1, 6, 4, 3), (4, 3, 2, 3), (2, 63, 2, 2),
+])
+def test_point_rows_are_scaled_taylor_rows(n, d, m, t):
+    # Row alpha is the Taylor row B[alpha, gamma] * q_0^gamma_0 *
+    # q'^(gamma' - alpha) scaled by q'^alpha, which is nonzero off the
+    # nodes, so the rank is that of the Taylor rows.  d = 63 takes the
+    # object-dtype path.
+    q = curve_point(n, t)
+    M = conditions_matrix(system(n, d, [m]), (t,))
+    cols = monomial_exponents(n, d)
+    rows = monomial_exponents(n, m - 1)
+    assert M.shape == (len(rows), len(cols))
+    for r, alpha in enumerate(rows):
+        scale = math.prod(x**a for x, a in zip(q[1:], alpha))
+        for c, gamma in enumerate(cols):
+            coeff = math.prod(binom(g, a) for g, a in zip(gamma, alpha))
+            taylor = coeff and coeff * q[0] ** (d - sum(gamma)) * math.prod(
+                x ** (g - a) for x, g, a in zip(q[1:], gamma, alpha))
+            assert M[r, c] == scale * taylor, (alpha, gamma)
 
 
 def test_consistency_sweep_small_grid():
@@ -575,6 +616,35 @@ def test_consistency_sweep_store_matches_per_instance_calls(mode, trials):
         want = {key: res.values.get(key) for key in RECORD_KEYS[6:11]}
         assert {key: rec[key] for key in want} == want, rec
         assert rec["verdict"] == res.verdict, rec
+
+
+def test_modular_sweep_draws_each_prime_once(monkeypatch):
+    # Every h0 call of a sweep gets the primes of one seed; each is drawn
+    # once per process, so a sweep draws at most `trials` primes per seed,
+    # and the primes are those of Random(seed), in the order drawn.
+    real = oracle._random_prime
+    calls = []
+
+    def counting(rng):
+        calls.append(rng)
+        return real(rng)
+
+    monkeypatch.setattr(oracle, "_random_prime", counting)
+    oracle._prime_draws.cache_clear()
+    grid = SweepGrid(n=(2, 3), d=(2, 5), s=(5, 7), m=(1, 3))
+    drawn = []
+    for seed in (5, 6, 5):
+        calls.clear()
+        records = consistency_sweep(grid, seed=seed, oracle_mode="modular", trials=3)
+        assert all(rec["verdict"] == "agree" for rec in records)
+        drawn.append(len(calls))
+    assert 1 <= drawn[0] <= 3 and 1 <= drawn[1] <= 3
+    assert drawn[2] == 0  # the second sweep at seed 5 drew none
+    for seed in (5, 6):
+        rng = random.Random(seed)
+        fresh = [real(rng) for _ in range(3)]
+        primes = h0(system(3, 5, [3] * 9), mode="modular", seed=seed, trials=3).primes
+        assert primes == tuple(fresh[: len(primes)])
 
 
 def test_h0_store_shared_across_primes_and_modes():
