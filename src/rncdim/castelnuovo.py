@@ -14,13 +14,19 @@ reached: d < 0 or m_1 > d (empty), no points (full space), s <= n+2
 (subset formula), n = 2 (planar closed form), n = 1 (points on a line
 impose independent conditions).
 
-The recursion steps on canonical (n, d, mults) keys, the form `normalize`
-returns, and never builds a system object.  A key's two children come out
-canonical without a sort: the +E_1 child lowers the last of the leading
-run of m_1's (dropping it at 0); the projection child's images
-m_1 - 1 + m_i - d are already non-increasing, so kc+ is inserted by
-bisection and the non-positive tail cut off.  Both then go through
-`systems.kept_points`, the one redundant-point rule, with a running sum.
+The recursion steps on canonical keys (n, d, runs): the multiplicities of
+the normalized system in run-length form ((m, count), ...), m strictly
+decreasing and >= 1, so a step costs O(number of distinct
+multiplicities), not O(s), and never builds a system object.  A
+projection shifts every multiplicity by the same m_1 - 1 - d and adds one
+point, so runs of equal multiplicities last all the way down.  A key's two
+children come out canonical without a sort: the +E_1 child moves one
+point of the leading run down to m_1 - 1 (dropping it at 0); the
+projection child shifts each run, stops at the first non-positive image,
+and merges kc+ into its run or inserts it.  Both then go through
+`systems.kept_points`, the one redundant-point rule.  Point lists are
+expanded from the runs only at the leaves that need one (ldim_sum,
+planar_h0) and in trace listings.
 
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
@@ -29,32 +35,23 @@ memoized on its key during unwind.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from operator import neg
 
 from .binomials import binom
 from .formula import ldim_sum, planar_h0
 from .systems import (
     LinearSystemSpec,
     NormalizedSystem,
+    Runs,
     kc_from_sum,
+    kc_value,
     kept_points,
     normalize,
+    points_of,
+    runs_of,
 )
 
-Key = tuple[int, int, tuple[int, ...]]
-
-
-def _project(
-    n: int, d: int, m1: int, rest: tuple[int, ...], total: int
-) -> tuple[int, int, list[int], int]:
-    """Projection of L_{n,d}(m1, *rest) from the point of multiplicity m1,
-    where total is the multiplicity sum: (n - 1, m1, images m1 + m_i - d of
-    rest in its order, kc+ of the system)."""
-    shift = m1 - d
-    kcp = max(kc_from_sum(n, d, len(rest) + 1, total), 0)
-    return n - 1, m1, [m + shift for m in rest], kcp
+Key = tuple[int, int, Runs]
 
 
 def l_map(sys: LinearSystemSpec | NormalizedSystem) -> LinearSystemSpec:
@@ -71,31 +68,59 @@ def l_map(sys: LinearSystemSpec | NormalizedSystem) -> LinearSystemSpec:
         raise ValueError("projection drops below the planar base case")
     if len(mults) < n + 3:
         raise ValueError("projection needs s >= n+3 (kc undefined otherwise)")
-    pn, pd, images, kcp = _project(n, d, mults[0], mults[1:], sum(mults))
-    return LinearSystemSpec(pn, pd, (*images, kcp))
+    m1 = mults[0]
+    kcp = max(kc_value(n, d, mults), 0)
+    return LinearSystemSpec(n - 1, m1, (*(m + m1 - d for m in mults[1:]), kcp))
 
 
 def _children(key: Key) -> tuple[Key, Key]:
     """Canonical keys of the +E_1 child normalize(up) and the projection
     child normalize(l_map(up)), where up lowers m_1 of the canonical key by
     one.  The key has n >= 3 and s >= n + 3."""
-    n, d, mults = key
-    m1 = mults[0]
-    rest = mults[1:]
-    total = sum(mults) - 1  # multiplicity sum of up
-    if m1 > 1:
-        run = mults.count(m1)  # the leading points of multiplicity m_1
-        ups = mults[: run - 1] + (m1 - 1,) + mults[run:]
+    n, d, runs = key
+    m1, c1 = runs[0]
+    tail = runs[1:]
+    s = total = 0  # points and multiplicity sum of up, a zero point included
+    for m, c in runs:
+        s += c
+        total += m * c
+    total -= 1
+    head = ((m1, c1 - 1),) if c1 > 1 else ()
+    rest = head + tail  # the points of up other than the lowered one
+    if m1 == 1:
+        up = kept_points(n, d, rest, s - 1, total)
+    elif tail and tail[0][0] == m1 - 1:
+        up = kept_points(n, d, head + ((m1 - 1, tail[0][1] + 1),) + tail[1:], s, total)
     else:
-        ups = rest
-    up_key = (n, d, ups[: kept_points(n, d, ups, total)])
+        up = kept_points(n, d, head + ((m1 - 1, 1),) + tail, s, total)
 
-    pn, pd, ms, kcp = _project(n, d, m1 - 1, rest, total)
-    del ms[bisect_left(ms, 0, key=neg) :]  # the non-positive images are a tail
-    if kcp:
-        insort(ms, kcp, key=neg)
-    del ms[kept_points(pn, pd, ms, sum(ms)) :]
-    return up_key, (pn, pd, tuple(ms))
+    # l_map(up): every other point shifts by m1 - 1 - d, the positive
+    # images are a prefix of the runs, and kc+ of up joins them (kc <= 0
+    # adds no point).
+    kc = kc_from_sum(n, d, s, total)
+    shift = m1 - 1 - d
+    images = []
+    s = total = 0
+    for m, c in rest:
+        m += shift
+        if m <= 0:
+            break
+        if kc >= m:
+            if kc == m:
+                c += 1
+            else:
+                images.append((kc, 1))
+                s += 1
+                total += kc
+            kc = 0
+        images.append((m, c))
+        s += c
+        total += m * c
+    if kc > 0:
+        images.append((kc, 1))
+        s += 1
+        total += kc
+    return (n, d, up), (n - 1, m1 - 1, kept_points(n - 1, m1 - 1, images, s, total))
 
 
 @dataclass
@@ -111,7 +136,10 @@ class RecStats:
 
 @dataclass
 class RecState:
-    """Shared evaluation state: memo keyed by canonical (n, d, mults)."""
+    """Shared evaluation state.  memo maps a canonical key (n, d, runs) to
+    its h0, runs being the normalized multiplicities in run-length form
+    ((m, count), ...), m strictly decreasing and >= 1: L_3,6(2^10) is
+    (3, 6, ((2, 10),))."""
 
     memo: dict[Key, int] = field(default_factory=dict)
     stats: RecStats = field(default_factory=RecStats)
@@ -130,26 +158,38 @@ class _TraceNode:
     memo: bool = False
 
     def render(self) -> str:
-        n, d, mults = self.key
-        body = ",".join(map(str, mults)) if mults else "-"
+        n, d, runs = self.key
+        body = ",".join(map(str, points_of(runs))) if runs else "-"
         tail = " [memo]" if self.memo else ""
         return f"{'  ' * self.depth}{self.label} L_{n},{d}({body}) = {self.value}{tail}"
 
 
 def _base_value(key: Key) -> int | None:
     """Value at a leaf of the recursion, or None if another step is needed."""
-    n, d, mults = key
-    if d < 0 or (mults and mults[0] > d):
+    n, d, runs = key
+    if d < 0 or (runs and runs[0][0] > d):
         return 0  # negative degree, or a point of multiplicity above d: empty
-    if not mults:
+    if not runs:
         return binom(n + d, n)
     if n == 1:
-        return max(d + 1 - sum(mults), 0)
-    if len(mults) <= n + 2:
-        return max(ldim_sum(n, d, mults), 0)
+        return max(d + 1 - sum(m * c for m, c in runs), 0)
+    s = 0
+    for _, c in runs:
+        s += c
+    if s <= n + 2:
+        return max(ldim_sum(n, d, points_of(runs)), 0)
     if n == 2:
-        return planar_h0(LinearSystemSpec(n, d, mults))
+        return planar_h0(LinearSystemSpec(n, d, points_of(runs)))
     return None
+
+
+def _visit(stats: RecStats, depth: int, max_nodes: int) -> None:
+    """Count a node visit at chain depth depth against the budget."""
+    stats.nodes += 1
+    if depth > stats.max_depth:
+        stats.max_depth = depth
+    if stats.nodes > max_nodes:
+        raise RecursionGuardError(f"recursion exceeded {max_nodes} nodes")
 
 
 def _eval(
@@ -167,11 +207,7 @@ def _eval(
     stats, memo = state.stats, state.memo
     chain: list[tuple[Key, _TraceNode | None, int]] = []
     while True:
-        stats.nodes += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if stats.nodes > max_nodes:
-            raise RecursionGuardError(f"recursion exceeded {max_nodes} nodes")
+        _visit(stats, depth, max_nodes)
         me = None
         if nodes is not None:
             me = _TraceNode(depth, label, key)
@@ -189,8 +225,15 @@ def _eval(
         up_key, proj_key = _children(key)
         # Trace the projection child before the +E_1 child so the indented
         # listing nests as a tree (the chain continuation is the +E_1
-        # child's subtree and follows it).
-        proj_val = _eval(proj_key, state, nodes, depth + 1, "project", max_nodes)
+        # child's subtree and follows it).  Untraced, a projection child
+        # in the memo (most of them) is counted as the visit and hit that
+        # a call would count, without the call.
+        proj_val = memo.get(proj_key) if nodes is None else None
+        if proj_val is None:
+            proj_val = _eval(proj_key, state, nodes, depth + 1, "project", max_nodes)
+        else:
+            _visit(stats, depth + 1, max_nodes)
+            stats.memo_hits += 1
         chain.append((key, me, proj_val))
         key, depth, label = up_key, depth + 1, "+E1"
 
@@ -220,7 +263,8 @@ def recursive_h0(
     if state is None:
         state = RecState()
     nodes: list[_TraceNode] | None = [] if trace is not None else None
-    val = _eval(norm.key(), state, nodes, 0, "root", max_nodes)
+    key = (norm.n, norm.d, runs_of(norm.mults))
+    val = _eval(key, state, nodes, 0, "root", max_nodes)
     if trace is not None and nodes is not None:
         trace.extend(node.render() for node in nodes)
     return val

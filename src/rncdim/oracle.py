@@ -60,14 +60,15 @@ Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
 minor mod p is a nonzero integer, so rank mod p never exceeds the rational
 rank, and a full rank mod p is the rational rank: a proof, not a
-probability.
+probability.  An empty block (no rows or no columns) has rank 0 and is
+neither built nor eliminated.
   * exact: one prime, FULL_RANK_PRIME.  Only below full rank (a special
-    system) does fraction-free (Bareiss) elimination over Python integers
-    run, on the rows divided by their contents (see rank_exact).
+    system) does fraction-free elimination over Python integers run, on
+    primitive rows (see rank_exact).
   * modular: several random ~31-bit primes, each drawn from the seed once
-    per process, no Bareiss.  The reported h0 is an upper bound on the
-    exact h0 at the same parameters, wrong only if every sampled prime
-    divides the same nonzero minor.
+    per process, no exact elimination.  The reported h0 is an upper bound
+    on the exact h0 at the same parameters, wrong only if every sampled
+    prime divides the same nonzero minor.
 
 rank_modular delays reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS
 34(3), 2008): the pivot row and the multipliers are centered into
@@ -110,51 +111,52 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over the rationals by fraction-free elimination on primitive rows.
 
     The rows are copied as Python integers (int64 products would wrap) and
-    divided by their contents (gcd of entries), zero rows dropped: the rank
-    stays, and the minors, so the cost, stay small.  One-step Bareiss: every
-    2x2 update is divided by the previous pivot, a division that is exact
-    by Sylvester's determinant identity, so entries
-    stay integers (they are minors of the input).  The update must be applied
-    to every row of the active block, zero factor or not, or the exactness
-    invariant breaks.  Row pivoting picks the smallest nonzero entry in the
-    column to slow coefficient growth.  Columns left of the current one are
-    zero throughout the active block, so updates work on row tails only.
+    divided by their contents (gcd of entries), zero rows dropped.  Each
+    column's pivot is the row with the smallest nonzero entry there, to
+    slow coefficient growth.  Every other row with a nonzero entry v in
+    that column becomes (piv/g) * row - (v/g) * pivot row, g = gcd(piv, v),
+    divided by its content, and leaves when it is zero; rows with a zero
+    entry are untouched.  Each step keeps the row space, so the rank is the
+    number of pivots.  After k pivots a row is the primitive multiple of
+    the vector of (k+1)-minors that Bareiss elimination would hold, so its
+    entries are never larger.  Columns left of the current one are no
+    longer read, so updates work on row tails only.
     """
     rows = [[int(x) for x in row] for row in matrix]
     m = [[x // g for x in row] for row in rows if (g := math.gcd(*row))]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    ncols = len(m[0]) if m else 0
     rank = 0
-    prev = 1
     for col in range(ncols):
-        if rank == nrows:
+        if not m:
             break
         piv_i = -1
         piv_abs = 0
-        for i in range(rank, nrows):
-            v = m[i][col]
+        for i, row in enumerate(m):
+            v = row[col]
             if v and (piv_i < 0 or abs(v) < piv_abs):
                 piv_i, piv_abs = i, abs(v)
         if piv_i < 0:
             continue
-        m[rank], m[piv_i] = m[piv_i], m[rank]
-        piv_tail = m[rank][col:]
-        piv = piv_tail[0]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            vi = row[col]
-            if vi:
-                row[col:] = [
-                    (piv * a - vi * b) // prev for a, b in zip(row[col:], piv_tail)
-                ]
-            elif piv != prev:
-                row[col:] = [piv * a // prev for a in row[col:]]
-        prev = piv
+        pivot = m.pop(piv_i)
         rank += 1
+        piv = pivot[col]
+        piv_tail = pivot[col + 1 :]
+        rest = []
+        for row in m:
+            v = row[col]
+            if v:
+                g = math.gcd(piv, v)
+                a, b = piv // g, v // g
+                tail = [a * x - b * y for x, y in zip(row[col + 1 :], piv_tail)]
+                c = math.gcd(*tail)
+                if not c:
+                    continue  # a zero row adds nothing to the rank
+                row[col + 1 :] = [x // c for x in tail] if c > 1 else tail
+            rest.append(row)
+        m = rest
     return rank
 
 
@@ -502,17 +504,19 @@ def h0(
     The parameters are distinct mod every prime used here.
     mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
     rank mod p is the rational rank, since rank mod p never exceeds rank
-    over the rationals.  Otherwise Bareiss elimination of M' over the
-    integers gives the rank.
+    over the rationals.  Otherwise rank_exact, fraction-free elimination
+    of M' on primitive integer rows, gives the rank.
     mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed
-    (once per process), no Bareiss.  h0 is an upper bound on the exact h0
-    at the same parameters, equal to it unless every prime divides the
-    same minor.
+    (once per process), no exact elimination.  h0 is an upper bound on the
+    exact h0 at the same parameters, equal to it unless every prime
+    divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
     given; its shape is known before it is built.  Degrees d < 0 give
-    h0 = 0; multiplicities <= 0 impose no conditions.
+    h0 = 0; multiplicities <= 0 impose no conditions.  An empty M' (no
+    rows or no columns) has rank 0 and is neither built nor eliminated;
+    primes still names the first prime of the mode.
     The points are laid out once, and M' is built from that layout for
-    each prime (and once exactly for Bareiss).  store, when given, is a
+    each prime (and once exactly for rank_exact).  store, when given, is a
     condition-row store (see the module docstring): a dict that maps
     (n, d, t, m, p) to the rows on all columns of the point at parameter t
     with multiplicity m, mod p (exactly when p is None).  h0 reads it and
@@ -546,7 +550,8 @@ def h0(
     used: list[int] = []
     for p in primes:
         used.append(p)
-        rank = max(rank, rank_modular(_block(n, d, keep, rows, p, store), p))
+        if full:  # an empty block (no rows or no columns) has rank 0
+            rank = max(rank, rank_modular(_block(n, d, keep, rows, p, store), p))
         if rank == full:
             break
     if mode == "exact" and rank < full:

@@ -16,6 +16,7 @@ recomputed after every single removal because removals can raise it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .binomials import binom
@@ -93,26 +94,53 @@ def kc_from_sum(n: int, d: int, s: int, total: int) -> int:
     return -((n * d - total) // (s - n - 2))
 
 
-def kept_points(
-    n: int, d: int, mults: Sequence[int], total: int, kcs: list[int] | None = None
-) -> int:
-    """The redundant-point rule: how many leading points of mults stay.
+Runs = tuple[tuple[int, int], ...]
 
-    mults is non-increasing and positive with sum total.  While s >= n + 3
-    and the last point has 0 < m_s < k_C, that point is dropped and k_C is
-    recomputed from the running sum, since a removal can raise it.  The
-    k_C of each drop is appended to kcs when it is given.
+
+def runs_of(mults: Iterable[int]) -> Runs:
+    """Run-length form ((m, count), ...) of non-increasing multiplicities."""
+    return tuple((m, len(list(g))) for m, g in groupby(mults))
+
+
+def points_of(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The multiplicities of run-length form, one per point."""
+    return tuple(m for m, c in runs for _ in range(c))
+
+
+def kept_points(
+    n: int,
+    d: int,
+    runs: Sequence[tuple[int, int]],
+    s: int,
+    total: int,
+    kcs: list[int] | None = None,
+) -> Runs:
+    """The redundant-point rule on run-length multiplicities: the runs
+    that stay.
+
+    runs is ((m, count), ...) with m strictly decreasing and >= 1, s points
+    in all with multiplicity sum total.  While s >= n + 3 and the last
+    point has 0 < m_s < k_C, that point is dropped from the last run and
+    k_C is recomputed from the running sum, since a removal can raise it.
+    The k_C of each drop is appended to kcs when it is given.
     """
-    s = len(mults)
+    out = None  # a copy of runs once a point is dropped
     while s >= n + 3:
+        m, c = runs[-1] if out is None else out[-1]
         kc = kc_from_sum(n, d, s, total)
-        if kc < 1 or mults[s - 1] >= kc:
+        if kc < 1 or m >= kc:
             break
+        if out is None:
+            out = list(runs)
+        if c > 1:
+            out[-1] = (m, c - 1)
+        else:
+            out.pop()  # s >= n + 2 points are left, so an earlier run is too
         s -= 1
-        total -= mults[s]
+        total -= m
         if kcs is not None:
             kcs.append(kc)
-    return s
+    return tuple(runs if out is None else out)
 
 
 def epsilon_value(n: int, d: int, mults: Sequence[int]) -> int:
@@ -149,7 +177,8 @@ def normalize(spec: LinearSystemSpec) -> NormalizedSystem:
     pts.sort(key=lambda p: (-p[0], p[1]))
     ms = [m for m, _ in pts]
     kcs: list[int] = []
-    keep = kept_points(n, d, ms, sum(ms), kcs)
+    kept_points(n, d, runs_of(ms), len(ms), sum(ms), kcs)
+    keep = len(ms) - len(kcs)
     # Drops go from the end: minimal multiplicity, largest original index.
     for kc, (m, idx) in zip(kcs, reversed(pts[keep:])):
         trace.append(TraceStep("drop-redundant", idx, m, kc=kc))

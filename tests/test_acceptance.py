@@ -71,9 +71,15 @@ def test_criterion_1_worked_example():
     assert res.h0 == 6
     assert oracle_elapsed < 60.0, f"modular oracle took {oracle_elapsed:.1f}s"
 
+    t0 = time.perf_counter()
+    exact = h0(system(5, 8, WORKED_NORM_MULTS))
+    exact_elapsed = time.perf_counter() - t0
+    assert (exact.h0, exact.mode) == (6, "exact")
+
     print(
         f"criterion 1 PASS: worked example kc 4->5 eps 1 dimension 6 "
-        f"(formula {formula_elapsed:.3f}s, modular oracle {oracle_elapsed:.1f}s)"
+        f"(formula {formula_elapsed:.3f}s, modular oracle {oracle_elapsed:.1f}s,"
+        f" exact oracle {exact_elapsed:.1f}s)"
     )
 
 

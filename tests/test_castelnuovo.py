@@ -15,7 +15,7 @@ from rncdim.castelnuovo import (
 )
 from rncdim.formula import dimension
 from rncdim.oracle import h0
-from rncdim.systems import kc_value, normalize, system
+from rncdim.systems import kc_value, normalize, points_of, runs_of, system
 
 
 def test_l_map_worked_example():
@@ -43,12 +43,16 @@ def test_l_map_guards():
         l_map(system(3, 4, [2, 2, 2]))
 
 
+def _run_key(norm):
+    return (norm.n, norm.d, runs_of(norm.mults))
+
+
 def test_children_match_normalize():
     # The key-level step against the spec-level one, along the first +E1
-    # steps of random raw systems with multiplicities in -2..d+1.  Half the
-    # systems draw from lo..d+1; the other half sit near n*d/(n+2), where
-    # k_C is close to the multiplicities and lowering m_1 makes a point
-    # redundant.
+    # steps of random raw systems with multiplicities in -2..d+1, with
+    # normalize's keys in run-length form.  Half the systems draw from
+    # lo..d+1; the other half sit near n*d/(n+2), where k_C is close to the
+    # multiplicities and lowering m_1 makes a point redundant.
     rng = random.Random(29)
     seen = Counter()
     for i in range(3000):
@@ -60,20 +64,50 @@ def test_children_match_normalize():
         else:
             lo = max(n * d // (n + 2) - rng.randint(0, 2), -2)
             hi = min(lo + 2, d + 1)
-        key = normalize(system(n, d, [rng.randint(lo, hi) for _ in range(s)])).key()
+        key = _run_key(normalize(system(n, d, [rng.randint(lo, hi) for _ in range(s)])))
         for _ in range(20):
             if _base_value(key) is not None:
                 break
-            n, d, mults = key
+            n, d, runs = key
+            mults = points_of(runs)
             up = system(n, d, (mults[0] - 1,) + mults[1:])
             up_norm, proj_norm = normalize(up), normalize(l_map(up))
-            assert _children(key) == (up_norm.key(), proj_norm.key()), key
+            assert _children(key) == (_run_key(up_norm), _run_key(proj_norm)), key
             seen["keys"] += 1
             seen["kc<0"] += kc_value(n, d, up.mults) < 0
             seen.update(step.action for step in up_norm.trace + proj_norm.trace)
-            key = up_norm.key()
+            key = _run_key(up_norm)
     assert seen["keys"] > 10_000
     assert min(seen[k] for k in ("kc<0", "clamp", "drop-zero", "drop-redundant")) > 0
+
+
+@pytest.mark.parametrize(
+    "n, d, mults, want",
+    [
+        # h0, nodes, memo_hits, max_depth, memo size
+        (10, 30, [20] * 20, (459077106, 2075, 987, 388, 1088)),
+        (4, 200, [120] * 9, (2309586, 24475, 11646, 1074, 12829)),
+        (6, 40, [30] * 12, (1, 8585, 4041, 265, 4544)),
+        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 231, 87, 47, 144)),
+        (3, 200, [96] * 11, (154175, 2103, 886, 1051, 1217)),
+    ],
+)
+def test_recursion_counters_pinned(n, d, mults, want):
+    # The values and counters of the point-list keys the recursion had
+    # before it stepped on run-length keys: the same nodes are visited.
+    state = RecState()
+    h = recursive_h0(system(n, d, mults), state=state)
+    stats = state.stats
+    assert (h, stats.nodes, stats.memo_hits, stats.max_depth, len(state.memo)) == want
+
+
+def test_memo_keys_are_runs():
+    state = RecState()
+    assert recursive_h0(system(3, 6, [2] * 10), state=state) == 45
+    assert (3, 6, ((2, 10),)) in state.memo
+    for n, d, runs in state.memo:
+        assert all(m >= 1 and c >= 1 for m, c in runs)
+        assert [m for m, _ in runs] == sorted({m for m, _ in runs}, reverse=True)
 
 
 def test_recursive_base_cases():

@@ -375,6 +375,30 @@ def test_h0_exact_below_full_rank_mod_p_is_not_trusted(monkeypatch):
     assert h0(system(2, 4, [2] * 5)).h0 == 1
 
 
+@pytest.mark.parametrize(
+    "sys_, want",
+    [
+        # Every point on a node: no rows.
+        (system(3, 4, [2, 2, 1]), (26, 9, 9, 35, (0, 1, -1))),
+        # m_1 = 3 > d on the node e_0 deletes every column.
+        (system(2, 2, [3, 1, 1, 1, 1]), (0, 6, 10, 6, (0, 1, -1, 2, -2))),
+    ],
+    ids=["no-rows", "no-columns"],
+)
+@pytest.mark.parametrize("mode, prime", [("exact", 2**31 - 1), ("modular", 1580651243)])
+def test_h0_empty_block_is_not_eliminated(monkeypatch, sys_, want, mode, prime):
+    # The result, primes included, is that of eliminating the empty block:
+    # the exact prime, or the first prime drawn from the seed.
+    def unused(*args, **kwargs):
+        raise AssertionError("an empty block was built or eliminated")
+
+    monkeypatch.setattr(oracle, "_block", unused)
+    monkeypatch.setattr(oracle, "rank_modular", unused)
+    res = h0(sys_, mode=mode, seed=4, trials=3)
+    assert (res.h0, res.rank, res.rows, res.cols, res.params) == want
+    assert (res.mode, res.primes) == (mode, (prime,))
+
+
 @pytest.mark.parametrize("p", [None, 2**31 - 1], ids=["exact", "modular"])
 def test_repeated_params_rejected(p):
     # The true value is 1; a repeated parameter is one point, not two.

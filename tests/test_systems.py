@@ -8,7 +8,10 @@ from rncdim.systems import (
     NormalizedSystem,
     epsilon_value,
     kc_value,
+    kept_points,
     normalize,
+    points_of,
+    runs_of,
     system,
     vdim,
 )
@@ -132,3 +135,20 @@ def test_spec_validation():
     spec = system(2, 3, [1.0, 2])
     assert spec.mults == (1, 2)
     assert spec.s == 2
+
+
+def test_runs_round_trip():
+    assert runs_of((5, 5, 3, 2, 2, 2)) == ((5, 2), (3, 1), (2, 3))
+    assert runs_of(()) == ()
+    assert points_of(((5, 2), (3, 1), (2, 3))) == (5, 5, 3, 2, 2, 2)
+
+
+def test_kept_points_on_runs():
+    # L_5,8(7,6^2,5^7,2^3): the three 2's go one by one, each drop's k_C
+    # recorded; the runs before the last are untouched.
+    runs = ((7, 1), (6, 2), (5, 7), (2, 3))
+    kcs: list[int] = []
+    assert kept_points(5, 8, runs, 13, 60, kcs) == ((7, 1), (6, 2), (5, 7))
+    assert kcs == [4, 4, 4]
+    kept = ((7, 1), (6, 2), (5, 7))
+    assert kept_points(5, 8, kept, 10, 54) == kept
