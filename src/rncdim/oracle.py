@@ -41,20 +41,15 @@ Columns are the monomials x^gamma of degree d, indexed by gamma' =
 
 B depends only on (n, d, m), so one cached block per (n, d, m) serves
 every point: one private builder, behind both conditions_matrix and h0,
-evaluates each point's monomials once and scales the block's columns by
-them, exactly over the integers or mod a prime.  h0 puts the n+1 largest
-multiplicities on the nodes, so only the other s-n-1 points add rows; it
-lays the points out once and builds the block for each prime from that
-layout.
-
-A condition-row store carries those rows across h0 calls: a dict keyed
-(n, d, t, m, p), with t the curve parameter, m the multiplicity and p the
-prime (None for exact rows), whose value is the point's rows on all
-binom(n+d, n) columns.  Each call then only gathers its kept columns.
-consistency_sweep makes one per (n, d) slice and drops it when the slice
-is done; there is no process-wide store, since random primes never
-repeat.  A store is emptied before it would hold more than STORE_CELLS
-cells.
+scales the block's kept columns by the point's monomials, exactly over the
+integers or mod a prime.  Those monomials, q^gamma on all binom(n+d, n)
+columns, do not depend on m and are cached per (n, d, t, p), t the curve
+parameter and p the prime (None for exact values), in one bounded
+lru_cache.  Primes are drawn once per (seed, trials) per process, so
+repeated calls, a sweep's included, find a point's monomials there.  h0 puts
+the n+1 largest multiplicities on the nodes, so only the other s-n-1
+points add rows; it lays the points out once, counts the kept columns
+before listing any, and builds the block for each prime from that layout.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -196,19 +191,11 @@ def _random_prime(rng: random.Random) -> int:
 
 
 @lru_cache(maxsize=64)
-def _prime_draws(seed: int) -> tuple[random.Random, list[int]]:
-    """Random(seed) and its primes drawn so far; only _seeded_primes extends them."""
-    return random.Random(seed), []
-
-
-def _seeded_primes(seed: int, trials: int):
-    """The first `trials` primes _random_prime draws from Random(seed), each
-    drawn once per process (in _prime_draws) when a caller first needs it."""
-    rng, drawn = _prime_draws(seed)
-    for k in range(trials):
-        if k == len(drawn):
-            drawn.append(_random_prime(rng))
-        yield drawn[k]
+def _seeded_primes(seed: int, trials: int) -> tuple[int, ...]:
+    """The first `trials` primes _random_prime draws from Random(seed),
+    drawn once per process."""
+    rng = random.Random(seed)
+    return tuple(_random_prime(rng) for _ in range(trials))
 
 
 def _node(k: int) -> int:
@@ -217,7 +204,6 @@ def _node(k: int) -> int:
     return (k + 1) // 2 if k % 2 else -(k // 2)
 
 
-@lru_cache(maxsize=1024)
 def _curve_point(n: int, t: int) -> tuple[int, ...]:
     """C_n(t) / gcd, the primitive integer point of the curve at t."""
     nodes = [_node(k) for k in range(n + 1)]
@@ -267,16 +253,34 @@ def _kept_columns(n: int, d: int, node_mults: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero((H <= d - np.array(node_mults)).all(axis=1))
 
 
+@lru_cache(maxsize=64)
+def _kept_count(n: int, d: int, node_mults: tuple[int, ...]) -> int:
+    """The size of _kept_columns(n, d, node_mults), counted without listing
+    a monomial.  By inclusion-exclusion over the nodes: the monomials of
+    degree d with gamma_j >= d - m_j + 1 for every j in a set S number
+    binom(n + d - e, n), e = sum_{j in S} (d - m_j + 1), so the count is
+    sum_e c_e binom(n + d - e, n), c_e the coefficient of x^e in
+    prod_j (1 - x^(d - m_j + 1)).  Nodes with m_j = 0 add no term."""
+    if max(node_mults) > d:
+        return 0
+    c = [1] + [0] * d  # c[e] for e = 0..d; higher powers add no monomial
+    for m in node_mults:
+        step = d - m + 1
+        for e in range(d, step - 1, -1):
+            c[e] -= c[e - step]
+    return sum(ce * math.comb(n + d - e, n) for e, ce in enumerate(c) if ce)
+
+
 def _layout(
     sys: LinearSystemSpec | NormalizedSystem,
     params: Sequence[int],
     p: int | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The kept monomial columns and the (t, m) of every point that adds
-    rows.  Checks that there is one parameter per point, pairwise distinct
-    (mod p when p is given).  Whether a parameter is a node is decided on
-    the integer, so a parameter congruent to a node only mod p adds rows
-    like any other."""
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The multiplicity at each node e_0..e_n (0 where no point is) and the
+    (t, m) of every point that adds rows.  Checks that there is one
+    parameter per point, pairwise distinct (mod p when p is given).
+    Whether a parameter is a node is decided on the integer, so a parameter
+    congruent to a node only mod p adds rows like any other."""
     n, d = sys.n, sys.d
     if d < 0:
         raise ValueError("conditions matrix undefined for negative degree")
@@ -294,22 +298,26 @@ def _layout(
             node_mults[node_of[t]] = max(m, 0)
         elif m > 0:
             rows.append((t, m))
-    return _kept_columns(n, d, tuple(node_mults)), rows
+    return tuple(node_mults), rows
 
 
-def _point_values(q: Sequence[int], H: np.ndarray, p: int | None) -> np.ndarray:
-    """The monomials q^H[c] of the point q, one per column H[c]; exact
-    Python integers (object dtype), or int64 mod p."""
+@lru_cache(maxsize=256)
+def _point_monomials(n: int, d: int, t: int, p: int | None) -> np.ndarray:
+    """The monomials q^gamma of the point q = _curve_point(n, t), one per
+    column of _columns(n, d): exact Python integers (object dtype), or
+    int64 mod p.  Callers must not mutate the returned array."""
+    H = _columns(n, d)
+    q = _curve_point(n, t)
     if p is None:
         Q = np.array(q, dtype=object)
     else:
         Q = np.array([x % p for x in q], dtype=np.int64)
     powers = [np.ones_like(Q)]
-    for _ in range(int(H.max(initial=0))):
+    for _ in range(d):
         powers.append(powers[-1] * Q if p is None else powers[-1] * Q % p)
     pw = np.stack(powers, axis=1)  # pw[j, e] = q_j^e
     v = pw[0, H[:, 0]]
-    for j in range(1, len(Q)):
+    for j in range(1, n + 1):
         v = v * pw[j, H[:, j]]
         if p is not None:
             v %= p
@@ -317,50 +325,34 @@ def _point_values(q: Sequence[int], H: np.ndarray, p: int | None) -> np.ndarray:
 
 
 def _point_rows(
-    n: int, d: int, t: int, m: int, p: int | None, cols: np.ndarray | None = None
+    n: int, d: int, t: int, m: int, p: int | None, cols: np.ndarray
 ) -> np.ndarray:
     """The condition rows of the point at parameter t (not a node) with
-    multiplicity m on the columns cols (all when None): its structural
-    block with each column scaled by the point's monomial, exact or mod p."""
-    B, H = _structural_block(n, d, m), _columns(n, d)
-    if cols is not None:
-        B, H = B[:, cols], H[cols]
-    v = _point_values(_curve_point(n, t), H, p)
+    multiplicity m on the columns cols: its structural block with each
+    column scaled by the point's monomial, exact or mod p."""
+    B = _structural_block(n, d, m)[:, cols]
+    v = _point_monomials(n, d, t, p)[cols]
     if p is None:
         return B * v
-    return (B % p).astype(np.int64, copy=False) * v % p
-
-
-STORE_CELLS = 1 << 20  # cells a condition-row store holds at most (8 MiB as int64)
+    if d > 32:  # B <= 2^d and v < 2^31, so B * v fits int64 up to d = 32
+        B = (B % p).astype(np.int64)
+    return B * v % p
 
 
 def _block(
     n: int,
     d: int,
-    keep: np.ndarray,
+    node_mults: tuple[int, ...],
     rows: list[tuple[int, int]],
     p: int | None,
-    store: dict | None = None,
 ) -> np.ndarray:
     """The kept block of a _layout: the rows of every (t, m) in rows on the
-    kept columns, exact (object dtype) or int64 mod p.  With a store (see
-    the module docstring) each point's rows on all columns are built once
-    per key and every block gathers its kept columns from them; without
-    one only the kept columns are built."""
+    columns the node multiplicities keep, exact (object dtype) or int64
+    mod p."""
+    keep = _kept_columns(n, d, node_mults)
     if not rows:
         return np.zeros((0, keep.size), dtype=object if p is None else np.int64)
-    if store is None:
-        return np.concatenate([_point_rows(n, d, t, m, p, keep) for t, m in rows])
-    parts = []
-    for t, m in rows:
-        part = store.get((n, d, t, m, p))
-        if part is None:
-            part = _point_rows(n, d, t, m, p)
-            if sum(v.size for v in store.values()) + part.size > STORE_CELLS:
-                store.clear()
-            store[n, d, t, m, p] = part
-        parts.append(part[:, keep])
-    return np.concatenate(parts)
+    return np.concatenate([_point_rows(n, d, t, m, p, keep) for t, m in rows])
 
 
 def _check_prime(p: int) -> None:
@@ -390,8 +382,7 @@ def conditions_matrix(
     """
     if p is not None:
         _check_prime(p)
-    keep, rows = _layout(sys, params, p)
-    return _block(sys.n, sys.d, keep, rows, p)
+    return _block(sys.n, sys.d, *_layout(sys, params, p), p)
 
 
 # Updates between reductions of the rows below, see rank_modular.  Eight
@@ -489,7 +480,6 @@ def h0(
     seed: int = 0,
     trials: int = 3,
     cap_cells: int | None = None,
-    store: dict | None = None,
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
@@ -511,17 +501,13 @@ def h0(
     exact h0 at the same parameters, equal to it unless every prime
     divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
-    given; its shape is known before it is built.  Degrees d < 0 give
-    h0 = 0; multiplicities <= 0 impose no conditions.  An empty M' (no
-    rows or no columns) has rank 0 and is neither built nor eliminated;
-    primes still names the first prime of the mode.
+    given; its shape is counted before any monomial is listed.  Degrees
+    d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.  An empty
+    M' (no rows or no columns) has rank 0 and is neither built nor
+    eliminated; primes still names the first prime of the mode.
     The points are laid out once, and M' is built from that layout for
-    each prime (and once exactly for rank_exact).  store, when given, is a
-    condition-row store (see the module docstring): a dict that maps
-    (n, d, t, m, p) to the rows on all columns of the point at parameter t
-    with multiplicity m, mod p (exactly when p is None).  h0 reads it and
-    fills it, so calls that share it build each point's rows once; the
-    result is the same with or without it.  The caller owns its lifetime.
+    each prime (and once exactly for rank_exact), from each point's cached
+    monomials (see the module docstring).
     """
     n, d = sys.n, sys.d
     mults = tuple(sys.mults)
@@ -534,28 +520,25 @@ def h0(
         raise ValueError(f"cap_cells must be >= 0, got {cap_cells}")
     if d < 0:
         return OracleResult(0, 0, 0, 0, mode, ps)
-    keep, rows = _layout(sys, ps)
+    node_mults, rows = _layout(sys, ps)
     erows = sum(binom(n + m - 1, n) for _, m in rows)
-    ecols = keep.size
+    ecols = _kept_count(n, d, node_mults)
     if cap_cells is not None and erows * ecols > cap_cells:
         raise OracleSizeError(
             f"oracle matrix {erows}x{ecols} exceeds cap {cap_cells}"
         )
-    if mode == "exact":
-        primes = (FULL_RANK_PRIME,)
-    else:
-        primes = _seeded_primes(seed, trials)
+    primes = (FULL_RANK_PRIME,) if mode == "exact" else _seeded_primes(seed, trials)
     full = min(erows, ecols)
     rank = 0
     used: list[int] = []
     for p in primes:
         used.append(p)
         if full:  # an empty block (no rows or no columns) has rank 0
-            rank = max(rank, rank_modular(_block(n, d, keep, rows, p, store), p))
+            rank = max(rank, rank_modular(_block(n, d, node_mults, rows, p), p))
         if rank == full:
             break
     if mode == "exact" and rank < full:
-        rank = rank_exact(_block(n, d, keep, rows, None, store))
+        rank = rank_exact(_block(n, d, node_mults, rows, None))
     h = ecols - rank
     ncols = binom(n + d, n)
     nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
@@ -598,7 +581,6 @@ def verify_one(
     seed: int = 0,
     cap_cells: int | None = None,
     state: castelnuovo.RecState | None = None,
-    store: dict | None = None,
 ) -> Verification:
     """Every evaluator on one system, compared against the oracle.
 
@@ -611,17 +593,14 @@ def verify_one(
     Without it, the verdict is skip-size when the closed values agree with
     each other and disagree:<names> naming all of them when they do not,
     since none can be preferred.  state carries the recursion memo across
-    calls, and store the oracle's condition rows across calls on systems of
-    one (n, d) (see h0).  Evaluators are looked up in their modules at call
-    time.
+    calls.  Evaluators are looked up in their modules at call time.
     """
     norm = systems.normalize(spec)
     values: dict[str, int] = {}
     notes: list[str] = []
     try:
         values["oracle"] = h0(
-            spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells,
-            store=store,
+            spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells
         ).h0
     except OracleSizeError:
         notes.append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
@@ -664,17 +643,13 @@ def consistency_sweep(
     non-increasingly.  Record fields are RECORD_KEYS in that order: kc and
     epsilon of the input when s >= n+3, the value of each evaluator
     (None when it did not run), and the verdict of verify_one.  One
-    recursion memo is shared across the sweep.  Each (n, d) slice has its
-    own condition-row store (see h0), dropped when the slice is done, so
-    each point's rows are built once per slice and prime and the sweep
-    never holds the rows of two slices.  A failure inside one instance
-    becomes its error:<type>:<message> verdict, never an exception.
+    recursion memo is shared across the sweep.  A failure inside one
+    instance becomes its error:<type>:<message> verdict, never an exception.
     """
     rec_state = castelnuovo.RecState()
     records: list[dict] = []
     for n in range(grid.n[0], grid.n[1] + 1):
         for d in range(grid.d[0], grid.d[1] + 1):
-            store: dict = {}
             for s in range(grid.s[0], grid.s[1] + 1):
                 for combo in combinations_with_replacement(
                     range(grid.m[0], grid.m[1] + 1), s
@@ -688,7 +663,7 @@ def consistency_sweep(
                             rec["epsilon"] = systems.epsilon_value(n, d, ms)
                         res = verify_one(
                             LinearSystemSpec(n, d, ms), oracle_mode, trials, seed,
-                            grid.cap_cells, rec_state, store,
+                            grid.cap_cells, rec_state,
                         )
                         rec.update(res.values, verdict=res.verdict)
                     except Exception as exc:  # a sweep must survive any instance

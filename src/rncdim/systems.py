@@ -73,9 +73,6 @@ class NormalizedSystem:
     def s(self) -> int:
         return len(self.mults)
 
-    def key(self) -> tuple[int, int, tuple[int, ...]]:
-        return (self.n, self.d, self.mults)
-
 
 def kc_value(n: int, d: int, mults: Sequence[int]) -> int:
     """Forced multiplicity of the degree-n curve in the base locus.

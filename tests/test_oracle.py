@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rncdim import formula, oracle
+from rncdim import cli, formula, oracle
 from rncdim.binomials import binom
 from rncdim.castelnuovo import RecState, recursive_h0
 from rncdim.oracle import (
@@ -438,6 +438,14 @@ def test_conditions_matrix_modular_matches_exact():
             assert mod.dtype == np.int64
             assert mod.shape == exact.shape
             assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, mults)
+    # High degrees: B reaches binom(40, 20) > 2^37 at d = 40, so B times a
+    # residue overflows int64 unless B is reduced first; d = 63 has object B.
+    for n, d, m in ((1, 32, 17), (2, 33, 12), (1, 40, 21), (1, 63, 32)):
+        sys_ = system(n, d, [m, m])
+        exact = conditions_matrix(sys_, (2, -2))
+        for p in ((1 << 31) - 1, 1580651243):
+            mod = conditions_matrix(sys_, (2, -2), p)
+            assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, p)
 
 
 def test_conditions_matrix_coordinate_points():
@@ -629,8 +637,8 @@ def test_consistency_sweep_size_skip():
 @pytest.mark.parametrize("mode,trials", [("exact", 3), ("modular", 2)])
 def test_consistency_sweep_store_matches_per_instance_calls(mode, trials):
     # Zero multiplicities, m > d, d = 0 and systems with every point on a
-    # node; the sweep shares a condition-row store per (n, d), the
-    # per-instance calls have none.
+    # node; the sweep's calls run in one order on one recursion memo and
+    # monomial cache, the per-instance calls after them on a fresh memo.
     grid = SweepGrid(n=(2, 3), d=(0, 6), s=(3, 7), m=(0, 4))
     records = consistency_sweep(grid, seed=5, oracle_mode=mode, trials=trials)
     state = RecState()
@@ -654,7 +662,7 @@ def test_modular_sweep_draws_each_prime_once(monkeypatch):
         return real(rng)
 
     monkeypatch.setattr(oracle, "_random_prime", counting)
-    oracle._prime_draws.cache_clear()
+    oracle._seeded_primes.cache_clear()
     grid = SweepGrid(n=(2, 3), d=(2, 5), s=(5, 7), m=(1, 3))
     drawn = []
     for seed in (5, 6, 5):
@@ -671,60 +679,61 @@ def test_modular_sweep_draws_each_prime_once(monkeypatch):
         assert primes == tuple(fresh[: len(primes)])
 
 
-def test_h0_store_shared_across_primes_and_modes():
-    # One store, filled at random primes of other seeds, at the exact
-    # prime and exactly (Bareiss) in turn, and for other n and d: its keys
-    # carry (n, d), so rows of another degree are never gathered.
-    store = {}
+def test_point_monomial_cache_keeps_results():
+    # The full OracleResult is the same with the monomial cache emptied
+    # before each call (cold) and shared by all of them (warm).  The calls
+    # mix n, d, both modes and several seeds at the same curve parameters,
+    # and the special systems among them (h0 above max(0, cols - rows))
+    # make exact mode eliminate over the integers (p None) after the
+    # full-rank prime.  A key without d hands a warm call another degree's
+    # monomials; one without p hands exact elimination some prime's
+    # residues, cold too, so every h0 is also checked against the recursion.
     rng = random.Random(89)
+    calls = []
     for _ in range(40):
-        mults = [rng.randint(0, 4) for _ in range(rng.randint(1, 9))]
+        mults = [rng.randint(0, 4) for _ in range(rng.randint(1, 12))]
         sys_ = system(rng.choice((2, 3)), rng.choice((4, 5)), mults)
         for mode, seed in (("modular", rng.randrange(3)), ("exact", 0),
                            ("modular", rng.randrange(3))):
-            got = h0(sys_, mode=mode, seed=seed, trials=2, store=store)
-            assert got == h0(sys_, mode=mode, seed=seed, trials=2), (mults, mode)
-    assert {key[-1] for key in store} >= {None, 2**31 - 1}
+            calls.append((sys_, mode, seed))
+    assert {(sys_.n, sys_.d) for sys_, _, _ in calls} == {(2, 4), (2, 5), (3, 4), (3, 5)}
+    cold = []
+    for sys_, mode, seed in calls:
+        oracle._point_monomials.cache_clear()
+        cold.append(h0(sys_, mode=mode, seed=seed, trials=2))
+    oracle._point_monomials.cache_clear()
+    warm = [h0(sys_, mode=mode, seed=seed, trials=2) for sys_, mode, seed in calls]
+    assert warm == cold
+    assert oracle._point_monomials.cache_info().hits > 0
+    for (sys_, mode, _), res in zip(calls, cold):
+        assert res.h0 == recursive_h0(normalize(sys_)), (sys_, mode)
+    assert sum(res.h0 > max(0, res.cols - res.rows) for res in cold) >= 10
 
 
-def test_consistency_sweep_store_holds_one_slice(monkeypatch):
-    # Every h0 call of a slice gets that slice's store, empty at the
-    # slice's first call, and holding only rows on binom(n+d, n) columns.
-    real = oracle.h0
-    calls = []
-
-    def spy(sys_, *args, store=None, **kwargs):
-        ncols = binom(sys_.n + sys_.d, sys_.n)
-        assert all(key[:2] == (sys_.n, sys_.d) for key in store), sys_
-        assert all(rows.shape[1] == ncols for rows in store.values()), sys_
-        calls.append(((sys_.n, sys_.d), store, len(store)))
-        return real(sys_, *args, store=store, **kwargs)
-
-    monkeypatch.setattr(oracle, "h0", spy)
-    records = consistency_sweep(SweepGrid(n=(2, 3), d=(3, 4), s=(5, 7), m=(1, 3)))
-    assert len(calls) == len(records)
-    slices = {}
-    for key, store, size in calls:
-        if key not in slices:
-            assert size == 0, key
-            slices[key] = store
-        assert store is slices[key]
-    assert len({id(store) for store in slices.values()}) == 4
-    assert all(slices.values())  # each slice did fill its store
+def test_kept_count_matches_kept_columns():
+    # The counted kept columns against the listed ones; multiplicities up
+    # to d + 2 at the nodes, zeros (no point) included.
+    rng = random.Random(7)
+    for _ in range(300):
+        n, d = rng.randint(1, 4), rng.randint(0, 9)
+        node_mults = tuple(rng.randint(0, d + 2) for _ in range(n + 1))
+        want = oracle._kept_columns(n, d, node_mults).size
+        assert oracle._kept_count(n, d, node_mults) == want, (n, d, node_mults)
 
 
-def test_store_is_bounded(monkeypatch):
-    # A store about to exceed STORE_CELLS is emptied first; the answers do
-    # not change.  At n = 3, d = 6 a point's rows are 4 x 84 (m = 2) or
-    # 10 x 84 (m = 3) cells, so a 1000-cell store holds two at most.
-    monkeypatch.setattr(oracle, "STORE_CELLS", 1000)
-    store = {}
-    sizes = []
-    for mults in ([3] * 8, [4, 3, 3, 3, 2, 2, 2, 2], [4] * 7 + [1], [3] * 8):
-        sys_ = system(3, 6, mults)
-        assert h0(sys_, store=store) == h0(sys_)
-        sizes.append(sum(rows.size for rows in store.values()))
-    assert max(sizes) <= 1000 and min(sizes) > 0
+def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
+    # binom(403, 3) ~ 1.1e7 monomials at n = 3, d = 400: the cell cap ends
+    # the call, and the CLI with exit 3, before any of them is listed.
+    def unused(*args):
+        raise AssertionError("monomials listed before the cap check")
+
+    monkeypatch.setattr(oracle, "monomial_exponents", unused)
+    with pytest.raises(OracleSizeError, match="exceeds cap 1000"):
+        h0(system(3, 400, [2] * 8), cap_cells=1000)
+    argv = ["dim", "-n", "3", "-d", "400", "-m", "2^8", "--evaluators", "oracle",
+            "--cap-cells", "1000"]
+    assert cli.main(argv) == 3
+    assert "exceeds cap 1000" in capsys.readouterr().err
 
 
 # Empty systems: some m_i > d.  The first 20 are the instances of the

@@ -79,7 +79,6 @@ def test_trace_step_as_dict():
 
 def test_normalized_key():
     norm = normalize(system(2, 4, [2, 2, 2, 2, 2]))
-    assert norm.key() == (2, 4, (2, 2, 2, 2, 2))
     assert isinstance(norm, NormalizedSystem)
 
 
