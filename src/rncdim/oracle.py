@@ -193,7 +193,7 @@ def _random_prime(rng: random.Random) -> int:
 @lru_cache(maxsize=64)
 def _seeded_primes(seed: int, trials: int) -> tuple[int, ...]:
     """The first `trials` primes _random_prime draws from Random(seed),
-    drawn once per process."""
+    drawn once per (seed, trials) per process, all trials at once."""
     rng = random.Random(seed)
     return tuple(_random_prime(rng) for _ in range(trials))
 
@@ -253,7 +253,6 @@ def _kept_columns(n: int, d: int, node_mults: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero((H <= d - np.array(node_mults)).all(axis=1))
 
 
-@lru_cache(maxsize=64)
 def _kept_count(n: int, d: int, node_mults: tuple[int, ...]) -> int:
     """The size of _kept_columns(n, d, node_mults), counted without listing
     a monomial.  By inclusion-exclusion over the nodes: the monomials of
@@ -334,9 +333,7 @@ def _point_rows(
     v = _point_monomials(n, d, t, p)[cols]
     if p is None:
         return B * v
-    if d > 32:  # B <= 2^d and v < 2^31, so B * v fits int64 up to d = 32
-        B = (B % p).astype(np.int64)
-    return B * v % p
+    return (B % p).astype(np.int64, copy=False) * v % p
 
 
 def _block(
@@ -497,7 +494,7 @@ def h0(
     over the rationals.  Otherwise rank_exact, fraction-free elimination
     of M' on primitive integer rows, gives the rank.
     mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed
-    (once per process), no exact elimination.  h0 is an upper bound on the
+    (once per (seed, trials) per process), no exact elimination.  h0 is an upper bound on the
     exact h0 at the same parameters, equal to it unless every prime
     divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is

@@ -651,9 +651,10 @@ def test_consistency_sweep_store_matches_per_instance_calls(mode, trials):
 
 
 def test_modular_sweep_draws_each_prime_once(monkeypatch):
-    # Every h0 call of a sweep gets the primes of one seed; each is drawn
-    # once per process, so a sweep draws at most `trials` primes per seed,
-    # and the primes are those of Random(seed), in the order drawn.
+    # Every h0 call of a sweep gets the primes of one seed; they are drawn
+    # once per (seed, trials) per process, all trials at once, so a sweep
+    # draws at most `trials` primes per seed, and the primes are those of
+    # Random(seed), in the order drawn.
     real = oracle._random_prime
     calls = []
 
