@@ -10,8 +10,9 @@ Subcommands:
 
 Multiplicities accept exponent shorthand: -m 7,6^2,5^7, and may start with
 a negative entry: -m -1,5,3.  Only dim and verify run the oracle, so only
-they take --seed, --cap-cells and --oracle.  verify --grid prints NDJSON
-records and rejects --format human.
+they take --seed, --cap-cells and --oracle.  verify prints each instance's
+oracle.verify_one record as one JSON line, the same for -n -d -m --format
+structured as in --grid, which prints NDJSON and rejects --format human.
 Exit codes: 0 ok, 1 a verify disagreement or a regindex mismatch, 2 bad
 input, 3 domain violation or a size guard (oracle cell cap, recursion node
 budget), 141 (128 + SIGPIPE) the reader closed the output pipe early, as
@@ -38,6 +39,7 @@ from .formula import (
 )
 from .oracle import (
     CAP_CELLS,
+    EVALUATORS,
     OracleSizeError,
     SweepGrid,
     consistency_sweep,
@@ -261,54 +263,39 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_grid(args: argparse.Namespace) -> int:
-    ranges = args.grid
-    grid = SweepGrid(
-        n=ranges["n"], d=ranges["d"], s=ranges["s"], m=ranges["m"],
-        cap_cells=args.cap_cells,
-    )
-    mode, trials = args.oracle
-    records = consistency_sweep(grid, seed=args.seed, oracle_mode=mode, trials=trials)
-    failures = 0
-    for rec in records:
-        if rec["verdict"] not in ("agree", "skip-size"):
-            failures += 1
-        print(json.dumps(rec))
-    print(
-        f"sweep: {len(records)} instances, {failures} failures",
-        file=sys.stderr,
-    )
-    return 1 if failures else 0
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     given = [v is not None for v in (args.n, args.d, args.mults)]
     if any(given) if args.grid is not None else not all(given):
         raise ValueError("verify needs either --grid or -n, -d and -m, not both")
-    if args.grid is not None:
-        if args.format == "human":
-            raise ValueError("verify --grid prints NDJSON records; --format human"
-                             " is for -n, -d and -m")
-        return _verify_grid(args)
-    sys_ = system(args.n, args.d, args.mults)
     mode, trials = args.oracle
-    res = verify_one(sys_, mode, trials, args.seed, args.cap_cells)
-    values = {
-        (f"oracle:{mode}" if key == "oracle" else key): value
-        for key, value in res.values.items()
-    }
-    if args.format == "structured":
-        print(json.dumps({"system": _sys_label(sys_), "values": values,
-                          "notes": list(res.notes), "verdict": res.verdict}))
+    if args.grid is None:
+        sys_ = system(args.n, args.d, args.mults)
+        records = [verify_one(sys_, mode, trials, args.seed, args.cap_cells)]
+    elif args.format == "human":
+        raise ValueError("verify --grid prints NDJSON records; --format human"
+                         " is for -n, -d and -m")
     else:
+        grid = SweepGrid(**args.grid, cap_cells=args.cap_cells)
+        records = consistency_sweep(grid, args.seed, mode, trials)
+    failures = sum(rec["verdict"] not in ("agree", "skip-size") for rec in records)
+    if args.grid is None and args.format != "structured":
+        rec = records[0]
+        values = {(f"oracle:{mode}" if key == "oracle" else key): rec[key]
+                  for key in EVALUATORS if rec[key] is not None}
         print(_sys_label(sys_))
         width = max(len(k) for k in values)
         for key, value in values.items():
             print(f"  {key:<{width}}  {value}")
-        for note in res.notes:
+        for note in rec["notes"]:
             print(f"  note: {note}")
-        print(f"verdict: {res.verdict}")
-    return 0 if res.verdict in ("agree", "skip-size") else 1
+        print(f"verdict: {rec['verdict']}")
+    else:
+        for rec in records:
+            print(json.dumps(rec))
+    if args.grid is not None:
+        print(f"sweep: {len(records)} instances, {failures} failures",
+              file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_regindex(args: argparse.Namespace) -> int:
@@ -401,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap-cells",
             type=parse_cap,
             default=CAP_CELLS,
-            help="largest rows*cols of the matrix the oracle eliminates, "
+            help="largest rows*cols of a matrix the oracle builds, "
             "in both modes; >= 0",
         )
         p.add_argument(

@@ -48,8 +48,9 @@ parameter and p the prime (None for exact values), in one bounded
 lru_cache.  Primes are drawn once per (seed, trials) per process, so
 repeated calls, a sweep's included, find a point's monomials there.  h0 puts
 the n+1 largest multiplicities on the nodes, so only the other s-n-1
-points add rows; it lays the points out once, counts the kept columns
-before listing any, and builds the block for each prime from that layout.
+points add rows; it lays the points out once, counts the kept block and
+the all-column block its rows are cut from before listing any monomial,
+and builds the block for each prime from that layout.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -71,6 +72,9 @@ rank_modular delays reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS
 the rows below, reduced into [0, p), take 7 updates before the next
 reduction.  Every int64 entry stays in (-2^63, 2^63), so the arithmetic is
 exact for every prime p < 2^31.
+
+verify_one returns one system's record (RECORD_KEYS), every evaluator
+against the oracle, and consistency_sweep that record for a whole grid.
 """
 
 from __future__ import annotations
@@ -219,9 +223,18 @@ def _curve_point(n: int, t: int) -> tuple[int, ...]:
 @lru_cache(maxsize=32)
 def _columns(n: int, d: int) -> np.ndarray:
     """The monomial columns as an array H, one row (gamma_0, gamma') each,
-    gamma_0 = d - |gamma'|.  Callers must not mutate the returned array."""
-    G = np.array(monomial_exponents(n, d), dtype=np.intp).reshape(-1, n)
-    return np.column_stack([d - G.sum(axis=1), G])
+    gamma_0 = d - |gamma'|, in monomial_exponents order: (gamma_0..gamma_n)
+    lexicographically descending, listed one coordinate at a time.  Callers
+    must not mutate the returned array."""
+    left = np.array([d], dtype=np.intp)  # the degree each row has left
+    H: list[np.ndarray] = []
+    for _ in range(n):  # a row with r left becomes gamma_j = r, r-1, ..., 0
+        counts = left + 1
+        left = np.repeat(left, counts)
+        g = left - np.arange(left.size) + np.repeat(np.cumsum(counts) - counts, counts)
+        H = [np.repeat(col, counts) for col in H] + [g]
+        left -= g
+    return np.column_stack(H + [left])
 
 
 @lru_cache(maxsize=32)
@@ -498,7 +511,10 @@ def h0(
     exact h0 at the same parameters, equal to it unless every prime
     divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
-    given; its shape is counted before any monomial is listed.  Degrees
+    given, and so must the all-column array it is cut from when M' is not
+    empty: the binomial block of the largest multiplicity m off the nodes,
+    binom(n+m-1, n) by binom(n+d, n).  Both shapes are counted before any
+    monomial is listed.  Degrees
     d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.  An empty
     M' (no rows or no columns) has rank 0 and is neither built nor
     eliminated; primes still names the first prime of the mode.
@@ -520,9 +536,13 @@ def h0(
     node_mults, rows = _layout(sys, ps)
     erows = sum(binom(n + m - 1, n) for _, m in rows)
     ecols = _kept_count(n, d, node_mults)
-    if cap_cells is not None and erows * ecols > cap_cells:
+    shape = (erows, ecols)
+    if erows * ecols:  # a block will be built, from arrays on all columns
+        top = max(m for _, m in rows)
+        shape = max(shape, (binom(n + top - 1, n), binom(n + d, n)), key=math.prod)
+    if cap_cells is not None and math.prod(shape) > cap_cells:
         raise OracleSizeError(
-            f"oracle matrix {erows}x{ecols} exceeds cap {cap_cells}"
+            f"oracle matrix {shape[0]}x{shape[1]} exceeds cap {cap_cells}"
         )
     primes = (FULL_RANK_PRIME,) if mode == "exact" else _seeded_primes(seed, trials)
     full = min(erows, ecols)
@@ -558,17 +578,10 @@ class SweepGrid:
     cap_cells: int = CAP_CELLS
 
 
-@dataclass(frozen=True)
-class Verification:
-    """One instance checked by every evaluator whose domain covers it.
-
-    values maps evaluator name (oracle, formula, recursive, planar, ldim)
-    to its h0, for the evaluators that ran; notes say what was skipped or
-    changed; verdict is agree, skip-size or disagree:<names>."""
-
-    values: dict[str, int]
-    notes: tuple[str, ...]
-    verdict: str
+EVALUATORS = ("oracle", "formula", "recursive", "planar", "ldim")
+RECORD_KEYS = (
+    "n", "d", "mults", "s", "kc", "epsilon", *EVALUATORS, "notes", "verdict",
+)
 
 
 def verify_one(
@@ -578,10 +591,14 @@ def verify_one(
     seed: int = 0,
     cap_cells: int | None = None,
     state: castelnuovo.RecState | None = None,
-) -> Verification:
+) -> dict:
     """Every evaluator on one system, compared against the oracle.
 
-    The oracle runs unless the block it would eliminate exceeds cap_cells.
+    Returns the system's record, the fields RECORD_KEYS in that order: the
+    input's n, d, mults and s, its kc and epsilon when s >= n+3, the value
+    of each evaluator, None for what was not computed, notes on what was
+    skipped or changed, and the verdict.
+    The oracle runs unless a block it would build exceeds cap_cells.
     The closed formula runs on the normalized system whenever
     formula.in_domain, the recursion always, the planar form for n = 2 with
     normalized s >= 5, and ldim for at most n+2 positive multiplicities.  Every value is compared,
@@ -592,40 +609,39 @@ def verify_one(
     since none can be preferred.  state carries the recursion memo across
     calls.  Evaluators are looked up in their modules at call time.
     """
+    n, d, ms = spec.n, spec.d, spec.mults
+    rec = dict.fromkeys(RECORD_KEYS)
+    rec.update(n=n, d=d, mults=list(ms), s=len(ms), notes=[])
+    if len(ms) >= n + 3:
+        rec["kc"] = systems.kc_value(n, d, ms)
+        rec["epsilon"] = systems.epsilon_value(n, d, ms)
     norm = systems.normalize(spec)
-    values: dict[str, int] = {}
-    notes: list[str] = []
     try:
-        values["oracle"] = h0(
+        rec["oracle"] = h0(
             spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells
         ).h0
     except OracleSizeError:
-        notes.append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
+        rec["notes"].append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
 
     if formula.in_domain(norm):
-        values["formula"] = formula.dimension(norm).dimension
-        if norm.mults != tuple(sorted((m for m in spec.mults if m > 0), reverse=True)):
-            notes.append("formula evaluated on the normalized system")
-    values["recursive"] = castelnuovo.recursive_h0(norm, state=state)
-    if norm.n == 2 and norm.s >= 5:
-        values["planar"] = formula.planar_h0(norm)
-    if sum(m > 0 for m in spec.mults) <= spec.n + 2:
-        values["ldim"] = formula.ldim(spec)
+        rec["formula"] = formula.dimension(norm).dimension
+        if norm.mults != tuple(sorted((m for m in ms if m > 0), reverse=True)):
+            rec["notes"].append("formula evaluated on the normalized system")
+    rec["recursive"] = castelnuovo.recursive_h0(norm, state=state)
+    if n == 2 and norm.s >= 5:
+        rec["planar"] = formula.planar_h0(norm)
+    if sum(m > 0 for m in ms) <= n + 2:
+        rec["ldim"] = formula.ldim(spec)
 
-    if "oracle" in values:
-        bad = [k for k, v in values.items() if v != values["oracle"]]
-        verdict = "disagree:" + ",".join(bad) if bad else "agree"
+    values = {k: rec[k] for k in EVALUATORS if rec[k] is not None}
+    if rec["oracle"] is not None:
+        bad = [k for k, v in values.items() if v != rec["oracle"]]
+        rec["verdict"] = "disagree:" + ",".join(bad) if bad else "agree"
     elif len(set(values.values())) == 1:
-        verdict = "skip-size"
+        rec["verdict"] = "skip-size"
     else:
-        verdict = "disagree:" + ",".join(values)
-    return Verification(values, tuple(notes), verdict)
-
-
-RECORD_KEYS = (
-    "n", "d", "mults", "s", "kc", "epsilon",
-    "oracle", "formula", "recursive", "planar", "ldim", "verdict",
-)
+        rec["verdict"] = "disagree:" + ",".join(values)
+    return rec
 
 
 def consistency_sweep(
@@ -634,14 +650,13 @@ def consistency_sweep(
     oracle_mode: str = "exact",
     trials: int = 3,
 ) -> list[dict]:
-    """verify_one on every grid instance, one record each.
+    """verify_one's record for every grid instance.
 
     Instances are the multisets of grid.m of each size in grid.s, listed
-    non-increasingly.  Record fields are RECORD_KEYS in that order: kc and
-    epsilon of the input when s >= n+3, the value of each evaluator
-    (None when it did not run), and the verdict of verify_one.  One
-    recursion memo is shared across the sweep.  A failure inside one
-    instance becomes its error:<type>:<message> verdict, never an exception.
+    non-increasingly.  One recursion memo is shared across the sweep.  A
+    failure inside one instance becomes a record with its n, d, mults and
+    s, no values, and the verdict error:<type>:<message>, never an
+    exception.
     """
     rec_state = castelnuovo.RecState()
     records: list[dict] = []
@@ -652,18 +667,14 @@ def consistency_sweep(
                     range(grid.m[0], grid.m[1] + 1), s
                 ):
                     ms = tuple(sorted(combo, reverse=True))
-                    rec = dict.fromkeys(RECORD_KEYS)
-                    rec.update(n=n, d=d, mults=list(ms), s=s, verdict="")
                     try:
-                        if s >= n + 3:
-                            rec["kc"] = systems.kc_value(n, d, ms)
-                            rec["epsilon"] = systems.epsilon_value(n, d, ms)
-                        res = verify_one(
+                        rec = verify_one(
                             LinearSystemSpec(n, d, ms), oracle_mode, trials, seed,
                             grid.cap_cells, rec_state,
                         )
-                        rec.update(res.values, verdict=res.verdict)
                     except Exception as exc:  # a sweep must survive any instance
-                        rec["verdict"] = f"error:{type(exc).__name__}:{exc}"
+                        rec = dict.fromkeys(RECORD_KEYS)
+                        rec.update(n=n, d=d, mults=list(ms), s=s, notes=[],
+                                   verdict=f"error:{type(exc).__name__}:{exc}")
                     records.append(rec)
     return records

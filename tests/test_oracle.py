@@ -28,8 +28,14 @@ from rncdim.systems import LinearSystemSpec, normalize, system, vdim
 
 RECORD_KEYS = [
     "n", "d", "mults", "s", "kc", "epsilon",
-    "oracle", "formula", "recursive", "planar", "ldim", "verdict",
+    "oracle", "formula", "recursive", "planar", "ldim", "notes", "verdict",
 ]
+EVALUATORS = RECORD_KEYS[6:11]
+
+
+def _values(rec):
+    """The values of the evaluators that ran, by name."""
+    return {key: rec[key] for key in EVALUATORS if rec[key] is not None}
 
 
 def test_h0_exact_values():
@@ -635,7 +641,7 @@ def test_consistency_sweep_size_skip():
 
 
 @pytest.mark.parametrize("mode,trials", [("exact", 3), ("modular", 2)])
-def test_consistency_sweep_store_matches_per_instance_calls(mode, trials):
+def test_consistency_sweep_matches_per_instance_calls(mode, trials):
     # Zero multiplicities, m > d, d = 0 and systems with every point on a
     # node; the sweep's calls run in one order on one recursion memo and
     # monomial cache, the per-instance calls after them on a fresh memo.
@@ -644,10 +650,7 @@ def test_consistency_sweep_store_matches_per_instance_calls(mode, trials):
     state = RecState()
     for rec in records:
         spec = LinearSystemSpec(rec["n"], rec["d"], tuple(rec["mults"]))
-        res = verify_one(spec, mode, trials, 5, grid.cap_cells, state)
-        want = {key: res.values.get(key) for key in RECORD_KEYS[6:11]}
-        assert {key: rec[key] for key in want} == want, rec
-        assert rec["verdict"] == res.verdict, rec
+        assert verify_one(spec, mode, trials, 5, grid.cap_cells, state) == rec, rec
 
 
 def test_modular_sweep_draws_each_prime_once(monkeypatch):
@@ -728,13 +731,41 @@ def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
     def unused(*args):
         raise AssertionError("monomials listed before the cap check")
 
-    monkeypatch.setattr(oracle, "monomial_exponents", unused)
+    monkeypatch.setattr(oracle, "_columns", unused)
     with pytest.raises(OracleSizeError, match="exceeds cap 1000"):
         h0(system(3, 400, [2] * 8), cap_cells=1000)
     argv = ["dim", "-n", "3", "-d", "400", "-m", "2^8", "--evaluators", "oracle",
             "--cap-cells", "1000"]
     assert cli.main(argv) == 3
     assert "exceeds cap 1000" in capsys.readouterr().err
+
+
+def test_cap_bounds_the_all_column_arrays(monkeypatch, capsys):
+    # The nodes keep 1 column and the one point off them adds 1 row, but
+    # that row is cut from its binomial block on all binom(304, 4) =
+    # 348,881,876 monomials; the default cap ends the call before any of
+    # them is listed, and the CLI with exit 3.
+    def unused(*args):
+        raise AssertionError("monomials listed before the cap check")
+
+    monkeypatch.setattr(oracle, "_columns", unused)
+    sys_ = system(4, 300, [240] * 5 + [1])
+    with pytest.raises(OracleSizeError, match="1x348881876 exceeds cap 2000000"):
+        h0(sys_, cap_cells=oracle.CAP_CELLS)
+    argv = ["dim", "-n", "4", "-d", "300", "-m", "240^5,1", "--evaluators", "oracle"]
+    assert cli.main(argv) == 3
+    assert "exceeds cap 2000000" in capsys.readouterr().err
+
+
+def test_columns_match_monomial_exponents():
+    # The numpy listing of the columns against the Python reference: the
+    # same monomials in the same order, gamma_0 = d - |gamma'|.
+    for n in range(1, 6):
+        for d in range(0, 9):
+            H = oracle._columns(n, d)
+            G = np.array(monomial_exponents(n, d)).reshape(-1, n)
+            assert np.array_equal(H[:, 1:], G), (n, d)
+            assert np.array_equal(H[:, 0], d - G.sum(axis=1)), (n, d)
 
 
 # Empty systems: some m_i > d.  The first 20 are the instances of the
@@ -775,7 +806,7 @@ def test_empty_systems_every_evaluator_zero(label):
     if sys_.s <= sys_.n + 2:
         assert formula.ldim(sys_) == 0
     res = verify_one(sys_)
-    assert set(res.values.values()) == {0} and res.verdict == "agree", res
+    assert set(_values(res).values()) == {0} and res["verdict"] == "agree", res
 
 
 def test_verify_one_names_wrong_evaluators(monkeypatch):
@@ -786,10 +817,10 @@ def test_verify_one_names_wrong_evaluators(monkeypatch):
     )
     sys_ = system(2, 4, [2] * 5)
     res = verify_one(sys_)
-    assert res.values == {"oracle": 1, "formula": 2, "recursive": 1, "planar": 1}
-    assert res.verdict == "disagree:formula"
+    assert _values(res) == {"oracle": 1, "formula": 2, "recursive": 1, "planar": 1}
+    assert res["verdict"] == "disagree:formula"
     # Without the oracle no evaluator can be preferred: all are named.
     skipped = verify_one(sys_, cap_cells=5)
-    assert "oracle" not in skipped.values
-    assert skipped.verdict == "disagree:formula,recursive,planar"
-    assert skipped.notes == ("oracle skipped: matrix exceeds --cap-cells 5",)
+    assert skipped["oracle"] is None
+    assert skipped["verdict"] == "disagree:formula,recursive,planar"
+    assert skipped["notes"] == ["oracle skipped: matrix exceeds --cap-cells 5"]
