@@ -31,6 +31,23 @@ planar_h0) and in trace listings.
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
 memoized on its key during unwind.
+
+Where no base-locus subvariety can occur, the rest of a chain is summed in
+closed form instead of walked.  Take a chain node (n, d, runs) that is not
+a leaf (so n >= 3, s >= n + 3), with multiplicity sum T, and let r be the
+largest multiplicity the step leaves alone: m_1 if two or more points have
+it, m_2 otherwise.  If r + m_1 <= d + 1 and T <= n*d + 1, every image
+m_i + m_1 - 1 - d is at most r + m_1 - 1 - d <= 0 and kc(D + E_1) <= 0,
+so the projection child is (n-1, m_1-1, ()) with h0 = binom(n+m_1-2, n-1),
+and the redundant-point rule drops no point of the +E_1 child.  Both bounds only fall down the chain (T loses one per
+step, and lowering a point cannot raise the sum of the two largest), so
+the same holds at every later node, and the chain ends at
+((1, n+2),), whose value is binom(n+d, n) - (n+2) (here d >= 2, since
+n*d + 1 >= T >= s >= n + 3).  Lowering a point from m to 0 subtracts
+sum_{k=1..m} binom(n+k-2, n-1) = binom(n+m-1, n) (hockey stick), and the
+n + 2 points that stop at 1 each subtract one less; so the node's value is
+binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  Such a
+node is memoized like a leaf.
 """
 
 from __future__ import annotations
@@ -155,12 +172,12 @@ class _TraceNode:
     label: str
     key: Key
     value: int | None = None
-    memo: bool = False
+    mark: str = ""  # "memo" for a memo hit, "summed" for a summed chain
 
     def render(self) -> str:
         n, d, runs = self.key
         body = ",".join(map(str, points_of(runs))) if runs else "-"
-        tail = " [memo]" if self.memo else ""
+        tail = f" [{self.mark}]" if self.mark else ""
         return f"{'  ' * self.depth}{self.label} L_{n},{d}({body}) = {self.value}{tail}"
 
 
@@ -181,6 +198,26 @@ def _base_value(key: Key) -> int | None:
     if n == 2:
         return planar_h0(LinearSystemSpec(n, d, points_of(runs)))
     return None
+
+
+def _summed_chain(key: Key) -> int | None:
+    """Value of a chain node whose projection children are all empty, as
+    the closed-form sum of its chain (see the module docstring), or None
+    if the node is outside that region.  The key is not a leaf."""
+    n, d, runs = key
+    m1, c1 = runs[0]
+    r = m1 if c1 > 1 else runs[1][0]
+    if r + m1 > d + 1:
+        return None
+    total = 0
+    for m, c in runs:
+        total += m * c
+    if total > n * d + 1:
+        return None
+    h = binom(n + d, n)
+    for m, c in runs:
+        h -= c * binom(n + m - 1, n)
+    return h
 
 
 def _visit(stats: RecStats, depth: int, max_nodes: int) -> None:
@@ -216,9 +253,13 @@ def _eval(
         if h is not None:
             stats.memo_hits += 1
             if me is not None:
-                me.memo = True
+                me.mark = "memo"
             break
         h = _base_value(key)
+        if h is None:
+            h = _summed_chain(key)
+            if h is not None and me is not None:
+                me.mark = "summed"
         if h is not None:
             memo[key] = h
             break
@@ -257,7 +298,8 @@ def recursive_h0(
 
     state carries the memo across calls (pass one RecState to share work in
     a sweep).  If trace is a list, one line per visited node is appended,
-    depth-indented, with edge labels +E1 / project and memo hits marked.
+    depth-indented, with edge labels +E1 / project, memo hits marked
+    [memo] and closed-form chain sums marked [summed].
     """
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     if state is None:

@@ -3,7 +3,8 @@ cross-evaluator verification, and the regularity index.
 
 Subcommands:
   dim       dimension of one system by one evaluator (auto / formula /
-            recursive / oracle)
+            recursive / oracle); with --evaluators recursive, --trace
+            also prints the recursion's node listing
   report    kc, epsilon and the special-effect classes grouped by dimension
   verify    side-by-side evaluator comparison for one instance or a grid
   regindex  regularity index, optionally checked over a degree window
@@ -191,15 +192,17 @@ def _evaluate(
     oracle_mode: tuple[str, int],
     seed: int,
     cap_cells: int,
+    trace: list[str] | None = None,
 ) -> tuple[int, str, DimensionReport | None]:
-    """One evaluator's value for the system; returns (value, label, report)."""
+    """One evaluator's value for the system; returns (value, label, report).
+    The recursion appends its node listing to trace when one is given."""
     if evaluator == "auto":
         evaluator = "formula" if in_domain(norm) else "recursive"
     if evaluator == "formula":
         rep = dimension(norm)
         return rep.dimension, "formula", rep
     if evaluator == "recursive":
-        return recursive_h0(norm), "recursive", None
+        return recursive_h0(norm, trace=trace), "recursive", None
     if evaluator == "oracle":
         mode, trials = oracle_mode
         res = h0(sys, mode=mode, seed=seed, trials=trials, cap_cells=cap_cells)
@@ -208,14 +211,23 @@ def _evaluate(
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
+    rec_trace: list[str] | None = None
+    if getattr(args, "trace", False):  # the option is absent unless given
+        if args.evaluators != "recursive":
+            raise ValueError("--trace needs --evaluators recursive")
+        rec_trace = []
     sys_ = system(args.n, args.d, args.mults)
     norm = normalize(sys_)
     dim_value, evaluator, report = _evaluate(
-        sys_, norm, args.evaluators, args.oracle, args.seed, args.cap_cells
+        sys_, norm, args.evaluators, args.oracle, args.seed, args.cap_cells,
+        rec_trace,
     )
 
     if args.format == "structured":
-        print(json.dumps(_structured(sys_, norm, dim_value, evaluator, report)))
+        obj = _structured(sys_, norm, dim_value, evaluator, report)
+        if rec_trace is not None:
+            obj["recursion_trace"] = rec_trace
+        print(json.dumps(obj))
         return 0
 
     vd = vdim(norm)
@@ -230,6 +242,10 @@ def cmd_dim(args: argparse.Namespace) -> int:
     else:
         print(f"normalized {_sys_label(norm)}")
     _print_trace(norm)
+    if rec_trace is not None:
+        print("recursion trace:")
+        for line in rec_trace:
+            print(f"  {line}")
     return 0
 
 
@@ -405,6 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--evaluators",
         choices=("auto", "formula", "recursive", "oracle"),
         default="auto",
+    )
+    p_dim.add_argument(
+        "--trace",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="with --evaluators recursive: also print the recursion's node"
+        " listing (+E1 / project edges, [memo] hits, [summed] chains)",
     )
     p_dim.set_defaults(func=cmd_dim)
 

@@ -10,6 +10,7 @@ from rncdim.castelnuovo import (
     RecursionGuardError,
     _base_value,
     _children,
+    _summed_chain,
     l_map,
     recursive_h0,
 )
@@ -81,20 +82,95 @@ def test_children_match_normalize():
     assert min(seen[k] for k in ("kc<0", "clamp", "drop-zero", "drop-redundant")) > 0
 
 
+def _walk_chain(key):
+    """h0 of a key by walking its +E1 chain to the leaf: the leaf's value
+    minus the projection values along the way, each projection child
+    being a leaf itself."""
+    h = 0
+    while (leaf := _base_value(key)) is None:
+        key, proj_key = _children(key)
+        proj = _base_value(proj_key)
+        assert proj is not None, proj_key
+        h -= proj
+    return h + leaf
+
+
+def _near_region_key(rng):
+    """A canonical non-leaf key near both bounds of the summed region:
+    n*d + 1 - T in -1..3 and d + 1 - (m_1 + m_2) in -1..2 when the draw
+    hits, T being the multiplicity sum and m_1 >= m_2 the two largest
+    multiplicities; or None if it misses."""
+    n = rng.randint(3, 7)
+    d = rng.randint(2, 16)
+    s = rng.randint(n + 3, n + 10)
+    m1 = rng.randint(1, d)
+    lo, hi = max(1, d - m1 - 1), min(m1, d + 2 - m1)
+    if lo > hi:
+        return None
+    m2 = rng.randint(lo, hi)
+    # The other s - 2 points in 1..m2, summing to a target near n*d + 1.
+    target = n * d + 1 + rng.choice((-3, -1, 0, 0, 0, 1)) - m1 - m2
+    if not s - 2 <= target <= (s - 2) * m2:
+        return None
+    rest = [1] * (s - 2)
+    extra = target - (s - 2)
+    for i in rng.sample(range(s - 2), s - 2):
+        step = min(extra, m2 - 1)
+        rest[i] += step
+        extra -= step
+    mults = sorted([m1, m2, *rest], reverse=True)
+    key = (n, d, runs_of(mults))
+    if _run_key(normalize(system(n, d, mults))) != key:
+        return None  # past T = n*d + 1, k_C can make a point redundant
+    return key if _base_value(key) is None else None
+
+
+def test_summed_chain_matches_walk():
+    # Inside the region (T <= n*d + 1 and m_1 + m_2 <= d + 1) the closed
+    # form equals the walked chain; one past either bound it declines, and
+    # there the first projection child is not empty.
+    rng = random.Random(43)
+    seen = Counter()
+    while seen["inside"] < 5000:
+        key = _near_region_key(rng)
+        if key is None:
+            continue
+        n, d, runs = key
+        mults = points_of(runs)
+        t_gap = n * d + 1 - sum(mults)
+        r_gap = d + 1 - mults[0] - mults[1]
+        if t_gap >= 0 and r_gap >= 0:
+            assert _summed_chain(key) == _walk_chain(key), key
+            seen["inside"] += 1
+            seen["T = nd+1"] += t_gap == 0
+            seen["r+m1 = d+1"] += r_gap == 0
+            seen["both bounds"] += t_gap == r_gap == 0
+            seen["c1 > 1"] += runs[0][1] > 1
+            seen["c1 = 1"] += runs[0][1] == 1
+            seen["m1 = 1"] += mults[0] == 1
+        elif min(t_gap, r_gap) == -1 and max(t_gap, r_gap) >= 0:
+            assert _summed_chain(key) is None, key
+            assert _children(key)[1][2] != (), key
+            seen["T = nd+2" if t_gap == -1 else "r+m1 = d+2"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 @pytest.mark.parametrize(
     "n, d, mults, want",
     [
         # h0, nodes, memo_hits, max_depth, memo size
-        (10, 30, [20] * 20, (459077106, 2075, 987, 388, 1088)),
-        (4, 200, [120] * 9, (2309586, 24475, 11646, 1074, 12829)),
-        (6, 40, [30] * 12, (1, 8585, 4041, 265, 4544)),
-        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 231, 87, 47, 144)),
-        (3, 200, [96] * 11, (154175, 2103, 886, 1051, 1217)),
+        (10, 30, [20] * 20, (459077106, 281, 31, 99, 250)),
+        (4, 200, [120] * 9, (2309586, 1963, 408, 279, 1555)),
+        (6, 40, [30] * 12, (1, 1641, 333, 92, 1308)),
+        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 57, 7, 13, 50)),
+        (3, 200, [96] * 11, (154175, 911, 345, 455, 566)),
     ],
 )
 def test_recursion_counters_pinned(n, d, mults, want):
-    # The values and counters of the point-list keys the recursion had
-    # before it stepped on run-length keys: the same nodes are visited.
+    # The h0 values are the ones every earlier form of the recursion gave.
+    # The counters pin the walk that sums each chain in closed form once
+    # its projection children are empty: a summed node is one leaf, so the
+    # rest of its chain is neither visited nor memoized.
     state = RecState()
     h = recursive_h0(system(n, d, mults), state=state)
     stats = state.stats
@@ -166,19 +242,27 @@ def test_recursive_shared_state():
 
 
 def test_recursive_trace_render():
+    # The root's projection children would all be empty: its chain is
+    # summed, and the listing is one line.
     trace: list[str] = []
     val = recursive_h0(system(3, 4, [2, 2, 2, 1, 1, 1]), trace=trace)
     assert val == 20
+    assert trace == ["root L_3,4(2,2,2,1,1,1) = 20 [summed]"]
+    # A projection subtree that ends in a summed chain, above the root
+    # chain's own summed node.
+    trace = []
+    val = recursive_h0(system(4, 4, [4, 4, 2, 2, 2, 2, 2, 2]), trace=trace)
+    assert val == 1
     assert trace == [
-        "root L_3,4(2,2,2,1,1,1) = 20",
-        "  project L_2,1(-) = 3",
-        "  +E1 L_3,4(2,2,1,1,1,1) = 23",
-        "    project L_2,1(-) = 3 [memo]",
-        "    +E1 L_3,4(2,1,1,1,1,1) = 26",
-        "      project L_2,1(-) = 3 [memo]",
-        "      +E1 L_3,4(1,1,1,1,1,1) = 29",
-        "        project L_2,0(-) = 1",
-        "        +E1 L_3,4(1,1,1,1,1) = 30",
+        "root L_4,4(4,4,2,2,2,2,2,2) = 1",
+        "  project L_3,3(3,2,1,1,1,1,1,1) = 2",
+        "    project L_2,2(1,1) = 4",
+        "    +E1 L_3,3(2,2,1,1,1,1,1,1) = 6 [summed]",
+        "  +E1 L_4,4(4,3,2,2,2,2,2,2) = 3",
+        "    project L_3,3(2,1,1,1,1,1,1,1) = 9 [summed]",
+        "    +E1 L_4,4(3,3,2,2,2,2,2,2) = 12",
+        "      project L_3,2(1,1) = 8",
+        "      +E1 L_4,4(3,2,2,2,2,2,2,2) = 20 [summed]",
     ]
 
 

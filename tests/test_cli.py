@@ -225,6 +225,39 @@ def test_recursion_guard_exit_code(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: recursion exceeded 2 nodes\n"
 
 
+def test_dim_recursion_trace(capsys):
+    # The human listing follows the answer; structured output carries the
+    # same lines, beside the normalization steps under "trace".
+    args = ["dim", "-n", "4", "-d", "4", "-m", "4^2,2^6", "--evaluators", "recursive"]
+    listing = []
+    recursive_h0(rncdim.system(4, 4, [4, 4] + [2] * 6), trace=listing)
+    assert len(listing) == 9 and "[summed]" in listing[-1]
+    assert main([*args, "--trace"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "dimension 1  [recursive]"
+    assert out[4:] == [
+        "trace: input already normalized",
+        "recursion trace:",
+        *(f"  {line}" for line in listing),
+    ]
+    assert main([*args, "--trace", "--format", "structured"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["dimension"], obj["trace"]) == (1, [])
+    assert obj["recursion_trace"] == listing
+    # Without --trace the output is unchanged.
+    assert main([*args, "--format", "structured"]) == 0
+    assert "recursion_trace" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("evaluator", ["auto", "formula", "oracle"])
+def test_trace_needs_recursive(capsys, evaluator):
+    assert main(["dim", "-n", "3", "-d", "4", "-m", "2^3,1^3",
+                 "--evaluators", evaluator, "--trace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace needs --evaluators recursive\n"
+
+
 def test_report_worked_example(capsys):
     assert main(["report", *WORKED_ARGS]) == 0
     out = capsys.readouterr().out
