@@ -13,16 +13,14 @@ the convention under which the shift identity
 holds on the widest parameter grid: every a >= 1, any n >= 0 (exhaustively
 scanned over t <= 5, n <= 6, s <= n+10, eps <= 12, |a| <= 12).  Truncation
 breaks the Pascal rule at binom(0, 0), which poisons the strip
-n - t <= a <= 0; each entry of IDENTITIES documents the side conditions
-under which it holds exactly, and its sampler draws from that domain.
+n - t <= a <= 0.  The identity suite in tests/test_binomials.py states each
+identity with the side conditions under which it holds exactly, and
+samples from that domain.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import Callable
 
 
 def binom(a: int, n: int) -> int:
@@ -74,188 +72,3 @@ def clear_f_cache() -> None:
 
 def f_cache_size() -> int:
     return len(_F_CACHE)
-
-
-# ---------------------------------------------------------------------------
-# Identity suite: executable algebraic identities satisfied by binom and f.
-# Each identity carries its own domain sampler so a seeded battery can be run
-# over documented bounds (t <= 6, |a| <= 40, n <= 10, s <= n + 12, side
-# conditions per identity).
-
-
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    statement: str
-    check: Callable[..., bool]
-    sample: Callable[[random.Random], tuple]
-
-
-def _sample_base(rng: random.Random, n_min: int = 1) -> tuple[int, int, int, int]:
-    """Common draw: (t, a, s, n) with s >= n + 3 and room above it."""
-    n = rng.randint(n_min, 10)
-    t = rng.randint(0, 6)
-    a = rng.randint(-40, 40)
-    s = rng.randint(n + 3, n + 12)
-    return t, a, s, n
-
-
-def _check_shift(t: int, a: int, s: int, eps: int, n: int) -> bool:
-    return f(t, a, s, eps, n) == f(t, a - 1, s, eps, n) + f(t, a - 1, s - 1, eps, n - 1)
-
-
-def _sample_shift(rng: random.Random) -> tuple:
-    t, _, s, n = _sample_base(rng, n_min=0)
-    return t, rng.randint(1, 40), s, rng.randint(0, 12), n
-
-
-def _check_point_drop(t: int, a: int, s: int, eps: int, n: int) -> bool:
-    return f(t, a, s - 1, eps, n) + f(t - 1, a + 1, s, eps, n) == f(t, a, s, eps, n)
-
-
-def _sample_point_drop(rng: random.Random) -> tuple:
-    t, a, _, n = _sample_base(rng)
-    s = rng.randint(n + 4, n + 12)
-    return max(t, 1), a, s, rng.randint(0, s - n - 3), n
-
-
-def _check_max_excess(t: int, a: int, s: int, n: int) -> bool:
-    lhs = f(t, a, s, s - n - 3, n)
-    rhs = binom(a, n) * (1 + sum(binom(s - n - 4 + i, i) for i in range(1, t + 1)))
-    return lhs == rhs
-
-
-def _sample_max_excess(rng: random.Random) -> tuple:
-    t, _, s, n = _sample_base(rng)
-    return t, rng.randint(0, 40), s, n
-
-
-def _check_excess_shift_a(t: int, a: int, s: int, n: int) -> bool:
-    return f(t, a, s, 0, n) + f(t - 1, a, s, 0, n - 1) == f(t, a + t, s, s - n - 3, n)
-
-
-def _sample_excess_shift_a(rng: random.Random) -> tuple:
-    t, _, s, n = _sample_base(rng)
-    return max(t, 1), rng.randint(0, 40), s, n
-
-
-def _check_excess_shift_b(t: int, a: int, s: int, n: int) -> bool:
-    return f(t, a, s, 0, n) + f(t, a, s, 0, n - 1) == f(t, a + t + 1, s, s - n - 3, n)
-
-
-def _sample_excess_shift_b(rng: random.Random) -> tuple:
-    t, _, s, n = _sample_base(rng)
-    return t, rng.randint(0, 40), s, n
-
-
-def _check_excess_step(t: int, a: int, s: int, eps: int, n: int) -> bool:
-    return f(t, a, s, eps, n) + f(t - 1, a, s, eps, n - 1) == f(t, a, s, eps - 1, n)
-
-
-def _sample_excess_step(rng: random.Random) -> tuple:
-    t, a, s, n = _sample_base(rng)
-    return max(t, 1), a, s, rng.randint(1, 12), n
-
-
-def _check_excess_step_shifted(t: int, a: int, s: int, eps: int, n: int) -> bool:
-    return f(t, a, s, eps, n) + f(t, a, s, eps, n - 1) == f(t, a + 1, s, eps - 1, n)
-
-
-def _sample_excess_step_shifted(rng: random.Random) -> tuple:
-    t, _, s, n = _sample_base(rng)
-    return t, rng.randint(0, 40), s, rng.randint(1, 12), n
-
-
-def _check_hockey_stick(a: int, b: int) -> bool:
-    return sum(binom(a + lam, a) for lam in range(b + 1)) == binom(a + b + 1, a + 1)
-
-
-def _check_stocking(b: int, t: int) -> bool:
-    return sum(binom(b + i, i) for i in range(t)) == binom(b + t, t - 1)
-
-
-def _check_triangular(a: int, b: int) -> bool:
-    return binom(a + b + 1, 2) == binom(a + 1, 2) + binom(b + 1, 2) + a * b
-
-
-IDENTITIES: tuple[Identity, ...] = (
-    Identity(
-        "shift",
-        "f(t,a,s,eps,n) = f(t,a-1,s,eps,n) + f(t,a-1,s-1,eps,n-1)  [a >= 1]",
-        _check_shift,
-        _sample_shift,
-    ),
-    Identity(
-        "point_drop",
-        "f(t,a,s-1,eps,n) + f(t-1,a+1,s,eps,n) = f(t,a,s,eps,n)"
-        "  [t >= 1, s >= n+4, 0 <= eps <= s-n-3]",
-        _check_point_drop,
-        _sample_point_drop,
-    ),
-    Identity(
-        "max_excess",
-        "f(t,a,s,s-n-3,n) = binom(a,n) * (1 + sum_i binom(s-n-4+i,i))  [s >= n+3, a >= 0]",
-        _check_max_excess,
-        _sample_max_excess,
-    ),
-    Identity(
-        "excess_shift_a",
-        "f(t,a,s,0,n) + f(t-1,a,s,0,n-1) = f(t,a+t,s,s-n-3,n)  [t >= 1, s >= n+3, a >= 0]",
-        _check_excess_shift_a,
-        _sample_excess_shift_a,
-    ),
-    Identity(
-        "excess_shift_b",
-        "f(t,a,s,0,n) + f(t,a,s,0,n-1) = f(t,a+t+1,s,s-n-3,n)  [s >= n+3, a >= 0]",
-        _check_excess_shift_b,
-        _sample_excess_shift_b,
-    ),
-    Identity(
-        "excess_step",
-        "f(t,a,s,eps,n) + f(t-1,a,s,eps,n-1) = f(t,a,s,eps-1,n)  [t >= 1, eps >= 1]",
-        _check_excess_step,
-        _sample_excess_step,
-    ),
-    Identity(
-        "excess_step_shifted",
-        "f(t,a,s,eps,n) + f(t,a,s,eps,n-1) = f(t,a+1,s,eps-1,n)  [eps >= 1, a >= 0]",
-        _check_excess_step_shifted,
-        _sample_excess_step_shifted,
-    ),
-    Identity(
-        "hockey_stick",
-        "sum_{lam=0..b} binom(a+lam,a) = binom(a+b+1,a+1)  [a,b >= 0]",
-        _check_hockey_stick,
-        lambda rng: (rng.randint(0, 40), rng.randint(0, 40)),
-    ),
-    Identity(
-        "christmas_stocking",
-        "sum_{i=0..t-1} binom(b+i,i) = binom(b+t,t-1)  [b,t >= 0]",
-        _check_stocking,
-        lambda rng: (rng.randint(0, 40), rng.randint(0, 12)),
-    ),
-    Identity(
-        "triangular",
-        "binom(a+b+1,2) = binom(a+1,2) + binom(b+1,2) + a*b  [a,b >= 0]",
-        _check_triangular,
-        lambda rng: (rng.randint(0, 40), rng.randint(0, 40)),
-    ),
-)
-
-
-def identity_suite(trials: int = 1000, seed: int = 0) -> dict[str, list[tuple]]:
-    """Run every identity on `trials` sampled tuples; return failures by name.
-
-    The result maps identity name -> list of failing argument tuples (empty
-    lists everywhere means the suite passed).
-    """
-    failures: dict[str, list[tuple]] = {}
-    for ident in IDENTITIES:
-        rng = random.Random(f"{seed}:{ident.name}")
-        bad = []
-        for _ in range(trials):
-            args = ident.sample(rng)
-            if not ident.check(*args):
-                bad.append(args)
-        failures[ident.name] = bad
-    return failures

@@ -75,6 +75,12 @@ exact for every prime p < 2^31.
 
 verify_one returns one system's record (RECORD_KEYS), every evaluator
 against the oracle, and consistency_sweep that record for a whole grid.
+
+numpy is imported inside the functions that build or eliminate arrays
+(_columns, _structural_block, _kept_columns, _point_monomials, _point_rows,
+_block and rank_modular), not at module level: the closed formula and the
+recursion are integer arithmetic, so importing the package and every
+command that does not run the oracle leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -84,13 +90,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import castelnuovo, formula, systems
 from .binomials import binom
 from .systems import LinearSystemSpec, NormalizedSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
@@ -226,6 +233,8 @@ def _columns(n: int, d: int) -> np.ndarray:
     gamma_0 = d - |gamma'|, in monomial_exponents order: (gamma_0..gamma_n)
     lexicographically descending, listed one coordinate at a time.  Callers
     must not mutate the returned array."""
+    import numpy as np
+
     left = np.array([d], dtype=np.intp)  # the degree each row has left
     H: list[np.ndarray] = []
     for _ in range(n):  # a row with r left becomes gamma_j = r, r-1, ..., 0
@@ -244,6 +253,8 @@ def _structural_block(n: int, d: int, m: int) -> np.ndarray:
     point's condition rows.  B <= 2^d, so int64 is exact up to d = 62;
     beyond that the coefficients are Python integers (object dtype).
     Callers must not mutate the returned array."""
+    import numpy as np
+
     G = _columns(n, d)[:, 1:]
     A = np.array(monomial_exponents(n, m - 1), dtype=np.intp).reshape(-1, n)
     top = max(d, m - 1)
@@ -262,6 +273,8 @@ def _kept_columns(n: int, d: int, node_mults: tuple[int, ...]) -> np.ndarray:
     """Indices of the monomial columns that multiplicity node_mults[j] at
     each node e_j leaves: gamma_j <= d - node_mults[j] for j = 0..n, with
     gamma_0 = d - |gamma'|.  Callers must not mutate the returned array."""
+    import numpy as np
+
     H = _columns(n, d)
     return np.flatnonzero((H <= d - np.array(node_mults)).all(axis=1))
 
@@ -318,6 +331,8 @@ def _point_monomials(n: int, d: int, t: int, p: int | None) -> np.ndarray:
     """The monomials q^gamma of the point q = _curve_point(n, t), one per
     column of _columns(n, d): exact Python integers (object dtype), or
     int64 mod p.  Callers must not mutate the returned array."""
+    import numpy as np
+
     H = _columns(n, d)
     q = _curve_point(n, t)
     if p is None:
@@ -342,6 +357,8 @@ def _point_rows(
     """The condition rows of the point at parameter t (not a node) with
     multiplicity m on the columns cols: its structural block with each
     column scaled by the point's monomial, exact or mod p."""
+    import numpy as np
+
     B = _structural_block(n, d, m)[:, cols]
     v = _point_monomials(n, d, t, p)[cols]
     if p is None:
@@ -359,6 +376,8 @@ def _block(
     """The kept block of a _layout: the rows of every (t, m) in rows on the
     columns the node multiplicities keep, exact (object dtype) or int64
     mod p."""
+    import numpy as np
+
     keep = _kept_columns(n, d, node_mults)
     if not rows:
         return np.zeros((0, keep.size), dtype=object if p is None else np.int64)
@@ -411,10 +430,18 @@ def rank_modular(M: np.ndarray, p: int) -> int:
     at most ((p-1)/2)^2 < 2^60.  The rows below are reduced into [0, p)
     before the first update and after every REDUCE_EVERY = 7 updates, so
     their entries stay below p + 7 * 2^60 < 2^63 in magnitude and int64 is
-    exact throughout.  Pivots and multipliers are read mod p.
+    exact throughout.  Pivots and multipliers are read mod p.  The input
+    and the rows below are reduced as x - (x // p) * p, which is x % p:
+    numpy floor-divides an int64 array by a scalar without the hardware
+    division per entry that its % does.
     """
+    import numpy as np
+
     _check_prime(p)
-    M = (M % p).astype(np.int64, copy=False)
+    R = M // p  # R = M % p, a copy: the elimination writes in place
+    R *= -p
+    R += M
+    M = R.astype(np.int64, copy=False)
     if M.shape[0] > M.shape[1]:
         M = np.ascontiguousarray(M.T)
     nrows, ncols = M.shape
@@ -430,8 +457,10 @@ def rank_modular(M: np.ndarray, p: int) -> int:
             continue
         i = int(nz[0])
         if i:
-            M[[rank, rank + i], col:] = M[[rank + i, rank], col:]
-            c[[0, i]] = c[[i, 0]]
+            row = M[rank, col:].copy()
+            M[rank, col:] = M[rank + i, col:]
+            M[rank + i, col:] = row
+            c[0], c[i] = c[i], c[0]
         rank += 1
         if nz.size > 1:  # some row below has a nonzero entry in this column
             f = (c[1:] * pow(int(c[0]), -1, p) + half) % p - half
@@ -439,8 +468,10 @@ def rank_modular(M: np.ndarray, p: int) -> int:
             below = M[rank:, col + 1 :]
             below -= np.multiply.outer(f, piv)
             pending += 1
-            if pending == REDUCE_EVERY:
-                below %= p
+            if pending == REDUCE_EVERY:  # below %= p
+                q = below // p
+                q *= p
+                below -= q
                 pending = 0
     return rank
 
@@ -507,17 +538,17 @@ def h0(
     over the rationals.  Otherwise rank_exact, fraction-free elimination
     of M' on primitive integer rows, gives the rank.
     mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed
-    (once per (seed, trials) per process), no exact elimination.  h0 is an upper bound on the
-    exact h0 at the same parameters, equal to it unless every prime
-    divides the same minor.
+    (once per (seed, trials) per process), no exact elimination.  h0 is an
+    upper bound on the exact h0 at the same parameters, equal to it unless
+    every prime divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
     given, and so must the all-column array it is cut from when M' is not
     empty: the binomial block of the largest multiplicity m off the nodes,
     binom(n+m-1, n) by binom(n+d, n).  Both shapes are counted before any
-    monomial is listed.  Degrees
-    d < 0 give h0 = 0; multiplicities <= 0 impose no conditions.  An empty
-    M' (no rows or no columns) has rank 0 and is neither built nor
-    eliminated; primes still names the first prime of the mode.
+    monomial is listed.  Degrees d < 0 give h0 = 0; multiplicities <= 0
+    impose no conditions.  An empty M' (no rows or no columns) has rank 0
+    and is neither built nor eliminated; primes still names the first
+    prime of the mode.
     The points are laid out once, and M' is built from that layout for
     each prime (and once exactly for rank_exact), from each point's cached
     monomials (see the module docstring).

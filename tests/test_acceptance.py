@@ -10,7 +10,7 @@ import random
 import time
 from itertools import combinations_with_replacement
 
-from rncdim.binomials import f, identity_suite
+from rncdim.binomials import f
 from rncdim.castelnuovo import l_map, recursive_h0
 from rncdim.formula import (
     dimension,
@@ -25,6 +25,7 @@ from rncdim.formula import (
 )
 from rncdim.oracle import SweepGrid, consistency_sweep, h0
 from rncdim.systems import kc_value, normalize, system, vdim
+from test_binomials import identity_suite
 
 WORKED_RAW = system(5, 8, [7, 6, 6] + [5] * 7 + [2] * 3)
 WORKED_NORM_MULTS = (7, 6, 6, 5, 5, 5, 5, 5, 5, 5)

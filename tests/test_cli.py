@@ -18,6 +18,16 @@ from rncdim.cli import main, parse_cap, parse_grid, parse_mults, parse_oracle_mo
 WORKED_ARGS = ["-n", "5", "-d", "8", "-m", "7,6^2,5^7,2^3"]
 
 
+def _fresh_python(args, **kwargs):
+    """Run sys.executable with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(rncdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, *args], text=True, env=env, timeout=120, **kwargs
+    )
+
+
 def test_parse_mults_shorthand():
     assert parse_mults("7,6^2,5^7") == (7, 6, 6, 5, 5, 5, 5, 5, 5, 5)
     assert parse_mults("2") == (2,)
@@ -77,17 +87,47 @@ def test_closed_pipe_exits_quietly(argv):
     # before the first write: no traceback, exit 128 + SIGPIPE.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(rncdim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "rncdim.cli", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        proc = _fresh_python(
+            ["-m", "rncdim.cli", *argv], stdout=write_end, stderr=subprocess.PIPE
         )
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# Run in a fresh interpreter: the test process has numpy loaded already.
+NUMPY_GUARD = """
+import contextlib, io, json, sys
+import rncdim, rncdim.cli
+from rncdim.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+worked = ["-n", "5", "-d", "8", "-m", "7,6^2,5^7,2^3"]
+assert "numpy" not in sys.modules, "import"
+for argv in (
+    ["dim", *worked],
+    ["dim", *worked, "--evaluators", "recursive"],
+    ["report", *worked],
+    ["regindex", "-n", "2", "-m", "2^5", "--window", "2"],
+):
+    run(argv)
+    assert "numpy" not in sys.modules, argv
+out = run(["dim", "-n", "3", "-d", "6", "-m", "2^10", "--evaluators", "oracle",
+           "--oracle", "modular:1", "--format", "structured"])
+assert json.loads(out)["dimension"] == 45
+assert "numpy" in sys.modules, "oracle"
+"""
+
+
+def test_only_the_oracle_loads_numpy():
+    proc = _fresh_python(["-c", NUMPY_GUARD], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_parse_grid():
