@@ -160,7 +160,13 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     point changes the virtual dimension but not the dimension); speciality
     is systems.speciality, dimension - max(vdim, 0).  A point of
     multiplicity above d empties the system: the report then has dimension
-    0 and no classes.
+    0 and no classes.  So does a join that fills P^n, which the class sum
+    never lists (its classes have r <= n-1): for t = 0..floor((n+1)/2) the
+    span of c = n+1-2t points joined with the secant variety sigma_t(C) is
+    all of P^n, and every form vanishes on it to order k = sigma_c + t*kc
+    - (n-t)*d, sigma_c the sum of the c largest multiplicities.  When some
+    k > 0, every form is zero.  PAPER.md holds only the abstract, so this
+    rule rests on its check against the oracle and the recursion.
     """
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     n, d, mults = norm.n, norm.d, norm.mults
@@ -171,8 +177,13 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
         )
     kc = kc_value(n, d, mults)
     eps = epsilon_value(n, d, mults)
-    # A degree-d form with a point of multiplicity m_1 > d is zero.
-    classes = enumerate_join_classes(norm) if mults[0] <= d else []
+    # A degree-d form with a point of multiplicity m_1 > d, or vanishing
+    # along a join that fills P^n, is zero.
+    empty = mults[0] > d or any(
+        sum(mults[: n + 1 - 2 * t]) + t * kc - (n - t) * d > 0
+        for t in range((n + 1) // 2 + 1)
+    )
+    classes = [] if empty else enumerate_join_classes(norm)
     total = 0
     records: list[ContributionRecord] = []
     effects: list[ContributionRecord] = []

@@ -39,18 +39,22 @@ Columns are the monomials x^gamma of degree d, indexed by gamma' =
     t - a_k of a q_j is below n + s + 2 in magnitude, far below p >= 2^30,
     so q'^alpha is a unit mod p and the rank mod p is kept too.
 
-B depends only on (n, d, m), so one cached block per (n, d, m) serves
-every point: one private builder, behind both conditions_matrix and h0,
-scales the block's kept columns by the point's monomials, exactly over the
-integers or mod a prime.  Those monomials, q^gamma on all binom(n+d, n)
-columns, do not depend on m and are cached per (n, d, t, p), t the curve
-parameter and p the prime (None for exact values), in one bounded
-lru_cache.  Primes are drawn once per (seed, trials) per process, so
-repeated calls, a sweep's included, find a point's monomials there.  h0 puts
-the n+1 largest multiplicities on the nodes, so only the other s-n-1
-points add rows; it lays the points out once, counts the kept block and
-the all-column block its rows are cut from before listing any monomial,
-and builds the block for each prime from that layout.
+The nodes keep the box of monomials gamma_j <= d - m_j (j = 0..n, m_j the
+multiplicity at e_j), so the oracle lists that box alone, never the
+binom(n+d, n) monomials around it.  B depends only on the box and m, so
+one cached block per (n, d, box, m) serves every point: one private
+builder, behind both conditions_matrix and h0, scales the block's columns
+by the point's monomials, exactly over the integers or mod a prime.  Those
+monomials, q^gamma on the box, do not depend on m and are cached per
+(n, d, box, t, p), t the curve parameter and p the prime (None for exact
+values), in one bounded lru_cache.  Primes are drawn once per (seed,
+trials) per process, so repeated calls, a sweep's included, find a point's
+monomials there.  h0 puts the n+1 largest multiplicities on the nodes, so
+only the other s-n-1 points add rows; it lays the points out once, counts
+the kept block before listing any monomial, and builds the block for each
+prime from that layout.  Every array it builds is at most as wide as the
+box, and its binomial and power tables run only over exponents the box
+holds, so the cell cap bounds the work too.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -77,8 +81,8 @@ verify_one returns one system's record (RECORD_KEYS), every evaluator
 against the oracle, and consistency_sweep that record for a whole grid.
 
 numpy is imported inside the functions that build or eliminate arrays
-(_columns, _structural_block, _kept_columns, _point_monomials, _point_rows,
-_block and rank_modular), not at module level: the closed formula and the
+(_columns, _structural_block, _point_monomials, _point_rows, _block and
+rank_modular), not at module level: the closed formula and the
 recursion are integer arithmetic, so importing the package and every
 command that does not run the oracle leave numpy unloaded.
 """
@@ -98,22 +102,6 @@ from .systems import LinearSystemSpec, NormalizedSystem
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the monomials of degree <= d in n variables,
-    graded (total degree ascending), lexicographic within a degree."""
-    out: list[tuple[int, ...]] = []
-    for deg in range(d + 1):
-        block = []
-        for comb in combinations_with_replacement(range(n), deg):
-            e = [0] * n
-            for v in comb:
-                e[v] += 1
-            block.append(tuple(e))
-        block.sort(reverse=True)
-        out.extend(block)
-    return out
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -227,72 +215,70 @@ def _curve_point(n: int, t: int) -> tuple[int, ...]:
     return tuple(x // g for x in q)
 
 
-@lru_cache(maxsize=32)
-def _columns(n: int, d: int) -> np.ndarray:
-    """The monomial columns as an array H, one row (gamma_0, gamma') each,
-    gamma_0 = d - |gamma'|, in monomial_exponents order: (gamma_0..gamma_n)
-    lexicographically descending, listed one coordinate at a time.  Callers
-    must not mutate the returned array."""
+@lru_cache(maxsize=128)
+def _columns(n: int, d: int, caps: tuple[int, ...] | None = None) -> np.ndarray:
+    """The monomial columns in the box gamma_j <= caps[j] (j = 0..n; all of
+    them when caps is None) as an array H, one row (gamma_0, gamma') each,
+    gamma_0 = d - |gamma'|, in the order of the full listing: (gamma_0..
+    gamma_n) lexicographically descending, listed one coordinate at a time.
+    Callers must not mutate the returned array."""
     import numpy as np
 
+    caps = (d,) * (n + 1) if caps is None else caps
+    room = [sum(caps[j + 1 :]) for j in range(n)]  # what later coordinates hold
     left = np.array([d], dtype=np.intp)  # the degree each row has left
     H: list[np.ndarray] = []
-    for _ in range(n):  # a row with r left becomes gamma_j = r, r-1, ..., 0
-        counts = left + 1
+    for j in range(n):  # gamma_j = hi, hi-1, ..., max(0, left - room[j])
+        hi = np.minimum(left, caps[j])
+        counts = np.maximum(hi - np.maximum(left - room[j], 0) + 1, 0)
         left = np.repeat(left, counts)
-        g = left - np.arange(left.size) + np.repeat(np.cumsum(counts) - counts, counts)
+        start = np.repeat(np.cumsum(counts) - counts, counts)
+        g = np.repeat(hi, counts) - np.arange(left.size) + start
         H = [np.repeat(col, counts) for col in H] + [g]
         left -= g
     return np.column_stack(H + [left])
 
 
-@lru_cache(maxsize=32)
-def _structural_block(n: int, d: int, m: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _structural_block(n: int, d: int, caps: tuple[int, ...], m: int) -> np.ndarray:
     """B[alpha, gamma] = prod_{j>=1} binom(gamma_j, alpha_j), orders alpha
-    (|alpha| < m) by columns gamma: the point-independent factor of one
-    point's condition rows.  B <= 2^d, so int64 is exact up to d = 62;
+    (|alpha| < m) by the columns gamma of the box _columns(n, d, caps): the
+    point-independent factor of one point's condition rows.  The box must
+    not be empty.  Each coordinate's binomial table has one column per
+    alpha_j < m and one row per exponent from its least to its largest in
+    the box; the box takes every exponent in between, so there are no more
+    rows than columns of B.  B <= 2^d, so int64 is exact up to d = 62;
     beyond that the coefficients are Python integers (object dtype).
     Callers must not mutate the returned array."""
     import numpy as np
 
-    G = _columns(n, d)[:, 1:]
-    A = np.array(monomial_exponents(n, m - 1), dtype=np.intp).reshape(-1, n)
-    top = max(d, m - 1)
+    G = _columns(n, d, caps)[:, 1:]
+    A = _columns(n, m - 1)[:, 1:]
     dtype = np.int64 if d <= 62 else object
-    table = np.array(
-        [[math.comb(g, a) for a in range(top + 1)] for g in range(d + 1)], dtype=dtype
-    )
     B = np.ones((len(A), len(G)), dtype=dtype)
-    for j in range(n):
-        B = B * table[G[None, :, j], A[:, j, None]]
+    for g, a in zip(G.T, A.T):
+        lo = int(g.min())
+        table = np.array(
+            [[math.comb(x, k) for k in range(m)] for x in range(lo, int(g.max()) + 1)],
+            dtype=dtype,
+        )
+        B = B * table[g[None, :] - lo, a[:, None]]
     return B
 
 
-@lru_cache(maxsize=64)
-def _kept_columns(n: int, d: int, node_mults: tuple[int, ...]) -> np.ndarray:
-    """Indices of the monomial columns that multiplicity node_mults[j] at
-    each node e_j leaves: gamma_j <= d - node_mults[j] for j = 0..n, with
-    gamma_0 = d - |gamma'|.  Callers must not mutate the returned array."""
-    import numpy as np
-
-    H = _columns(n, d)
-    return np.flatnonzero((H <= d - np.array(node_mults)).all(axis=1))
-
-
-def _kept_count(n: int, d: int, node_mults: tuple[int, ...]) -> int:
-    """The size of _kept_columns(n, d, node_mults), counted without listing
-    a monomial.  By inclusion-exclusion over the nodes: the monomials of
-    degree d with gamma_j >= d - m_j + 1 for every j in a set S number
-    binom(n + d - e, n), e = sum_{j in S} (d - m_j + 1), so the count is
+def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
+    """The size of the box _columns(n, d, caps), counted without listing a
+    monomial.  By inclusion-exclusion over the coordinates: the monomials of
+    degree d with gamma_j >= caps[j] + 1 for every j in a set S number
+    binom(n + d - e, n), e = sum_{j in S} (caps[j] + 1), so the count is
     sum_e c_e binom(n + d - e, n), c_e the coefficient of x^e in
-    prod_j (1 - x^(d - m_j + 1)).  Nodes with m_j = 0 add no term."""
-    if max(node_mults) > d:
+    prod_j (1 - x^(caps[j] + 1)).  Caps >= d add no term."""
+    if min(caps) < 0:
         return 0
     c = [1] + [0] * d  # c[e] for e = 0..d; higher powers add no monomial
-    for m in node_mults:
-        step = d - m + 1
-        for e in range(d, step - 1, -1):
-            c[e] -= c[e - step]
+    for cap in caps:
+        for e in range(d, cap, -1):
+            c[e] -= c[e - cap - 1]
     return sum(ce * math.comb(n + d - e, n) for e, ce in enumerate(c) if ce)
 
 
@@ -301,11 +287,12 @@ def _layout(
     params: Sequence[int],
     p: int | None = None,
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The multiplicity at each node e_0..e_n (0 where no point is) and the
-    (t, m) of every point that adds rows.  Checks that there is one
-    parameter per point, pairwise distinct (mod p when p is given).
-    Whether a parameter is a node is decided on the integer, so a parameter
-    congruent to a node only mod p adds rows like any other."""
+    """The caps d - m_j of the kept box, m_j the multiplicity at the node
+    e_j (0 where no point is, so the cap is d), and the (t, m) of every
+    point that adds rows.  Checks that there is one parameter per point,
+    pairwise distinct (mod p when p is given).  Whether a parameter is a
+    node is decided on the integer, so a parameter congruent to a node only
+    mod p adds rows like any other."""
     n, d = sys.n, sys.d
     if d < 0:
         raise ValueError("conditions matrix undefined for negative degree")
@@ -316,51 +303,52 @@ def _layout(
         where = "" if p is None else f" mod {p}"
         raise ValueError(f"curve parameters must be pairwise distinct{where}")
     node_of = {_node(k): k for k in range(n + 1)}
-    node_mults = [0] * (n + 1)
+    caps = [d] * (n + 1)
     rows = []
     for t, m in zip(params, sys.mults):
         if t in node_of:
-            node_mults[node_of[t]] = max(m, 0)
+            caps[node_of[t]] = d - max(m, 0)
         elif m > 0:
             rows.append((t, m))
-    return tuple(node_mults), rows
+    return tuple(caps), rows
 
 
-@lru_cache(maxsize=256)
-def _point_monomials(n: int, d: int, t: int, p: int | None) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def _point_monomials(
+    n: int, d: int, caps: tuple[int, ...], t: int, p: int | None
+) -> np.ndarray:
     """The monomials q^gamma of the point q = _curve_point(n, t), one per
-    column of _columns(n, d): exact Python integers (object dtype), or
-    int64 mod p.  Callers must not mutate the returned array."""
+    column of the box _columns(n, d, caps): exact Python integers (object
+    dtype), or int64 mod p.  The box must not be empty.  Each q_j is raised
+    to the exponents from its least to its largest in the box, no more
+    powers than columns (see _structural_block).  Callers must not mutate
+    the returned array."""
     import numpy as np
 
-    H = _columns(n, d)
-    q = _curve_point(n, t)
-    if p is None:
-        Q = np.array(q, dtype=object)
-    else:
-        Q = np.array([x % p for x in q], dtype=np.int64)
-    powers = [np.ones_like(Q)]
-    for _ in range(d):
-        powers.append(powers[-1] * Q if p is None else powers[-1] * Q % p)
-    pw = np.stack(powers, axis=1)  # pw[j, e] = q_j^e
-    v = pw[0, H[:, 0]]
-    for j in range(1, n + 1):
-        v = v * pw[j, H[:, j]]
+    H = _columns(n, d, caps)
+    dtype = object if p is None else np.int64
+    v = np.ones(len(H), dtype=dtype)
+    for x, col in zip(_curve_point(n, t), H.T):
+        lo = int(col.min())
+        pw = [x**lo if p is None else pow(x, lo, p)]
+        for _ in range(lo, int(col.max())):
+            pw.append(pw[-1] * x if p is None else pw[-1] * x % p)
+        v = v * np.array(pw, dtype=dtype)[col - lo]
         if p is not None:
             v %= p
     return v
 
 
 def _point_rows(
-    n: int, d: int, t: int, m: int, p: int | None, cols: np.ndarray
+    n: int, d: int, caps: tuple[int, ...], t: int, m: int, p: int | None
 ) -> np.ndarray:
     """The condition rows of the point at parameter t (not a node) with
-    multiplicity m on the columns cols: its structural block with each
+    multiplicity m on the box of caps: its structural block with each
     column scaled by the point's monomial, exact or mod p."""
     import numpy as np
 
-    B = _structural_block(n, d, m)[:, cols]
-    v = _point_monomials(n, d, t, p)[cols]
+    B = _structural_block(n, d, caps, m)
+    v = _point_monomials(n, d, caps, t, p)
     if p is None:
         return B * v
     return (B % p).astype(np.int64, copy=False) * v % p
@@ -369,19 +357,19 @@ def _point_rows(
 def _block(
     n: int,
     d: int,
-    node_mults: tuple[int, ...],
+    caps: tuple[int, ...],
     rows: list[tuple[int, int]],
     p: int | None,
 ) -> np.ndarray:
     """The kept block of a _layout: the rows of every (t, m) in rows on the
-    columns the node multiplicities keep, exact (object dtype) or int64
-    mod p."""
+    box of caps, exact (object dtype) or int64 mod p."""
     import numpy as np
 
-    keep = _kept_columns(n, d, node_mults)
-    if not rows:
-        return np.zeros((0, keep.size), dtype=object if p is None else np.int64)
-    return np.concatenate([_point_rows(n, d, t, m, p, keep) for t, m in rows])
+    ncols = len(_columns(n, d, caps))
+    if not rows or not ncols:
+        nrows = sum(binom(n + m - 1, n) for _, m in rows)
+        return np.zeros((nrows, ncols), dtype=object if p is None else np.int64)
+    return np.concatenate([_point_rows(n, d, caps, t, m, p) for t, m in rows])
 
 
 def _check_prime(p: int) -> None:
@@ -542,10 +530,9 @@ def h0(
     upper bound on the exact h0 at the same parameters, equal to it unless
     every prime divides the same minor.
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
-    given, and so must the all-column array it is cut from when M' is not
-    empty: the binomial block of the largest multiplicity m off the nodes,
-    binom(n+m-1, n) by binom(n+d, n).  Both shapes are counted before any
-    monomial is listed.  Degrees d < 0 give h0 = 0; multiplicities <= 0
+    given; its shape is counted before any monomial is listed.  M' and
+    every array it is built from are no wider than the kept box, so the
+    cap bounds the work too.  Degrees d < 0 give h0 = 0; multiplicities <= 0
     impose no conditions.  An empty M' (no rows or no columns) has rank 0
     and is neither built nor eliminated; primes still names the first
     prime of the mode.
@@ -564,17 +551,11 @@ def h0(
         raise ValueError(f"cap_cells must be >= 0, got {cap_cells}")
     if d < 0:
         return OracleResult(0, 0, 0, 0, mode, ps)
-    node_mults, rows = _layout(sys, ps)
+    caps, rows = _layout(sys, ps)
     erows = sum(binom(n + m - 1, n) for _, m in rows)
-    ecols = _kept_count(n, d, node_mults)
-    shape = (erows, ecols)
-    if erows * ecols:  # a block will be built, from arrays on all columns
-        top = max(m for _, m in rows)
-        shape = max(shape, (binom(n + top - 1, n), binom(n + d, n)), key=math.prod)
-    if cap_cells is not None and math.prod(shape) > cap_cells:
-        raise OracleSizeError(
-            f"oracle matrix {shape[0]}x{shape[1]} exceeds cap {cap_cells}"
-        )
+    ecols = _kept_count(n, d, caps)
+    if cap_cells is not None and erows * ecols > cap_cells:
+        raise OracleSizeError(f"oracle matrix {erows}x{ecols} exceeds cap {cap_cells}")
     primes = (FULL_RANK_PRIME,) if mode == "exact" else _seeded_primes(seed, trials)
     full = min(erows, ecols)
     rank = 0
@@ -582,11 +563,11 @@ def h0(
     for p in primes:
         used.append(p)
         if full:  # an empty block (no rows or no columns) has rank 0
-            rank = max(rank, rank_modular(_block(n, d, node_mults, rows, p), p))
+            rank = max(rank, rank_modular(_block(n, d, caps, rows, p), p))
         if rank == full:
             break
     if mode == "exact" and rank < full:
-        rank = rank_exact(_block(n, d, node_mults, rows, None))
+        rank = rank_exact(_block(n, d, caps, rows, None))
     h = ecols - rank
     ncols = binom(n + d, n)
     nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)

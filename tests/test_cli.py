@@ -187,14 +187,13 @@ def test_dim_structured(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert set(obj) == {
         "n", "d", "mults", "s", "normalized_mults", "kc", "epsilon", "vdim",
-        "dimension", "evaluator", "special_effects", "trace", "verdict",
+        "dimension", "evaluator", "special_effects", "trace",
     }
     assert obj["dimension"] == 6
     assert obj["kc"] == 5
     assert obj["epsilon"] == 1
     assert obj["vdim"] == -561
     assert obj["evaluator"] == "formula"
-    assert obj["verdict"] == "ok"
     assert obj["normalized_mults"] == [7, 6, 6, 5, 5, 5, 5, 5, 5, 5]
     assert len(obj["special_effects"]) == 15
     assert obj["trace"][0] == {

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from rncdim.binomials import binom, f
+from rncdim.castelnuovo import recursive_h0
 from rncdim.formula import (
     dimension,
     double_points_h1,
@@ -20,6 +21,7 @@ from rncdim.formula import (
     regularity_index,
     subset_counts,
 )
+from rncdim.oracle import h0
 from rncdim.systems import epsilon_value, normalize, system, vdim
 
 WORKED = system(5, 8, [7, 6, 6] + [5] * 7)
@@ -81,6 +83,26 @@ def test_dimension_values():
     assert dimension(system(3, 8, [2] * 10)).dimension == 125
     report = dimension(system(2, 3, [3, 1, 1, 1, 1]))
     assert report.dimension == 0
+
+
+# Empty systems with every m_i <= d whose emptying join fills P^3 or P^5:
+# sigma_2(C) (2*kc > d), a line's span joined with C, sigma_3(C).  The class
+# sum alone gave -1, -1, -1, -3, -4 and -4.
+FILLING_JOIN_ORACLE = ((3, 9, [9, 9] + [3] * 5), (3, 10, [10, 10, 4] + [3] * 4),
+                       (3, 10, [6] * 7))
+FILLING_JOIN_RECURSIVE = ((3, 26, [16] * 3 + [15] * 2 + [14] * 3),
+                          (5, 30, [22] * 3 + [21] * 7), (3, 35, [24, 21] + [20] * 4))
+
+
+@pytest.mark.parametrize("n,d,mults", FILLING_JOIN_ORACLE + FILLING_JOIN_RECURSIVE)
+def test_filling_join_empties_the_system(n, d, mults):
+    norm = normalize(system(n, d, mults))
+    assert max(norm.mults) <= d and norm.s >= n + 3
+    rep = dimension(norm)
+    assert (rep.dimension, rep.contributions, rep.special_effects) == (0, (), ())
+    assert rep.speciality == 0 - max(rep.vdim, 0)
+    exact = (n, d, mults) in FILLING_JOIN_ORACLE
+    assert (h0(system(n, d, mults)).h0 if exact else recursive_h0(norm)) == 0
 
 
 def test_dimension_speciality_rule():

@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -19,12 +20,29 @@ from rncdim.oracle import (
     conditions_matrix,
     consistency_sweep,
     h0,
-    monomial_exponents,
     rank_exact,
     rank_modular,
     verify_one,
 )
 from rncdim.systems import LinearSystemSpec, normalize, system, vdim
+
+
+def monomial_exponents(n, d):
+    """Exponent vectors of the monomials of degree <= d in n variables,
+    graded (total degree ascending), lexicographic descending within a
+    degree: the reference the oracle's numpy listing is checked against."""
+    out = []
+    for deg in range(d + 1):
+        block = []
+        for comb in combinations_with_replacement(range(n), deg):
+            e = [0] * n
+            for v in comb:
+                e[v] += 1
+            block.append(tuple(e))
+        block.sort(reverse=True)
+        out.extend(block)
+    return out
+
 
 RECORD_KEYS = [
     "n", "d", "mults", "s", "kc", "epsilon",
@@ -579,15 +597,23 @@ def test_primes_from_2_31_rejected():
 
 
 def test_structural_block_entries():
-    # The vectorized block against the per-entry definition, int64 and
-    # object (d > 62) coefficients.
-    for n, d, m in ((1, 3, 2), (2, 4, 3), (3, 3, 5), (4, 2, 2), (2, 63, 2)):
-        B = oracle._structural_block(n, d, m)
-        cols = monomial_exponents(n, d)
-        for r, alpha in enumerate(monomial_exponents(n, m - 1)):
+    # The vectorized block against the per-entry definition on the box of
+    # caps, the full box (caps d) included, int64 and object (d > 62)
+    # coefficients.
+    for n, d, caps, m in (
+        (1, 3, (3, 3), 2), (2, 4, (4, 4, 4), 3), (3, 3, (3, 3, 3, 3), 5),
+        (4, 2, (2, 2, 2, 2, 2), 2), (2, 63, (63, 63, 63), 2),
+        (2, 6, (2, 4, 3), 3), (3, 7, (4, 1, 3, 2), 4), (2, 63, (40, 30, 20), 3),
+    ):
+        B = oracle._structural_block(n, d, caps, m)
+        cols = [g for g in monomial_exponents(n, d)
+                if all(e <= c for e, c in zip((d - sum(g), *g), caps))]
+        rows = monomial_exponents(n, m - 1)
+        assert B.shape == (len(rows), len(cols)), (n, d, caps, m)
+        for r, alpha in enumerate(rows):
             for c, gamma in enumerate(cols):
                 coeff = math.prod(binom(g, a) for g, a in zip(gamma, alpha))
-                assert B[r, c] == coeff, (n, d, m, alpha, gamma)
+                assert B[r, c] == coeff, (n, d, caps, m, alpha, gamma)
         assert B.dtype == (object if d > 62 else np.int64)
 
 
@@ -714,15 +740,21 @@ def test_point_monomial_cache_keeps_results():
     assert sum(res.h0 > max(0, res.cols - res.rows) for res in cold) >= 10
 
 
-def test_kept_count_matches_kept_columns():
-    # The counted kept columns against the listed ones; multiplicities up
-    # to d + 2 at the nodes, zeros (no point) included.
+def test_box_listing_matches_filtered_reference():
+    # The box listing against the full reference listing filtered by the
+    # caps, in the same order, and its length against the count made
+    # without listing; caps from -2 (an empty box) to d, as multiplicities
+    # 0..d+2 at the nodes give.
     rng = random.Random(7)
     for _ in range(300):
         n, d = rng.randint(1, 4), rng.randint(0, 9)
-        node_mults = tuple(rng.randint(0, d + 2) for _ in range(n + 1))
-        want = oracle._kept_columns(n, d, node_mults).size
-        assert oracle._kept_count(n, d, node_mults) == want, (n, d, node_mults)
+        caps = tuple(rng.randint(-2, d) for _ in range(n + 1))
+        want = [(d - sum(g), *g) for g in monomial_exponents(n, d)]
+        want = [g for g in want if all(e <= c for e, c in zip(g, caps))]
+        H = oracle._columns(n, d, caps)
+        assert H.shape == (len(want), n + 1), (n, d, caps)
+        assert H.tolist() == [list(g) for g in want], (n, d, caps)
+        assert oracle._kept_count(n, d, caps) == len(want), (n, d, caps)
 
 
 def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
@@ -740,21 +772,27 @@ def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
     assert "exceeds cap 1000" in capsys.readouterr().err
 
 
-def test_cap_bounds_the_all_column_arrays(monkeypatch, capsys):
-    # The nodes keep 1 column and the one point off them adds 1 row, but
-    # that row is cut from its binomial block on all binom(304, 4) =
-    # 348,881,876 monomials; the default cap ends the call before any of
-    # them is listed, and the CLI with exit 3.
-    def unused(*args):
-        raise AssertionError("monomials listed before the cap check")
+def test_cap_bounds_the_box_build(monkeypatch):
+    # The nodes keep few columns of many: 1 of binom(304, 4) = 348,881,876
+    # at n = 4, d = 300 and 5 of 2001 at n = 1, d = 2000.  The blocks are
+    # built on the kept box alone, so both answer at once, and no listing
+    # is larger than the kept block counted before it.
+    real = oracle._columns
+    listed = []
 
-    monkeypatch.setattr(oracle, "_columns", unused)
-    sys_ = system(4, 300, [240] * 5 + [1])
-    with pytest.raises(OracleSizeError, match="1x348881876 exceeds cap 2000000"):
-        h0(sys_, cap_cells=oracle.CAP_CELLS)
-    argv = ["dim", "-n", "4", "-d", "300", "-m", "240^5,1", "--evaluators", "oracle"]
-    assert cli.main(argv) == 3
-    assert "exceeds cap 2000000" in capsys.readouterr().err
+    def recording(n, d, caps=None):
+        H = real(n, d, caps)
+        listed.append((H.shape[0], oracle._kept_count(n, d, caps or (d,) * (n + 1))))
+        return H
+
+    monkeypatch.setattr(oracle, "_columns", recording)
+    oracle._structural_block.cache_clear()  # so that the listings run
+    oracle._point_monomials.cache_clear()
+    for sys_, want in ((system(4, 300, [240] * 5 + [1]), 0),
+                       (system(1, 2000, [1995, 1, 1]), 4)):
+        res = h0(sys_, cap_cells=oracle.CAP_CELLS)
+        assert res.h0 == want == recursive_h0(normalize(sys_)), sys_
+    assert listed and all(rows <= kept for rows, kept in listed), listed
 
 
 def test_columns_match_monomial_exponents():
