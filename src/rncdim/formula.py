@@ -44,9 +44,9 @@ class JoinClass:
     """One (c, sigma, t) orbit of terms in the dimension sum.
 
     count is the number of c-subsets of the points whose multiplicities sum
-    to sigma; every such subset contributes the same term.  vanishes marks
-    classes whose f-argument a = n + k - r - 1 satisfies a < n - t, which
-    forces f = 0 (pruning invariant).
+    to sigma; every such subset contributes the same term f, so the class
+    adds signed = (-1)^c * count * f.  f is 0, and not evaluated, when its
+    argument a = n + k - r - 1 satisfies a < n - t (pruning invariant).
     """
 
     c: int
@@ -55,17 +55,8 @@ class JoinClass:
     k: int
     r: int
     count: int
-    vanishes: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "sigma": self.sigma,
-            "t": self.t,
-            "k": self.k,
-            "r": self.r,
-            "count": self.count,
-        }
+    f: int
+    signed: int
 
 
 def subset_counts(mults: Sequence[int], cmax: int) -> list[dict[int, int]]:
@@ -91,23 +82,28 @@ def enumerate_join_classes(
     sys: LinearSystemSpec | NormalizedSystem,
 ) -> list[JoinClass]:
     """All (c, sigma, t) classes of the dimension sum for a system with
-    s >= n+3, ordered by (t, c, sigma).
+    s >= n+3, ordered by (t, c, sigma), each with its f value and signed
+    term.
 
     k = sigma + t*kc - (t + c - 1)*d and r = c + 2t - 1; the empty class
     (c=0, sigma=0, t=0) is always present with k = d, r = -1.
     """
     n, d, mults = sys.n, sys.d, sys.mults
+    s = len(mults)
     kc = kc_value(n, d, mults)
+    eps = epsilon_value(n, d, mults)
     counts = subset_counts(mults, n)
     classes: list[JoinClass] = []
     for t in range(n // 2 + 1):
         for c in range(n - 2 * t + 1):
+            r = c + 2 * t - 1
             for sigma in sorted(counts[c]):
                 k = sigma + t * kc - (t + c - 1) * d
-                r = c + 2 * t - 1
                 a = n + k - r - 1
+                val = f(t, a, s, eps, n) if a >= n - t else 0
+                count = counts[c][sigma]
                 classes.append(
-                    JoinClass(c, sigma, t, k, r, counts[c][sigma], a < n - t)
+                    JoinClass(c, sigma, t, k, r, count, val, (-1) ** c * count * val)
                 )
     return classes
 
@@ -117,17 +113,9 @@ def enumerate_join_classes(
 
 
 @dataclass(frozen=True)
-class ContributionRecord:
-    join: JoinClass
-    fvalue: int
-    signed_total: int
-
-
-@dataclass(frozen=True)
 class DimensionReport:
-    """contributions lists the classes with a nonzero term; special_effects
-    has one record per class with k >= 1 and r >= 1, its f value and signed
-    term 0 when the class contributes nothing."""
+    """contributions lists the classes with f != 0; special_effects the
+    classes with k >= 1 and r >= 1, whose f and signed term may be 0."""
 
     normalized: NormalizedSystem
     kc: int
@@ -135,8 +123,8 @@ class DimensionReport:
     dimension: int
     vdim: int
     speciality: int
-    contributions: tuple[ContributionRecord, ...]
-    special_effects: tuple[ContributionRecord, ...]
+    contributions: tuple[JoinClass, ...]
+    special_effects: tuple[JoinClass, ...]
 
 
 class DomainViolation(ValueError):
@@ -152,9 +140,9 @@ def in_domain(norm: NormalizedSystem) -> bool:
 def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     """Dimension (affine h0) of a system in_domain after normalization.
 
-    Evaluates the closed sum over join classes exactly, skipping the
-    classes marked as vanishing.  Inputs outside in_domain raise
-    DomainViolation; route those to the recursion (or ldim for s <= n+2).
+    Sums the signed terms of enumerate_join_classes exactly.  Inputs
+    outside in_domain raise DomainViolation; route those to the recursion
+    (or ldim for s <= n+2).
 
     vdim and speciality refer to the normalized system (dropping a redundant
     point changes the virtual dimension but not the dimension); speciality
@@ -165,8 +153,10 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     span of c = n+1-2t points joined with the secant variety sigma_t(C) is
     all of P^n, and every form vanishes on it to order k = sigma_c + t*kc
     - (n-t)*d, sigma_c the sum of the c largest multiplicities.  When some
-    k > 0, every form is zero.  PAPER.md holds only the abstract, so this
-    rule rests on its check against the oracle and the recursion.
+    k > 0, every form is zero, and the report's classes are those joins,
+    with r = n, count the c-subsets of sum sigma_c, and f = signed = 0.
+    PAPER.md holds only the abstract, so this rule rests on its check
+    against the oracle and the recursion.
     """
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     n, d, mults = norm.n, norm.d, norm.mults
@@ -178,23 +168,18 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     kc = kc_value(n, d, mults)
     eps = epsilon_value(n, d, mults)
     # A degree-d form with a point of multiplicity m_1 > d, or vanishing
-    # along a join that fills P^n, is zero.
-    empty = mults[0] > d or any(
-        sum(mults[: n + 1 - 2 * t]) + t * kc - (n - t) * d > 0
-        for t in range((n + 1) // 2 + 1)
-    )
-    classes = [] if empty else enumerate_join_classes(norm)
-    total = 0
-    records: list[ContributionRecord] = []
-    effects: list[ContributionRecord] = []
-    for jc in classes:
-        val = 0 if jc.vanishes else f(jc.t, n + jc.k - jc.r - 1, norm.s, eps, n)
-        signed = (-1) ** jc.c * jc.count * val
-        if val:
-            total += signed
-            records.append(ContributionRecord(jc, val, signed))
-        if jc.k >= 1 and jc.r >= 1:
-            effects.append(ContributionRecord(jc, val, signed))
+    # along a join that fills P^n, is zero; those joins are then the classes.
+    classes: list[JoinClass] = []
+    if mults[0] <= d:
+        for t in range((n + 1) // 2 + 1):
+            c = n + 1 - 2 * t
+            sigma = sum(mults[:c])
+            k = sigma + t * kc - (n - t) * d
+            if k > 0:
+                count = subset_counts(mults, c)[c][sigma]
+                classes.append(JoinClass(c, sigma, t, k, n, count, 0, 0))
+        classes = classes or enumerate_join_classes(norm)
+    total = sum(jc.signed for jc in classes)
     v = vdim(norm)
     return DimensionReport(
         normalized=norm,
@@ -203,8 +188,8 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
         dimension=total,
         vdim=v,
         speciality=speciality(total, v),
-        contributions=tuple(records),
-        special_effects=tuple(effects),
+        contributions=tuple(jc for jc in classes if jc.f),
+        special_effects=tuple(jc for jc in classes if jc.k >= 1 and jc.r >= 1),
     )
 
 

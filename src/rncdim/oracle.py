@@ -607,7 +607,8 @@ def verify_one(
     """Every evaluator on one system, compared against the oracle.
 
     Returns the system's record, the fields RECORD_KEYS in that order: the
-    input's n, d, mults and s, its kc and epsilon when s >= n+3, the value
+    input's n, d, mults and s, the kc and epsilon of its positive
+    multiplicities when there are at least n+3 of them, the value
     of each evaluator, None for what was not computed, notes on what was
     skipped or changed, and the verdict.
     The oracle runs unless a block it would build exceeds cap_cells.
@@ -624,9 +625,10 @@ def verify_one(
     n, d, ms = spec.n, spec.d, spec.mults
     rec = dict.fromkeys(RECORD_KEYS)
     rec.update(n=n, d=d, mults=list(ms), s=len(ms), notes=[])
-    if len(ms) >= n + 3:
-        rec["kc"] = systems.kc_value(n, d, ms)
-        rec["epsilon"] = systems.epsilon_value(n, d, ms)
+    positive = [m for m in ms if m > 0]
+    if len(positive) >= n + 3:
+        rec["kc"] = systems.kc_value(n, d, positive)
+        rec["epsilon"] = systems.epsilon_value(n, d, positive)
     norm = systems.normalize(spec)
     try:
         rec["oracle"] = h0(
@@ -637,12 +639,12 @@ def verify_one(
 
     if formula.in_domain(norm):
         rec["formula"] = formula.dimension(norm).dimension
-        if norm.mults != tuple(sorted((m for m in ms if m > 0), reverse=True)):
+        if norm.mults != tuple(sorted(positive, reverse=True)):
             rec["notes"].append("formula evaluated on the normalized system")
     rec["recursive"] = castelnuovo.recursive_h0(norm, state=state)
     if n == 2 and norm.s >= 5:
         rec["planar"] = formula.planar_h0(norm)
-    if sum(m > 0 for m in ms) <= n + 2:
+    if len(positive) <= n + 2:
         rec["ldim"] = formula.ldim(spec)
 
     values = {k: rec[k] for k in EVALUATORS if rec[k] is not None}

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria, one pass line each.
+"""Acceptance gate: ten end-to-end criteria, one pass line each.
 
 Every criterion prints a single "criterion N PASS: ..." line after its
 asserts, so `pytest -v -s tests/test_acceptance.py` reads as a checklist.
@@ -11,11 +11,12 @@ import time
 from itertools import combinations_with_replacement
 
 from rncdim.binomials import f
-from rncdim.castelnuovo import l_map, recursive_h0
+from rncdim.castelnuovo import RecState, l_map, recursive_h0
 from rncdim.formula import (
     dimension,
     double_points_h1,
     double_points_h1_f1,
+    in_domain,
     ldim_sum,
     planar_g,
     planar_h0,
@@ -58,10 +59,7 @@ def test_criterion_1_worked_example():
     assert report.dimension == 6
     assert formula_elapsed < 1.0, f"formula path took {formula_elapsed:.2f}s"
 
-    k_values = {
-        (rec.join.c, rec.join.sigma, rec.join.t): rec.join.k
-        for rec in report.special_effects
-    }
+    k_values = {(jc.c, jc.sigma, jc.t): jc.k for jc in report.special_effects}
     assert k_values[(1, 6, 1)] == 3
     assert f(1, 5, 10, 1, 5) == 8
 
@@ -96,7 +94,7 @@ def test_criterion_2_special_effect_listing():
     }
     report = dimension(WORKED_RAW)
     got: dict[int, set] = {}
-    for jc in (rec.join for rec in report.special_effects):
+    for jc in report.special_effects:
         got.setdefault(jc.r, set()).add((jc.c, jc.sigma, jc.t, jc.k, jc.count))
     assert got == expected
     tier_counts = {
@@ -258,4 +256,46 @@ def test_criterion_9_castelnuovo_step():
     print(
         "criterion 9 PASS: one-step projection identity oracle-exact on "
         "100 instances"
+    )
+
+
+def test_criterion_10_formula_matches_recursion_beyond_the_oracle():
+    """The closed formula equals the projection recursion on large systems,
+    which the oracle's cell cap keeps it from checking.
+
+    A draw of random.Random(1010) in six strata, n parity x k_C regime, 400
+    candidates each, in this order: n from 2..9 of the stratum's parity,
+    d from 4..40, s from n+3..n+10, a k_C target from -d..0 (low),
+    d//2-2..d//2+2 (near d/2) or d//2..d (high), and each multiplicity
+    round((n*d + k_C*(s-n-2))/s) plus a value from -2..2, clamped to 1..d.
+    Every candidate whose normalized system is in the formula's domain is
+    checked; none is chosen by its value.  Without formula.dimension's rule
+    for joins that fill P^n, 7 of them fail: odd n, k_C near d/2 or high.
+    """
+    rng = random.Random(1010)
+    state = RecState()
+    checked: dict[tuple[str, str], int] = {}
+    empty = 0
+    for parity in ("even", "odd"):
+        for regime in ("low", "mid", "high"):
+            for _ in range(400):
+                n = rng.randrange(2 if parity == "even" else 3, 10, 2)
+                d = rng.randint(4, 40)
+                s = rng.randint(n + 3, n + 10)
+                lo, hi = {"low": (-d, 0), "mid": (d // 2 - 2, d // 2 + 2),
+                          "high": (d // 2, d)}[regime]
+                kc = rng.randint(lo, hi)
+                mean = round((n * d + kc * (s - n - 2)) / s)
+                mults = [min(max(mean + rng.randint(-2, 2), 1), d) for _ in range(s)]
+                norm = normalize(system(n, d, mults))
+                if not in_domain(norm):
+                    continue
+                value = dimension(norm).dimension
+                assert value == recursive_h0(norm, state=state), (n, d, mults)
+                checked[parity, regime] = checked.get((parity, regime), 0) + 1
+                empty += value == 0
+    assert len(checked) == 6 and min(checked.values()) >= 60, checked
+    print(
+        f"criterion 10 PASS: formula = recursion on {sum(checked.values())}"
+        f" drawn systems ({empty} empty), per stratum {checked}"
     )

@@ -331,6 +331,21 @@ def test_report_no_effects(capsys):
     assert "dimension 80" in out
 
 
+def test_report_names_the_filling_join(capsys):
+    # The join of C with the line through the two 9-fold points is P^3, and
+    # every form of degree 9 vanishes on it to order 18 + 3 - 2*9 = 3.
+    args = ["-n", "3", "-d", "9", "-m", "9,9,3^5"]
+    assert main(["report", *args]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == ["3-folds (r=3):",
+                       "  c=2 sigma=18 t=1 k=3 count=1 f=0 signed=0",
+                       "dimension 0  vdim -160  speciality 0"]
+    assert main(["report", *args, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["special_effects"] == [
+        {"c": 2, "sigma": 18, "t": 1, "k": 3, "r": 3, "count": 1, "f": 0,
+         "signed": 0}]
+
+
 def test_report_domain_violation(capsys):
     assert main(["report", "-n", "3", "-d", "4", "-m", "2,2"]) == 3
     assert "needs s >= n+3" in capsys.readouterr().err
@@ -409,6 +424,17 @@ def test_verify_structured(capsys):
     assert obj["verdict"] == "agree"
     assert obj["oracle"] == 1
     assert obj["formula"] == 1
+
+
+def test_verify_kc_of_positive_multiplicities(capsys):
+    # The -3 imposes nothing: kc and epsilon are those of 2^5, as dim prints.
+    assert main(["verify", "-n", "2", "-d", "4", "-m", "2^5,-3",
+                 "--format", "structured"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["s"], obj["kc"], obj["epsilon"]) == (6, 2, 0)
+    assert main(["verify", "-n", "2", "-d", "4", "-m", "2^4,0",
+                 "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["kc"] is None
 
 
 def test_verify_empty_system_note(capsys):

@@ -1,6 +1,7 @@
 """Closed-form evaluators: join classes, dimension, ldim, planar, regimes."""
 
 import random
+from dataclasses import astuple
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rncdim.binomials import binom, f
 from rncdim.castelnuovo import recursive_h0
 from rncdim.formula import (
+    JoinClass,
     dimension,
     double_points_h1,
     double_points_h1_f1,
@@ -27,7 +29,7 @@ from rncdim.systems import epsilon_value, normalize, system, vdim
 WORKED = system(5, 8, [7, 6, 6] + [5] * 7)
 
 # Every nonzero contribution of the worked example, as
-# (c, sigma, t, k, r, count, fvalue, signed), in report order.
+# (c, sigma, t, k, r, count, f, signed), in report order.
 WORKED_CONTRIBUTIONS = [
     (0, 0, 0, 8, -1, 1, 1287, 1287),
     (1, 5, 0, 5, 0, 7, 126, -882),
@@ -48,21 +50,9 @@ WORKED_CONTRIBUTIONS = [
 
 def test_worked_example_contributions():
     report = dimension(WORKED)
-    got = [
-        (
-            rec.join.c,
-            rec.join.sigma,
-            rec.join.t,
-            rec.join.k,
-            rec.join.r,
-            rec.join.count,
-            rec.fvalue,
-            rec.signed_total,
-        )
-        for rec in report.contributions
-    ]
+    got = [astuple(jc) for jc in report.contributions]
     assert got == WORKED_CONTRIBUTIONS
-    assert sum(rec.signed_total for rec in report.contributions) == 6
+    assert sum(jc.signed for jc in report.contributions) == 6
 
 
 def test_worked_example_report_fields():
@@ -92,6 +82,12 @@ FILLING_JOIN_ORACLE = ((3, 9, [9, 9] + [3] * 5), (3, 10, [10, 10, 4] + [3] * 4),
                        (3, 10, [6] * 7))
 FILLING_JOIN_RECURSIVE = ((3, 26, [16] * 3 + [15] * 2 + [14] * 3),
                           (5, 30, [22] * 3 + [21] * 7), (3, 35, [24, 21] + [20] * 4))
+# The filling join that report names for each, as (c, sigma, t, k, count).
+FILLING_JOIN_CLASS = {
+    (3, 9, 9): (2, 18, 1, 3, 1), (3, 10, 10): (2, 20, 1, 3, 1),
+    (3, 10, 6): (0, 0, 2, 2, 1), (3, 26, 16): (0, 0, 2, 2, 1),
+    (5, 30, 22): (0, 0, 3, 3, 1), (3, 35, 24): (0, 0, 2, 5, 1),
+}
 
 
 @pytest.mark.parametrize("n,d,mults", FILLING_JOIN_ORACLE + FILLING_JOIN_RECURSIVE)
@@ -99,7 +95,9 @@ def test_filling_join_empties_the_system(n, d, mults):
     norm = normalize(system(n, d, mults))
     assert max(norm.mults) <= d and norm.s >= n + 3
     rep = dimension(norm)
-    assert (rep.dimension, rep.contributions, rep.special_effects) == (0, (), ())
+    c, sigma, t, k, count = FILLING_JOIN_CLASS[(n, d, mults[0])]
+    named = JoinClass(c, sigma, t, k, n, count, 0, 0)
+    assert (rep.dimension, rep.contributions, rep.special_effects) == (0, (), (named,))
     assert rep.speciality == 0 - max(rep.vdim, 0)
     exact = (n, d, mults) in FILLING_JOIN_ORACLE
     assert (h0(system(n, d, mults)).h0 if exact else recursive_h0(norm)) == 0
@@ -118,7 +116,7 @@ def test_dimension_speciality_rule():
 
 
 def test_dimension_prune_invariance():
-    # dimension skips the classes flagged vanishes; their f must be 0.
+    # Classes with a < n - t get f = 0 without evaluating f; f must be 0.
     rng = random.Random(5)
     checked = 0
     for _ in range(250):
@@ -131,8 +129,9 @@ def test_dimension_prune_invariance():
             continue
         eps = epsilon_value(n, d, norm.mults)
         for jc in enumerate_join_classes(norm):
-            if jc.vanishes:
-                assert f(jc.t, n + jc.k - jc.r - 1, norm.s, eps, n) == 0, (norm, jc)
+            a = n + jc.k - jc.r - 1
+            if a < n - jc.t:
+                assert jc.f == 0 == f(jc.t, a, norm.s, eps, n), (norm, jc)
         checked += 1
     assert checked >= 60
 
@@ -162,13 +161,15 @@ def test_subset_counts_row_sums():
 def test_enumerate_join_classes_structure():
     classes = enumerate_join_classes(WORKED)
     n, d = WORKED.n, WORKED.d
+    eps = epsilon_value(n, d, WORKED.mults)
     keys = [(jc.t, jc.c, jc.sigma) for jc in classes]
     assert keys == sorted(keys)
     assert classes[0].c == 0 and classes[0].k == d and classes[0].r == -1
     for jc in classes:
         assert jc.r == jc.c + 2 * jc.t - 1
         a = n + jc.k - jc.r - 1
-        assert jc.vanishes == (a < n - jc.t)
+        want = f(jc.t, a, WORKED.s, eps, n) if a >= n - jc.t else 0
+        assert (jc.f, jc.signed) == (want, (-1) ** jc.c * jc.count * want)
     # The empty class exists for each t.
     assert {(jc.t, jc.c) for jc in classes if jc.c == 0} == {(0, 0), (1, 0), (2, 0)}
 
