@@ -20,6 +20,7 @@ samples from that domain.
 
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -30,9 +31,7 @@ def binom(a: int, n: int) -> int:
     return math.comb(a, n)
 
 
-_F_CACHE: dict[tuple[int, int, int, int, int], int] = {}
-
-
+@functools.cache
 def f(t: int, a: int, s: int, eps: int, n: int) -> int:
     """Recursive count of sections forced by a degree-t join in the base locus.
 
@@ -43,7 +42,7 @@ def f(t: int, a: int, s: int, eps: int, n: int) -> int:
                   - sum_{i=1..t} binom(eps, i) * f(t-i, a, s, eps, n-i).
 
     a may be any integer; t, s, eps, n are expected nonnegative (recursive
-    calls with n - i < 0 return 0).  Memoized; clear_f_cache() resets.
+    calls with n - i < 0 return 0).  Memoized; f.cache_clear() resets.
     """
     if n < 0:
         return 0
@@ -51,10 +50,6 @@ def f(t: int, a: int, s: int, eps: int, n: int) -> int:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return binom(a, n)
-    key = (t, a, s, eps, n)
-    cached = _F_CACHE.get(key)
-    if cached is not None:
-        return cached
     val = binom(a, n)
     for i in range(1, t + 1):
         val += binom(s - n - 4 + i, i) * binom(a + i, n)
@@ -62,13 +57,8 @@ def f(t: int, a: int, s: int, eps: int, n: int) -> int:
         c = binom(eps, i)
         if c:
             val -= c * f(t - i, a, s, eps, n - i)
-    _F_CACHE[key] = val
     return val
 
 
-def clear_f_cache() -> None:
-    _F_CACHE.clear()
-
-
 def f_cache_size() -> int:
-    return len(_F_CACHE)
+    return f.cache_info().currsize

@@ -70,8 +70,10 @@ from .systems import (
 
 Key = tuple[int, int, Runs]
 
+MAX_NODES = 1_000_000  # node budget of one recursive_h0 call
 
-def l_map(sys: LinearSystemSpec | NormalizedSystem) -> LinearSystemSpec:
+
+def l_map(sys: LinearSystemSpec) -> LinearSystemSpec:
     """Project the system from its first point (multiplicity m_1).
 
     Returns the raw (n-1)-dimensional system: degree m_1, multiplicities
@@ -220,13 +222,13 @@ def _summed_chain(key: Key) -> int | None:
     return h
 
 
-def _visit(stats: RecStats, depth: int, max_nodes: int) -> None:
-    """Count a node visit at chain depth depth against the budget."""
+def _visit(stats: RecStats, depth: int) -> None:
+    """Count a node visit at chain depth depth against MAX_NODES."""
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
-    if stats.nodes > max_nodes:
-        raise RecursionGuardError(f"recursion exceeded {max_nodes} nodes")
+    if stats.nodes > MAX_NODES:
+        raise RecursionGuardError(f"recursion exceeded {MAX_NODES} nodes")
 
 
 def _eval(
@@ -235,7 +237,6 @@ def _eval(
     nodes: list[_TraceNode] | None,
     depth: int,
     label: str,
-    max_nodes: int,
 ) -> int:
     # m_1-descent: walk the +E_1 chain iteratively, recursing only into the
     # projected (n-1)-dimensional systems, until a node is a memo hit or a
@@ -244,7 +245,7 @@ def _eval(
     stats, memo = state.stats, state.memo
     chain: list[tuple[Key, _TraceNode | None, int]] = []
     while True:
-        _visit(stats, depth, max_nodes)
+        _visit(stats, depth)
         me = None
         if nodes is not None:
             me = _TraceNode(depth, label, key)
@@ -271,9 +272,9 @@ def _eval(
         # a call would count, without the call.
         proj_val = memo.get(proj_key) if nodes is None else None
         if proj_val is None:
-            proj_val = _eval(proj_key, state, nodes, depth + 1, "project", max_nodes)
+            proj_val = _eval(proj_key, state, nodes, depth + 1, "project")
         else:
-            _visit(stats, depth + 1, max_nodes)
+            _visit(stats, depth + 1)
             stats.memo_hits += 1
         chain.append((key, me, proj_val))
         key, depth, label = up_key, depth + 1, "+E1"
@@ -289,10 +290,9 @@ def _eval(
 
 
 def recursive_h0(
-    sys: LinearSystemSpec | NormalizedSystem,
+    sys: LinearSystemSpec,
     state: RecState | None = None,
     trace: list[str] | None = None,
-    max_nodes: int = 1_000_000,
 ) -> int:
     """Dimension by the ascending projection recursion; exact.
 
@@ -306,7 +306,7 @@ def recursive_h0(
         state = RecState()
     nodes: list[_TraceNode] | None = [] if trace is not None else None
     key = (norm.n, norm.d, runs_of(norm.mults))
-    val = _eval(key, state, nodes, 0, "root", max_nodes)
+    val = _eval(key, state, nodes, 0, "root")
     if trace is not None and nodes is not None:
         trace.extend(node.render() for node in nodes)
     return val

@@ -247,7 +247,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-_R_LABEL = {1: "curves", 2: "surfaces"}
+_R_LABEL = {0: "points", 1: "curves", 2: "surfaces"}
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -78,9 +78,7 @@ def subset_counts(mults: Sequence[int], cmax: int) -> list[dict[int, int]]:
     return counts
 
 
-def enumerate_join_classes(
-    sys: LinearSystemSpec | NormalizedSystem,
-) -> list[JoinClass]:
+def enumerate_join_classes(sys: LinearSystemSpec) -> list[JoinClass]:
     """All (c, sigma, t) classes of the dimension sum for a system with
     s >= n+3, ordered by (t, c, sigma), each with its f value and signed
     term.
@@ -115,7 +113,10 @@ def enumerate_join_classes(
 @dataclass(frozen=True)
 class DimensionReport:
     """contributions lists the classes with f != 0; special_effects the
-    classes with k >= 1 and r >= 1, whose f and signed term may be 0."""
+    classes with k >= 1 and r >= 1, whose f and signed term may be 0.  In
+    an empty system special_effects is what empties it: the point of
+    multiplicity above d (one class, r = 0) or the joins that fill P^n
+    (r = n), with f = signed = 0."""
 
     normalized: NormalizedSystem
     kc: int
@@ -137,7 +138,7 @@ def in_domain(norm: NormalizedSystem) -> bool:
     return norm.n >= 2 and norm.s >= norm.n + 3
 
 
-def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
+def dimension(sys: LinearSystemSpec) -> DimensionReport:
     """Dimension (affine h0) of a system in_domain after normalization.
 
     Sums the signed terms of enumerate_join_classes exactly.  Inputs
@@ -147,14 +148,16 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     vdim and speciality refer to the normalized system (dropping a redundant
     point changes the virtual dimension but not the dimension); speciality
     is systems.speciality, dimension - max(vdim, 0).  A point of
-    multiplicity above d empties the system: the report then has dimension
-    0 and no classes.  So does a join that fills P^n, which the class sum
-    never lists (its classes have r <= n-1): for t = 0..floor((n+1)/2) the
-    span of c = n+1-2t points joined with the secant variety sigma_t(C) is
-    all of P^n, and every form vanishes on it to order k = sigma_c + t*kc
-    - (n-t)*d, sigma_c the sum of the c largest multiplicities.  When some
-    k > 0, every form is zero, and the report's classes are those joins,
-    with r = n, count the c-subsets of sum sigma_c, and f = signed = 0.
+    multiplicity m_1 > d empties the system: the report then has dimension
+    0 and one class, c = 1, sigma = k = m_1, t = r = 0, count the points of
+    multiplicity m_1, and f = signed = 0.  So does a join that fills P^n,
+    which the class sum never lists (its classes have r <= n-1): for
+    t = 0..floor((n+1)/2) the span of c = n+1-2t points joined with the
+    secant variety sigma_t(C) is all of P^n, and every form vanishes on it
+    to order k = sigma_c + t*kc - (n-t)*d, sigma_c the sum of the c largest
+    multiplicities.  When some k > 0, every form is zero, and the report's
+    classes are those joins, with r = n, count the c-subsets of sum
+    sigma_c, and f = signed = 0.
     PAPER.md holds only the abstract, so this rule rests on its check
     against the oracle and the recursion.
     """
@@ -168,17 +171,24 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
     kc = kc_value(n, d, mults)
     eps = epsilon_value(n, d, mults)
     # A degree-d form with a point of multiplicity m_1 > d, or vanishing
-    # along a join that fills P^n, is zero; those joins are then the classes.
-    classes: list[JoinClass] = []
-    if mults[0] <= d:
+    # along a join that fills P^n, is zero; that point or those joins are
+    # then the classes and the special effects.
+    m1 = mults[0]
+    if m1 > d:
+        effects = [JoinClass(1, m1, 0, m1, 0, mults.count(m1), 0, 0)]
+    else:
+        effects = []
         for t in range((n + 1) // 2 + 1):
             c = n + 1 - 2 * t
             sigma = sum(mults[:c])
             k = sigma + t * kc - (n - t) * d
             if k > 0:
                 count = subset_counts(mults, c)[c][sigma]
-                classes.append(JoinClass(c, sigma, t, k, n, count, 0, 0))
-        classes = classes or enumerate_join_classes(norm)
+                effects.append(JoinClass(c, sigma, t, k, n, count, 0, 0))
+    classes = effects
+    if not effects:
+        classes = enumerate_join_classes(norm)
+        effects = [jc for jc in classes if jc.k >= 1 and jc.r >= 1]
     total = sum(jc.signed for jc in classes)
     v = vdim(norm)
     return DimensionReport(
@@ -189,7 +199,7 @@ def dimension(sys: LinearSystemSpec | NormalizedSystem) -> DimensionReport:
         vdim=v,
         speciality=speciality(total, v),
         contributions=tuple(jc for jc in classes if jc.f),
-        special_effects=tuple(jc for jc in classes if jc.k >= 1 and jc.r >= 1),
+        special_effects=tuple(effects),
     )
 
 
@@ -214,7 +224,7 @@ def ldim_sum(n: int, d: int, mults: Sequence[int]) -> int:
     return total
 
 
-def ldim(sys: LinearSystemSpec | NormalizedSystem) -> int:
+def ldim(sys: LinearSystemSpec) -> int:
     """Dimension for s <= n+2 points (after dropping m <= 0): the subset
     formula clipped at zero, and 0 when some m_i > d."""
     ms = [m for m in sys.mults if m > 0]
@@ -231,18 +241,17 @@ def ldim(sys: LinearSystemSpec | NormalizedSystem) -> int:
 # The planar closed form and its self-checking reduction.
 
 
-def planar_g(d: int, mults: Sequence[int], s: int) -> int:
+def planar_g(d: int, mults: Sequence[int]) -> int:
     """The planar counting function G for n = 2 and s >= 5 points.
 
     G = binom(d+2,2) - sum binom(m_i+1,2) + sum_{i<j} binom(k_ij,2)
         + binom(kc,2) + (s-5)*binom(kc+1,2) - eps*binom(kc,1)
 
     with k_ij = m_i + m_j - d.  Truncated binomials kill every negative-k
-    term.  s is passed separately: reduction steps keep all point slots,
-    zeros included.
+    term.  s is len(mults), zeros included: reduction steps keep every
+    point slot.
     """
-    if len(mults) != s:
-        raise ValueError("mults must list every point slot, zeros included")
+    s = len(mults)
     kc = kc_value(2, d, mults)
     eps = epsilon_value(2, d, mults)
     g = binom(d + 2, 2) - sum(binom(m + 1, 2) for m in mults)
@@ -300,7 +309,7 @@ def planar_nef(d: int, mults: Sequence[int]) -> bool:
     )
 
 
-def planar_h0(sys: LinearSystemSpec | NormalizedSystem) -> int:
+def planar_h0(sys: LinearSystemSpec) -> int:
     """Planar dimension by the closed form G, certified by reduction.
 
     Evaluates G directly, then re-derives it by peeling base components
@@ -316,15 +325,14 @@ def planar_h0(sys: LinearSystemSpec | NormalizedSystem) -> int:
     """
     if sys.n != 2:
         raise ValueError("planar_h0 handles n = 2 only")
-    s = len(sys.mults)
-    if s < 5:
+    if len(sys.mults) < 5:
         raise ValueError("planar_h0 needs s >= 5; use ldim below that")
     steps = planar_reduction_steps(sys.d, sys.mults)
-    g0 = planar_g(*steps[0], s)
+    g0 = planar_g(*steps[0])
     for d, mults in steps[1:]:
         if d < 0:
             return 0
-        if planar_g(d, mults, s) != g0:
+        if planar_g(d, mults) != g0:
             return 0
     d, mults = steps[-1]
     if not planar_nef(d, mults):

@@ -98,7 +98,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import castelnuovo, formula, systems
 from .binomials import binom
-from .systems import LinearSystemSpec, NormalizedSystem
+from .systems import LinearSystemSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -283,7 +283,7 @@ def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
 
 
 def _layout(
-    sys: LinearSystemSpec | NormalizedSystem,
+    sys: LinearSystemSpec,
     params: Sequence[int],
     p: int | None = None,
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
@@ -379,7 +379,7 @@ def _check_prime(p: int) -> None:
 
 
 def conditions_matrix(
-    sys: LinearSystemSpec | NormalizedSystem,
+    sys: LinearSystemSpec,
     params: Sequence[int],
     p: int | None = None,
 ) -> np.ndarray:
@@ -504,7 +504,7 @@ def _default_params(n: int, mults: Sequence[int]) -> tuple[int, ...]:
 
 
 def h0(
-    sys: LinearSystemSpec | NormalizedSystem,
+    sys: LinearSystemSpec,
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
@@ -619,7 +619,11 @@ def verify_one(
     values equal it and disagree:<names> naming the ones that do not.
     Without it, the verdict is skip-size when the closed values agree with
     each other and disagree:<names> naming all of them when they do not,
-    since none can be preferred.  state carries the recursion memo across
+    since none can be preferred.  Two agreements are not independent
+    checks: at n = 2 with m_1 <= d the recursion's base case is planar_h0
+    on the same points, and for at most n+2 positive multiplicities with
+    n >= 2 ldim and the recursion both compute max(ldim_sum, 0); the
+    oracle is the check there.  state carries the recursion memo across
     calls.  Evaluators are looked up in their modules at call time.
     """
     n, d, ms = spec.n, spec.d, spec.mults

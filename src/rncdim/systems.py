@@ -33,7 +33,7 @@ class LinearSystemSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
 
     @property
     def s(self) -> int:
@@ -61,17 +61,11 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
-class NormalizedSystem:
-    """Canonical form: mults sorted non-increasingly, all >= 1, non-redundant."""
+class NormalizedSystem(LinearSystemSpec):
+    """Canonical form: mults sorted non-increasingly, all >= 1, non-redundant.
+    Never equal to a raw spec, whatever its fields."""
 
-    n: int
-    d: int
-    mults: tuple[int, ...]
     trace: tuple[TraceStep, ...] = field(default=(), compare=False)
-
-    @property
-    def s(self) -> int:
-        return len(self.mults)
 
 
 def kc_value(n: int, d: int, mults: Sequence[int]) -> int:
@@ -183,7 +177,7 @@ def normalize(spec: LinearSystemSpec) -> NormalizedSystem:
     return NormalizedSystem(n, d, tuple(m for m, _ in pts), tuple(trace))
 
 
-def vdim(sys: LinearSystemSpec | NormalizedSystem) -> int:
+def vdim(sys: LinearSystemSpec) -> int:
     """Virtual dimension: monomial count minus the conditions all points impose.
 
     binom(n+d, n) - sum_i binom(n + m_i - 1, n); an affine count, may be

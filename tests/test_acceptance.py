@@ -148,10 +148,10 @@ def test_criterion_5_planar_closed_form():
                     continue  # non-effective; outside the claim
                 assert planar_h0(norm) == val, (d, ms, val)
                 steps = planar_reduction_steps(d, ms)
-                g0 = planar_g(d, ms, s)
+                g0 = planar_g(d, ms)
                 for d_i, ms_i in steps[1:]:
                     assert d_i >= 0, (d, ms, steps)
-                    assert planar_g(d_i, ms_i, s) == g0, (d, ms, steps)
+                    assert planar_g(d_i, ms_i) == g0, (d, ms, steps)
                 assert planar_nef(*steps[-1]), (d, ms, steps)
                 checked += 1
     assert checked == 247

@@ -4,7 +4,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from rncdim.binomials import binom, clear_f_cache, f, f_cache_size
+from rncdim.binomials import binom, f, f_cache_size
 
 # ---------------------------------------------------------------------------
 # Identity suite: executable algebraic identities satisfied by binom and f.
@@ -246,13 +246,13 @@ def test_f_vanishing_band():
 
 
 def test_f_memo_determinism():
-    clear_f_cache()
+    f.cache_clear()
     first = f(3, 9, 11, 2, 4)
     size_after_first = f_cache_size()
     assert size_after_first > 0
     assert f(3, 9, 11, 2, 4) == first
     assert f_cache_size() == size_after_first
-    clear_f_cache()
+    f.cache_clear()
     assert f_cache_size() == 0
     assert f(3, 9, 11, 2, 4) == first
 

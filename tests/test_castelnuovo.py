@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from rncdim import castelnuovo
 from rncdim.castelnuovo import (
     RecState,
     RecursionGuardError,
@@ -266,9 +267,10 @@ def test_recursive_trace_render():
     ]
 
 
-def test_recursion_guard():
+def test_recursion_guard(monkeypatch):
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 2)
     with pytest.raises(RecursionGuardError):
-        recursive_h0(system(5, 8, [7, 6, 6] + [5] * 7), max_nodes=2)
+        recursive_h0(system(5, 8, [7, 6, 6] + [5] * 7))
 
 
 def test_three_evaluators_agree_on_fixed_instances():

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -253,13 +252,11 @@ def test_dim_exit_codes(capsys):
 
 def test_recursion_guard_exit_code(capsys, monkeypatch):
     # The node budget ends in exit 3 and one error line, not a traceback.
-    monkeypatch.setattr(cli, "recursive_h0", partial(recursive_h0, max_nodes=10))
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 10)
     assert main(["dim", "-n", "6", "-d", "40", "-m", "30^12",
                  "--evaluators", "recursive"]) == 3
     assert capsys.readouterr().err == "error: recursion exceeded 10 nodes\n"
-    monkeypatch.setattr(
-        castelnuovo, "recursive_h0", partial(recursive_h0, max_nodes=2)
-    )
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 2)
     assert main(["verify", "-n", "3", "-d", "6", "-m", "2^10"]) == 3
     assert capsys.readouterr().err == "error: recursion exceeded 2 nodes\n"
 
@@ -344,6 +341,24 @@ def test_report_names_the_filling_join(capsys):
     assert json.loads(capsys.readouterr().out)["special_effects"] == [
         {"c": 2, "sigma": 18, "t": 1, "k": 3, "r": 3, "count": 1, "f": 0,
          "signed": 0}]
+
+
+def test_report_names_the_point_above_d(capsys):
+    # A point of multiplicity 6 > d = 5 empties the system; report names it.
+    args = ["-n", "3", "-d", "5", "-m", "6,2^6"]
+    assert main(["report", *args]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == ["kc 2  epsilon 1",
+                       "points (r=0):",
+                       "  c=1 sigma=6 t=0 k=6 count=1 f=0 signed=0",
+                       "dimension 0  vdim -24  speciality 0"]
+    point = {"c": 1, "sigma": 6, "t": 0, "k": 6, "r": 0, "count": 1, "f": 0,
+             "signed": 0}
+    for cmd in ("report", "dim"):
+        assert main([cmd, *args, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["special_effects"] == [point]
+    assert main(["report", "-n", "3", "-d", "5", "-m", "6,6,1^4"]) == 0
+    assert "  c=1 sigma=6 t=0 k=6 count=2 f=0 signed=0" in capsys.readouterr().out
 
 
 def test_report_domain_violation(capsys):

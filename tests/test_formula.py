@@ -103,6 +103,14 @@ def test_filling_join_empties_the_system(n, d, mults):
     assert (h0(system(n, d, mults)).h0 if exact else recursive_h0(norm)) == 0
 
 
+@pytest.mark.parametrize("mults,count", [((6,) + (2,) * 6, 1), ((6, 6, 1, 1, 1, 1), 2)])
+def test_point_above_d_empties_the_system(mults, count):
+    # The class of the points of multiplicity 6 > d = 5: c = 1, sigma = k = 6.
+    rep = dimension(system(3, 5, mults))
+    point = JoinClass(1, 6, 0, 6, 0, count, 0, 0)
+    assert (rep.dimension, rep.contributions, rep.special_effects) == (0, (), (point,))
+
+
 def test_dimension_speciality_rule():
     # Nonempty: speciality = dimension - max(vdim, 0).
     rep = dimension(system(3, 6, [2] * 10))
@@ -228,7 +236,7 @@ def test_planar_h0_guards():
 def test_planar_reduction_steps_conic_peel():
     steps = planar_reduction_steps(4, (2, 2, 2, 2, 2))
     assert steps == [(4, (2, 2, 2, 2, 2)), (0, (0, 0, 0, 0, 0))]
-    g = [planar_g(d, ms, 5) for d, ms in steps]
+    g = [planar_g(d, ms) for d, ms in steps]
     assert g == [1, 1]
     assert planar_nef(*steps[-1])
 
@@ -240,7 +248,7 @@ def test_planar_reduction_steps_line_peel():
     d_end, ms_end = steps[-1]
     assert d_end >= 0
     assert planar_nef(d_end, ms_end)
-    g = {planar_g(d, ms, 5) for d, ms in steps}
+    g = {planar_g(d, ms) for d, ms in steps}
     assert g == {1}
     assert planar_h0(system(2, 3, [2, 2, 1, 1, 1])) == 1
 

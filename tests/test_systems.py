@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rncdim.systems import (
+    LinearSystemSpec,
     NormalizedSystem,
     epsilon_value,
     kc_value,
@@ -80,6 +81,18 @@ def test_trace_step_as_dict():
 def test_normalized_key():
     norm = normalize(system(2, 4, [2, 2, 2, 2, 2]))
     assert isinstance(norm, NormalizedSystem)
+
+
+def test_normalized_system_is_a_spec():
+    norm = normalize(system(2, 4, [2, 0, 2, 2, 2, 2]))
+    assert isinstance(norm, LinearSystemSpec)
+    assert (norm.mults, norm.s, len(norm.trace)) == ((2,) * 5, 5, 1)
+    # Never equal to the raw spec with the same fields; equality and hash
+    # ignore the trace; normalizing a normalized system changes nothing.
+    assert norm != LinearSystemSpec(2, 4, norm.mults)
+    bare = NormalizedSystem(2, 4, norm.mults)
+    assert norm == bare and hash(norm) == hash(bare)
+    assert normalize(norm) == norm and normalize(norm).trace == ()
 
 
 def test_kc_and_epsilon_worked_values():
