@@ -30,7 +30,10 @@ planar_h0) and in trace listings.
 
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
-memoized on its key during unwind.
+memoized on its key during unwind.  A traced walk records each visited
+node without its value; the listing is rendered after the walk and reads
+every value from the memo, which by then holds each visited key (leaves
+and summed chains from their visit, chain nodes from the unwind).
 
 Where no base-locus subvariety can occur, the rest of a chain is summed in
 closed form instead of walked.  Take a chain node (n, d, runs) that is not
@@ -168,21 +171,6 @@ class RecursionGuardError(RuntimeError):
     """Node budget exceeded; input far outside the intended desk scale."""
 
 
-@dataclass
-class _TraceNode:
-    depth: int
-    label: str
-    key: Key
-    value: int | None = None
-    mark: str = ""  # "memo" for a memo hit, "summed" for a summed chain
-
-    def render(self) -> str:
-        n, d, runs = self.key
-        body = ",".join(map(str, points_of(runs))) if runs else "-"
-        tail = f" [{self.mark}]" if self.mark else ""
-        return f"{'  ' * self.depth}{self.label} L_{n},{d}({body}) = {self.value}{tail}"
-
-
 def _base_value(key: Key) -> int | None:
     """Value at a leaf of the recursion, or None if another step is needed."""
     n, d, runs = key
@@ -234,57 +222,56 @@ def _visit(stats: RecStats, depth: int) -> None:
 def _eval(
     key: Key,
     state: RecState,
-    nodes: list[_TraceNode] | None,
+    nodes: list[tuple[int, str, Key, str]] | None,
     depth: int,
     label: str,
 ) -> int:
     # m_1-descent: walk the +E_1 chain iteratively, recursing only into the
     # projected (n-1)-dimensional systems, until a node is a memo hit or a
-    # base case; then unwind the chain, memoizing each node.
-    # chain[i] = (key, trace node, projected value at that step).
+    # base case; then unwind the chain, memoizing each node.  Traced, each
+    # visit appends (depth, label, key, mark) to nodes, mark "memo",
+    # "summed" or ""; recursive_h0 reads the values from the memo after the
+    # walk.  chain[i] = (key, projected value at that step).
     stats, memo = state.stats, state.memo
-    chain: list[tuple[Key, _TraceNode | None, int]] = []
+    chain: list[tuple[Key, int]] = []
     while True:
         _visit(stats, depth)
-        me = None
-        if nodes is not None:
-            me = _TraceNode(depth, label, key)
-            nodes.append(me)
+        mark = ""
         h = memo.get(key)
         if h is not None:
             stats.memo_hits += 1
-            if me is not None:
-                me.mark = "memo"
-            break
-        h = _base_value(key)
-        if h is None:
-            h = _summed_chain(key)
-            if h is not None and me is not None:
-                me.mark = "summed"
+            mark = "memo"
+        else:
+            h = _base_value(key)
+            if h is None:
+                h = _summed_chain(key)
+                if h is not None:
+                    mark = "summed"
+            if h is not None:
+                memo[key] = h
+        if nodes is not None:
+            nodes.append((depth, label, key, mark))
         if h is not None:
-            memo[key] = h
             break
         up_key, proj_key = _children(key)
-        # Trace the projection child before the +E_1 child so the indented
+        # The projection child comes before the +E_1 child, so the indented
         # listing nests as a tree (the chain continuation is the +E_1
-        # child's subtree and follows it).  Untraced, a projection child
-        # in the memo (most of them) is counted as the visit and hit that
-        # a call would count, without the call.
-        proj_val = memo.get(proj_key) if nodes is None else None
+        # child's subtree and follows it).  A projection child in the memo
+        # (most of them) is counted as the visit and hit that a call would
+        # count, without the call.
+        proj_val = memo.get(proj_key)
         if proj_val is None:
             proj_val = _eval(proj_key, state, nodes, depth + 1, "project")
         else:
             _visit(stats, depth + 1)
             stats.memo_hits += 1
-        chain.append((key, me, proj_val))
+            if nodes is not None:
+                nodes.append((depth + 1, "project", proj_key, "memo"))
+        chain.append((key, proj_val))
         key, depth, label = up_key, depth + 1, "+E1"
 
-    if me is not None:
-        me.value = h
-    for node_key, node, proj_val in reversed(chain):
+    for node_key, proj_val in reversed(chain):
         h -= proj_val
-        if node is not None:
-            node.value = h
         memo[node_key] = h
     return h
 
@@ -304,9 +291,14 @@ def recursive_h0(
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     if state is None:
         state = RecState()
-    nodes: list[_TraceNode] | None = [] if trace is not None else None
     key = (norm.n, norm.d, runs_of(norm.mults))
+    if trace is None:
+        return _eval(key, state, None, 0, "root")
+    nodes: list[tuple[int, str, Key, str]] = []
     val = _eval(key, state, nodes, 0, "root")
-    if trace is not None and nodes is not None:
-        trace.extend(node.render() for node in nodes)
+    for depth, label, (n, d, runs), mark in nodes:
+        body = ",".join(map(str, points_of(runs))) if runs else "-"
+        tail = f" [{mark}]" if mark else ""
+        value = state.memo[n, d, runs]
+        trace.append(f"{'  ' * depth}{label} L_{n},{d}({body}) = {value}{tail}")
     return val

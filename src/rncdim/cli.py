@@ -152,8 +152,10 @@ def _structured(
     report: DimensionReport | None,
 ) -> dict:
     """The one structured-output object shared by dim and report."""
-    kc = kc_value(norm.n, norm.d, norm.mults) if norm.s >= norm.n + 3 else None
-    eps = epsilon_value(norm.n, norm.d, norm.mults) if norm.s >= norm.n + 3 else None
+    kc = eps = None
+    if norm.s >= norm.n + 3:
+        kc = kc_value(norm.n, norm.d, norm.mults)
+        eps = epsilon_value(norm.n, norm.d, norm.mults)
     # A JoinClass's __dict__ is its fields in order; dataclasses.asdict
     # would deep-copy each value, about 11 us a class.
     effects = report.special_effects if report is not None else ()

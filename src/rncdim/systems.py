@@ -33,7 +33,6 @@ class LinearSystemSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
 
     @property
     def s(self) -> int:
@@ -41,7 +40,8 @@ class LinearSystemSpec:
 
 
 def system(n: int, d: int, mults: Iterable[int] = ()) -> LinearSystemSpec:
-    return LinearSystemSpec(int(n), int(d), tuple(mults))
+    """A spec from outside input, every field converted to int."""
+    return LinearSystemSpec(int(n), int(d), tuple(map(int, mults)))
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,11 @@ def kept_points(
 
 def epsilon_value(n: int, d: int, mults: Sequence[int]) -> int:
     """Excess of the ceiling in kc_value; the unique value in 0..s-n-3 with
-    k_C = (sum(m) - n*d + eps) / (s - n - 2)."""
+    k_C = (sum(m) - n*d + eps) / (s - n - 2); requires s >= n + 3."""
     s = len(mults)
-    eps = kc_value(n, d, mults) * (s - n - 2) - (sum(mults) - n * d)
-    assert 0 <= eps <= s - n - 3, f"excess {eps} out of range for s={s}, n={n}"
-    return eps
+    if s < n + 3:
+        raise ValueError(f"epsilon needs s >= n + 3 points (s={s}, n={n})")
+    return (n * d - sum(mults)) % (s - n - 2)
 
 
 def normalize(spec: LinearSystemSpec) -> NormalizedSystem:

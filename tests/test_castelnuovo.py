@@ -1,6 +1,7 @@
 """Projection recursion: l_map, base cases, memoization, trace."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -265,6 +266,47 @@ def test_recursive_trace_render():
         "      project L_3,2(1,1) = 8",
         "      +E1 L_4,4(3,2,2,2,2,2,2,2) = 20 [summed]",
     ]
+
+
+TRACE_LINE = re.compile(
+    r" *(?:root|project|\+E1) L_(\d+),(-?\d+)\(([-\d,]*)\) = (\d+)(?: \[(?:memo|summed)\])?"
+)
+
+
+def _trace_systems():
+    # The two pinned listings' systems, the worked example, and one
+    # perturbation (d and each m_i by -1..1) of six shapes of the `queries`
+    # benchmark workload's strata.
+    yield system(3, 4, [2, 2, 2, 1, 1, 1])
+    yield system(4, 4, [4, 4, 2, 2, 2, 2, 2, 2])
+    yield system(5, 8, [7, 6, 6] + [5] * 7 + [2] * 3)
+    rng = random.Random(24)
+    for n, d, m, s in [
+        (3, 130, 62, 8), (4, 60, 32, 12), (5, 45, 25, 13),
+        (6, 90, 53, 14), (8, 20, 15, 13), (10, 16, 12, 15),
+    ]:
+        yield system(n, d + rng.randint(-1, 1), [m + rng.randint(-1, 1) for _ in range(s)])
+
+
+def test_trace_values_match_fresh_evaluation():
+    # The listing reads each node's value from the memo after the walk;
+    # each line's system, evaluated again with a fresh state, must give the
+    # printed value.  Tracing changes no counter and no memo entry.
+    for sys in _trace_systems():
+        plain, traced = RecState(), RecState()
+        trace: list[str] = []
+        want = recursive_h0(sys, state=plain)
+        assert recursive_h0(sys, state=traced, trace=trace) == want, sys
+        assert traced.stats == plain.stats, sys
+        assert traced.memo == plain.memo, sys
+        assert len(trace) == plain.stats.nodes, sys
+        for line in trace:
+            match = TRACE_LINE.fullmatch(line)
+            assert match, line
+            n, d, body, value = match.groups()
+            mults = [] if body == "-" else [int(m) for m in body.split(",")]
+            fresh = recursive_h0(system(int(n), int(d), mults), state=RecState())
+            assert fresh == int(value), (sys, line)
 
 
 def test_recursion_guard(monkeypatch):

@@ -117,12 +117,14 @@ def test_kc_requires_enough_points():
 
 
 def test_epsilon_range_property():
+    # epsilon_value is one residue; this is the property that defines it,
+    # negative degrees and multiplicities included.
     rng = random.Random(17)
-    for _ in range(300):
-        n = rng.randint(1, 6)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
         s = rng.randint(n + 3, n + 9)
-        d = rng.randint(0, 12)
-        mults = [rng.randint(0, 9) for _ in range(s)]
+        d = rng.randint(-5, 60)
+        mults = [rng.randint(-3, 70) for _ in range(s)]
         kc = kc_value(n, d, mults)
         eps = epsilon_value(n, d, mults)
         assert 0 <= eps <= s - n - 3
