@@ -3,14 +3,16 @@ curve.
 
 The package computes h0 of the system of degree-d hypersurfaces in P^n
 with assigned multiplicities m_1..m_s at s general points of a rational
-normal curve, four independent ways:
+normal curve, four ways:
 
   * formula.dimension: closed formula over special-effect join classes,
     with a full contribution report;
   * castelnuovo.recursive_h0: projection recursion down to planar and
     few-point base cases;
   * formula.planar_h0 / formula.ldim: closed forms on their own domains
-    (n = 2, and s <= n+2 points);
+    (n = 2, and s <= n+2 points).  They repeat the recursion's own base
+    cases at n = 2 and for s <= n+2, so there they and the recursion are
+    not independent checks;
   * oracle.h0: rank of the interpolation matrix, exact or modular; the
     ground truth the others are checked against.
 

@@ -31,7 +31,7 @@ def binom(a: int, n: int) -> int:
     return math.comb(a, n)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def f(t: int, a: int, s: int, eps: int, n: int) -> int:
     """Recursive count of sections forced by a degree-t join in the base locus.
 
@@ -42,7 +42,8 @@ def f(t: int, a: int, s: int, eps: int, n: int) -> int:
                   - sum_{i=1..t} binom(eps, i) * f(t-i, a, s, eps, n-i).
 
     a may be any integer; t, s, eps, n are expected nonnegative (recursive
-    calls with n - i < 0 return 0).  Memoized; f.cache_clear() resets.
+    calls with n - i < 0 return 0).  Memoized in an LRU cache of at most
+    1024 entries; f.cache_clear() resets it.
     """
     if n < 0:
         return 0

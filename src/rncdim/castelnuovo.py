@@ -30,10 +30,12 @@ planar_h0) and in trace listings.
 
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
-memoized on its key during unwind.  A traced walk records each visited
-node without its value; the listing is rendered after the walk and reads
-every value from the memo, which by then holds each visited key (leaves
-and summed chains from their visit, chain nodes from the unwind).
+memoized on its key during unwind.  A memoized projection child is visited
+like any node; each visit counts against a budget of MAX_NODES per call.
+A traced walk records each visited node without its value; the listing is
+rendered after the walk and reads every value from the memo, which by then
+holds each visited key (leaves and summed chains from their visit, chain
+nodes from the unwind).
 
 Where no base-locus subvariety can occur, the rest of a chain is summed in
 closed form instead of walked.  Take a chain node (n, d, runs) that is not
@@ -147,9 +149,10 @@ def _children(key: Key) -> tuple[Key, Key]:
 
 @dataclass
 class RecStats:
-    """Counters of one RecState.  max_depth is the deepest chain depth
-    reached, counting +E1 and project edges from the root; it is not the
-    Python recursion depth, which only project edges add to."""
+    """Counters of one RecState, cumulative over every call that shares it;
+    the node budget MAX_NODES counts one call.  max_depth is the deepest
+    chain depth reached, counting +E1 and project edges from the root; it
+    is not the Python recursion depth, which only project edges add to."""
 
     nodes: int = 0
     max_depth: int = 0
@@ -210,32 +213,29 @@ def _summed_chain(key: Key) -> int | None:
     return h
 
 
-def _visit(stats: RecStats, depth: int) -> None:
-    """Count a node visit at chain depth depth against MAX_NODES."""
-    stats.nodes += 1
-    if depth > stats.max_depth:
-        stats.max_depth = depth
-    if stats.nodes > MAX_NODES:
-        raise RecursionGuardError(f"recursion exceeded {MAX_NODES} nodes")
-
-
 def _eval(
     key: Key,
     state: RecState,
     nodes: list[tuple[int, str, Key, str]] | None,
     depth: int,
     label: str,
+    stop: int,
 ) -> int:
     # m_1-descent: walk the +E_1 chain iteratively, recursing only into the
     # projected (n-1)-dimensional systems, until a node is a memo hit or a
-    # base case; then unwind the chain, memoizing each node.  Traced, each
-    # visit appends (depth, label, key, mark) to nodes, mark "memo",
+    # base case; then unwind the chain, memoizing each node.  Every visit
+    # is counted here; the call fails once stats.nodes passes stop.  Traced,
+    # each visit appends (depth, label, key, mark) to nodes, mark "memo",
     # "summed" or ""; recursive_h0 reads the values from the memo after the
     # walk.  chain[i] = (key, projected value at that step).
     stats, memo = state.stats, state.memo
     chain: list[tuple[Key, int]] = []
     while True:
-        _visit(stats, depth)
+        stats.nodes += 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if stats.nodes > stop:
+            raise RecursionGuardError(f"recursion exceeded {MAX_NODES} nodes")
         mark = ""
         h = memo.get(key)
         if h is not None:
@@ -256,17 +256,8 @@ def _eval(
         up_key, proj_key = _children(key)
         # The projection child comes before the +E_1 child, so the indented
         # listing nests as a tree (the chain continuation is the +E_1
-        # child's subtree and follows it).  A projection child in the memo
-        # (most of them) is counted as the visit and hit that a call would
-        # count, without the call.
-        proj_val = memo.get(proj_key)
-        if proj_val is None:
-            proj_val = _eval(proj_key, state, nodes, depth + 1, "project")
-        else:
-            _visit(stats, depth + 1)
-            stats.memo_hits += 1
-            if nodes is not None:
-                nodes.append((depth + 1, "project", proj_key, "memo"))
+        # child's subtree and follows it).
+        proj_val = _eval(proj_key, state, nodes, depth + 1, "project", stop)
         chain.append((key, proj_val))
         key, depth, label = up_key, depth + 1, "+E1"
 
@@ -292,11 +283,9 @@ def recursive_h0(
     if state is None:
         state = RecState()
     key = (norm.n, norm.d, runs_of(norm.mults))
-    if trace is None:
-        return _eval(key, state, None, 0, "root")
-    nodes: list[tuple[int, str, Key, str]] = []
-    val = _eval(key, state, nodes, 0, "root")
-    for depth, label, (n, d, runs), mark in nodes:
+    nodes: list[tuple[int, str, Key, str]] | None = None if trace is None else []
+    val = _eval(key, state, nodes, 0, "root", state.stats.nodes + MAX_NODES)
+    for depth, label, (n, d, runs), mark in nodes or ():
         body = ",".join(map(str, points_of(runs))) if runs else "-"
         tail = f" [{mark}]" if mark else ""
         value = state.memo[n, d, runs]

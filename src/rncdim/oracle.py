@@ -671,15 +671,16 @@ def consistency_sweep(
     """verify_one's record for every grid instance.
 
     Instances are the multisets of grid.m of each size in grid.s, listed
-    non-increasingly.  One recursion memo is shared across the sweep.  A
+    non-increasingly.  One recursion memo is shared by the instances of
+    each (n, d) block of the grid, so the memo holds one block at a time.  A
     failure inside one instance becomes a record with its n, d, mults and
     s, no values, and the verdict error:<type>:<message>, never an
     exception.
     """
-    rec_state = castelnuovo.RecState()
     records: list[dict] = []
     for n in range(grid.n[0], grid.n[1] + 1):
         for d in range(grid.d[0], grid.d[1] + 1):
+            rec_state = castelnuovo.RecState()
             for s in range(grid.s[0], grid.s[1] + 1):
                 for combo in combinations_with_replacement(
                     range(grid.m[0], grid.m[1] + 1), s

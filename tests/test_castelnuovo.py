@@ -315,6 +315,18 @@ def test_recursion_guard(monkeypatch):
         recursive_h0(system(5, 8, [7, 6, 6] + [5] * 7))
 
 
+def test_recursion_guard_counts_one_call(monkeypatch):
+    # The budget is per call; RecStats counts over every call that shares
+    # the state, so a long shared run must not trip on small systems.
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 50)
+    state = RecState()
+    for _ in range(100):
+        before = state.stats.nodes
+        assert recursive_h0(system(3, 6, [2] * 10), state=state) == 45
+        assert state.stats.nodes - before <= 50
+    assert state.stats.nodes == 102
+
+
 def test_three_evaluators_agree_on_fixed_instances():
     for n, d, mults in [
         (3, 4, (2, 2, 2, 1, 1, 1)),
