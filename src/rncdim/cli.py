@@ -195,7 +195,9 @@ def _evaluate(
     trace: list[str] | None = None,
 ) -> tuple[int, str, DimensionReport | None]:
     """One evaluator's value for the system; returns (value, label, report).
-    The recursion appends its node listing to trace when one is given."""
+    evaluator is one of --evaluators' choices, so what is not auto, formula
+    or recursive is the oracle.  The recursion appends its node listing to
+    trace when one is given."""
     if evaluator == "auto":
         evaluator = "formula" if in_domain(norm) else "recursive"
     if evaluator == "formula":
@@ -203,11 +205,9 @@ def _evaluate(
         return rep.dimension, "formula", rep
     if evaluator == "recursive":
         return recursive_h0(norm, trace=trace), "recursive", None
-    if evaluator == "oracle":
-        mode, trials = oracle_mode
-        res = h0(sys, mode=mode, seed=seed, trials=trials, cap_cells=cap_cells)
-        return res.h0, f"oracle:{mode}", None
-    raise ValueError(f"unknown evaluator {evaluator!r}")
+    mode, trials = oracle_mode
+    res = h0(sys, mode=mode, seed=seed, trials=trials, cap_cells=cap_cells)
+    return res.h0, f"oracle:{mode}", None
 
 
 def cmd_dim(args: argparse.Namespace) -> int:

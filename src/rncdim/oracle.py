@@ -41,20 +41,23 @@ Columns are the monomials x^gamma of degree d, indexed by gamma' =
 
 The nodes keep the box of monomials gamma_j <= d - m_j (j = 0..n, m_j the
 multiplicity at e_j), so the oracle lists that box alone, never the
-binom(n+d, n) monomials around it.  B depends only on the box and m, so
-one cached block per (n, d, box, m) serves every point: one private
-builder, behind both conditions_matrix and h0, scales the block's columns
-by the point's monomials, exactly over the integers or mod a prime.  Those
-monomials, q^gamma on the box, do not depend on m and are cached per
-(n, d, box, t, p), t the curve parameter and p the prime (None for exact
-values), in one bounded lru_cache.  Primes are drawn once per (seed,
-trials) per process, so repeated calls, a sweep's included, find a point's
-monomials there.  h0 puts the n+1 largest multiplicities on the nodes, so
-only the other s-n-1 points add rows; it lays the points out once, counts
-the kept block before listing any monomial, and builds the block for each
-prime from that layout.  Every array it builds is at most as wide as the
-box, and its binomial and power tables run only over exponents the box
-holds, so the cell cap bounds the work too.
+binom(n+d, n) monomials around it.  B depends only on the box and m, so one
+cached block per (n, d, box, m) serves every point: one private builder
+scales the block's columns by the point's monomials, exactly over the
+integers (conditions_matrix, and h0's exact elimination) or mod a prime
+(h0's ranks mod p).  Those monomials, q^gamma on the box, do not depend on
+m and are cached per (n, d, box, t, p), t the curve parameter and p the
+prime (None for exact values), in one bounded lru_cache.  Primes are drawn
+once per (seed, trials) per process, so repeated calls, a sweep's included,
+find a point's monomials there.  h0 puts the n+1 largest multiplicities on
+the nodes, so only the other s-n-1 points add rows; it lays the points out
+once, counts the kept block before listing any monomial, and builds the
+block for each prime from that layout.  That block, conditions_matrix at
+h0's parameters, is the one matrix h0 names: its rows and cols are the
+result's, the cell cap bounds it and OracleSizeError reports it.  Every
+array it builds is at most as wide as the box, and its binomial and power
+tables run only over exponents the box holds, so the cell cap bounds the
+work too.
 
 Both rank modes run one loop on that kept block: the max rank mod each of
 their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
@@ -283,25 +286,19 @@ def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
 
 
 def _layout(
-    sys: LinearSystemSpec,
-    params: Sequence[int],
-    p: int | None = None,
+    sys: LinearSystemSpec, params: Sequence[int]
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """The caps d - m_j of the kept box, m_j the multiplicity at the node
     e_j (0 where no point is, so the cap is d), and the (t, m) of every
     point that adds rows.  Checks that there is one parameter per point,
-    pairwise distinct (mod p when p is given).  Whether a parameter is a
-    node is decided on the integer, so a parameter congruent to a node only
-    mod p adds rows like any other."""
+    pairwise distinct.  Whether a parameter is a node is decided on the
+    integer, so a parameter congruent to a node only mod p adds rows like
+    any other when the block is built mod p."""
     n, d = sys.n, sys.d
-    if d < 0:
-        raise ValueError("conditions matrix undefined for negative degree")
     if len(params) != len(sys.mults):
         raise ValueError("need one curve parameter per point")
-    ts = params if p is None else [t % p for t in params]
-    if len(set(ts)) != len(ts):
-        where = "" if p is None else f" mod {p}"
-        raise ValueError(f"curve parameters must be pairwise distinct{where}")
+    if len(set(params)) != len(params):
+        raise ValueError("curve parameters must be pairwise distinct")
     node_of = {_node(k): k for k in range(n + 1)}
     caps = [d] * (n + 1)
     rows = []
@@ -372,17 +369,7 @@ def _block(
     return np.concatenate([_point_rows(n, d, caps, t, m, p) for t, m in rows])
 
 
-def _check_prime(p: int) -> None:
-    """Products of two residues must fit int64: p < 2^31."""
-    if not 1 < p < 1 << 31:
-        raise ValueError(f"the prime must be in [2, 2^31) for int64 products, got {p}")
-
-
-def conditions_matrix(
-    sys: LinearSystemSpec,
-    params: Sequence[int],
-    p: int | None = None,
-) -> np.ndarray:
+def conditions_matrix(sys: LinearSystemSpec, params: Sequence[int]) -> np.ndarray:
     """Conditions matrix; rows (point, order), columns the kept monomials.
 
     A parameter equal to a node a_j is the point e_j: it adds no rows and
@@ -390,16 +377,14 @@ def conditions_matrix(
     docstring), so the matrix has binom(n+d, n) columns only when no
     parameter is a node.  Every other point q adds the rows
     B[alpha, gamma] * q^gamma, its Taylor rows scaled by q'^alpha (see the
-    module docstring), one per order alpha, |alpha| < m.  With p None
-    the entries are exact Python integers (object dtype); with a prime
-    p < 2^31 they are reduced mod p in int64, and conditions_matrix(sys,
-    ps, p) equals conditions_matrix(sys, ps) % p.  The parameters must be
-    pairwise distinct, mod p when p is given: congruent parameters are the
-    same point over GF(p).
+    module docstring), one per order alpha, |alpha| < m.  The entries are
+    exact Python integers (object dtype).  The degree must be >= 0 and the
+    parameters pairwise distinct.  At h0's parameters this is the block h0
+    eliminates, and its shape is the result's (rows, cols).
     """
-    if p is not None:
-        _check_prime(p)
-    return _block(sys.n, sys.d, *_layout(sys, params, p), p)
+    if sys.d < 0:
+        raise ValueError("conditions matrix undefined for negative degree")
+    return _block(sys.n, sys.d, *_layout(sys, params), None)
 
 
 # Updates between reductions of the rows below, see rank_modular.  Eight
@@ -425,7 +410,8 @@ def rank_modular(M: np.ndarray, p: int) -> int:
     """
     import numpy as np
 
-    _check_prime(p)
+    if not 1 < p < 1 << 31:  # products of two residues must fit int64
+        raise ValueError(f"the prime must be in [2, 2^31) for int64 products, got {p}")
     R = M // p  # R = M % p, a copy: the elimination writes in place
     R *= -p
     R += M
@@ -474,20 +460,18 @@ class OracleSizeError(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Rank computation outcome.  mode is "exact" (h0 exact) or "modular"
-    (h0 an upper bound on the exact h0, see h0).  rows, cols and rank are
-    those of the full conditions matrix, sum_i binom(n+m_i-1, n) by
-    binom(n+d, n) with rank = cols - h0, whichever block was eliminated.
-    params holds the curve parameters, one per point, the nodes included;
-    primes the primes whose rank was taken, in the order tried."""
+    """Rank computation outcome.  rows x cols is the block h0 eliminated,
+    conditions_matrix(sys, params) when d >= 0 (no columns when d < 0),
+    the block cap_cells bounds; h0 is cols less its rank, exact or an upper
+    bound by the mode (see h0).  params holds the curve parameters, one per
+    point, the nodes included; primes the primes whose rank was taken, in
+    the order tried."""
 
     h0: int
-    rank: int
     rows: int
     cols: int
-    mode: str
     params: tuple[int, ...]
-    primes: tuple[int, ...] = ()
+    primes: tuple[int, ...]
 
 
 def _default_params(n: int, mults: Sequence[int]) -> tuple[int, ...]:
@@ -517,10 +501,12 @@ def h0(
     columns (see conditions_matrix), and the other points at the next
     integers of 0, 1, -1, 2, -2, ... in index order.  The dimension is the
     same at any distinct points of the curve.  h0 is the kept column count
-    less the rank of the kept block M'.  Both modes take the max rank of
-    M' = conditions_matrix(sys, params, p) over their primes and stop at
-    the first full rank (min of M'.shape), which no later prime can exceed.
-    The parameters are distinct mod every prime used here.
+    less the rank of the kept block M' = conditions_matrix(sys, params),
+    and the result's rows and cols are M'.shape.  Both modes take the max
+    rank of M' mod each of their primes, built mod p by the private
+    builder, and stop at the first full rank (min of M'.shape), which no
+    later prime can exceed.  The parameters are distinct mod every prime
+    used here.
     mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
     rank mod p is the rational rank, since rank mod p never exceeds rank
     over the rationals.  Otherwise rank_exact, fraction-free elimination
@@ -532,25 +518,22 @@ def h0(
     In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
     given; its shape is counted before any monomial is listed.  M' and
     every array it is built from are no wider than the kept box, so the
-    cap bounds the work too.  Degrees d < 0 give h0 = 0; multiplicities <= 0
-    impose no conditions.  An empty M' (no rows or no columns) has rank 0
-    and is neither built nor eliminated; primes still names the first
-    prime of the mode.
+    cap bounds the work too.  Multiplicities <= 0 impose no conditions.
+    An empty M' (no rows or no columns; a degree d < 0 keeps no column)
+    has rank 0 and is neither built nor eliminated; primes still names
+    the first prime of the mode.
     The points are laid out once, and M' is built from that layout for
     each prime (and once exactly for rank_exact), from each point's cached
     monomials (see the module docstring).
     """
     n, d = sys.n, sys.d
-    mults = tuple(sys.mults)
-    ps = _default_params(n, mults)
+    ps = _default_params(n, sys.mults)
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if cap_cells is not None and cap_cells < 0:
         raise ValueError(f"cap_cells must be >= 0, got {cap_cells}")
-    if d < 0:
-        return OracleResult(0, 0, 0, 0, mode, ps)
     caps, rows = _layout(sys, ps)
     erows = sum(binom(n + m - 1, n) for _, m in rows)
     ecols = _kept_count(n, d, caps)
@@ -568,10 +551,7 @@ def h0(
             break
     if mode == "exact" and rank < full:
         rank = rank_exact(_block(n, d, caps, rows, None))
-    h = ecols - rank
-    ncols = binom(n + d, n)
-    nrows = sum(binom(n + m - 1, n) for m in mults if m > 0)
-    return OracleResult(h, ncols - h, nrows, ncols, mode, ps, tuple(used))
+    return OracleResult(ecols - rank, erows, ecols, ps, tuple(used))
 
 
 # ---------------------------------------------------------------------------

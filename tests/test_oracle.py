@@ -66,12 +66,12 @@ def test_h0_exact_values():
 
 
 def test_h0_result_shape():
+    # Both points sit on the nodes 0 and 1: no rows, and of the 3 lines
+    # only x_2 (gamma_0 = gamma_1 = 0) stays.
     res = h0(system(2, 1, [1, 1]))
-    assert res.mode == "exact"
     assert res.params == (0, 1)
     assert res.primes == (2**31 - 1,)
-    assert (res.rows, res.cols) == (2, 3)
-    assert res.rank == 2
+    assert (res.h0, res.rows, res.cols) == (1, 0, 1)
 
 
 def test_monomial_exponents_enumeration():
@@ -308,7 +308,7 @@ def test_h0_modular_matches_exact():
         mod = h0(sys, mode="modular", seed=rng.randrange(999), trials=3)
         assert mod.h0 == exact.h0, (n, d, mults)
         # No prime can exceed a full rank, so the primes stop there.
-        draws = 3 if mod.rank < min(mod.rows, mod.cols) else 1
+        draws = 3 if mod.cols - mod.h0 < min(mod.rows, mod.cols) else 1
         assert len(mod.primes) == draws
         # Both modes use the default points: the sorted multiplicities sit
         # at 0, 1, -1, 2, -2, ..., the first n+1 of them on the nodes.
@@ -324,8 +324,8 @@ def test_h0_modular_bounds_exact_at_same_params():
         sys_ = system(n, rng.randint(0, 5), [rng.randint(0, 3) for _ in range(s)])
         pts = tuple(rng.sample(range(-50, 50), s))
         p = oracle._random_prime(random.Random(rng.randrange(999)))
-        mod = conditions_matrix(sys_, pts, p)
-        mod_h0 = mod.shape[1] - rank_modular(mod, p)
+        M = conditions_matrix(sys_, pts)
+        mod_h0 = M.shape[1] - rank_modular(M, p)
         assert mod_h0 >= exact_h0_at(sys_, pts), (sys_, pts)
 
 
@@ -370,15 +370,15 @@ def test_h0_exact_matches_bareiss():
     for sys_ in (*FULL_RANK, *RANK_DEFICIENT, *_seeded_systems()):
         res = h0(sys_)
         params = default_params(sys_.n, sys_.mults)
-        assert (res.mode, res.primes, res.params) == ("exact", (2**31 - 1,), params)
+        assert (res.primes, res.params) == ((2**31 - 1,), params)
         kept = conditions_matrix(sys_, params)
+        assert kept.shape == (res.rows, res.cols)
         assert res.h0 == kept.shape[1] - rank_exact(kept), sys_
         # The full matrix at node-free points has the same corank.
         n, s = sys_.n, len(sys_.mults)
         node_free = conditions_matrix(sys_, NODE_SEQUENCE[n + 1 : n + 1 + s])
-        assert node_free.shape == (res.rows, res.cols)
-        assert res.h0 == res.cols - rank_exact(node_free), sys_
-        full_rank[sys_] = res.rank == min(res.rows, res.cols)
+        assert res.h0 == node_free.shape[1] - rank_exact(node_free), sys_
+        full_rank[sys_] = res.cols - res.h0 == min(res.rows, res.cols)
     assert [full_rank[s] for s in FULL_RANK + RANK_DEFICIENT] == [True, True, False, False]
 
 
@@ -387,8 +387,10 @@ def test_h0_exact_full_rank_needs_no_bareiss(monkeypatch):
         raise AssertionError("Bareiss ran on a full-rank matrix")
 
     monkeypatch.setattr(oracle, "rank_exact", no_bareiss)
+    # The point off the 4 nodes gives 4 rows on the 19 monomials of
+    # degree 4 with every exponent <= 2.
     res = h0(system(3, 4, [2] * 5))
-    assert res.h0 == 15 and res.rank == res.rows == 20
+    assert (res.h0, res.rows, res.cols) == (15, 4, 19)
 
 
 def test_h0_exact_below_full_rank_mod_p_is_not_trusted(monkeypatch):
@@ -403,9 +405,9 @@ def test_h0_exact_below_full_rank_mod_p_is_not_trusted(monkeypatch):
     "sys_, want",
     [
         # Every point on a node: no rows.
-        (system(3, 4, [2, 2, 1]), (26, 9, 9, 35, (0, 1, -1))),
+        (system(3, 4, [2, 2, 1]), (26, 0, 26, (0, 1, -1))),
         # m_1 = 3 > d on the node e_0 deletes every column.
-        (system(2, 2, [3, 1, 1, 1, 1]), (0, 6, 10, 6, (0, 1, -1, 2, -2))),
+        (system(2, 2, [3, 1, 1, 1, 1]), (0, 2, 0, (0, 1, -1, 2, -2))),
     ],
     ids=["no-rows", "no-columns"],
 )
@@ -419,21 +421,29 @@ def test_h0_empty_block_is_not_eliminated(monkeypatch, sys_, want, mode, prime):
     monkeypatch.setattr(oracle, "_block", unused)
     monkeypatch.setattr(oracle, "rank_modular", unused)
     res = h0(sys_, mode=mode, seed=4, trials=3)
-    assert (res.h0, res.rank, res.rows, res.cols, res.params) == want
-    assert (res.mode, res.primes) == (mode, (prime,))
+    assert (res.h0, res.rows, res.cols, res.params) == want
+    assert res.primes == (prime,)
+
+
+def modular_block(sys_, params, p):
+    """The block at params built mod p, the build h0 runs for each prime."""
+    return oracle._block(sys_.n, sys_.d, *oracle._layout(sys_, params), p)
 
 
 @pytest.mark.parametrize("p", [None, 2**31 - 1], ids=["exact", "modular"])
 def test_repeated_params_rejected(p):
+    def build(sys_, params):
+        return conditions_matrix(sys_, params) if p is None else modular_block(sys_, params, p)
+
     # The true value is 1; a repeated parameter is one point, not two.
     with pytest.raises(ValueError, match="distinct"):
-        conditions_matrix(system(2, 4, [2] * 5), (1, 1, 2, 3, 4), p)
+        build(system(2, 4, [2] * 5), (1, 1, 2, 3, 4))
     # Also when no point imposes a condition.
     with pytest.raises(ValueError, match="distinct"):
-        conditions_matrix(system(2, 4, [0, 0]), (1, 1), p)
+        build(system(2, 4, [0, 0]), (1, 1))
     # A parameter off the nodes, repeated, is one point too.
     with pytest.raises(ValueError, match="distinct"):
-        conditions_matrix(system(2, 4, [2] * 5), (0, 1, -1, 5, 5), p)
+        build(system(2, 4, [2] * 5), (0, 1, -1, 5, 5))
 
 
 def test_conditions_matrix_modular_matches_exact():
@@ -444,9 +454,6 @@ def test_conditions_matrix_modular_matches_exact():
     cols = monomial_exponents(2, 2)
     rows = monomial_exponents(2, 1)
     assert M[rows.index((1, 0))][cols.index((2, 0))] == 72
-    # Parameters congruent mod p are one point over GF(p).
-    with pytest.raises(ValueError, match="distinct mod 7"):
-        conditions_matrix(system(2, 3, [1, 1]), (1, 8), 7)
     rng = random.Random(61)
     for p in (7, 101, (1 << 31) - 1):
         for _ in range(20):
@@ -458,7 +465,7 @@ def test_conditions_matrix_modular_matches_exact():
             ps = tuple(r + p * rng.randint(-3, 3) for r in rng.sample(range(min(p, 99)), s))
             sys_ = system(n, d, mults)
             exact = conditions_matrix(sys_, ps)
-            mod = conditions_matrix(sys_, ps, p)
+            mod = modular_block(sys_, ps, p)
             assert mod.dtype == np.int64
             assert mod.shape == exact.shape
             assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, mults)
@@ -468,7 +475,7 @@ def test_conditions_matrix_modular_matches_exact():
         sys_ = system(n, d, [m, m])
         exact = conditions_matrix(sys_, (2, -2))
         for p in ((1 << 31) - 1, 1580651243):
-            mod = conditions_matrix(sys_, (2, -2), p)
+            mod = modular_block(sys_, (2, -2), p)
             assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, p)
 
 
@@ -494,12 +501,10 @@ def test_conditions_matrix_coordinate_points():
                     got = conditions_matrix(system(n, d, [m, 1]), (a_j, t))
                     assert got.tolist() == [want], (n, d, j, m)
     # A parameter congruent to a node only mod p is an ordinary point: no
-    # column goes, and the mod-p matrix is the exact one reduced mod p.
-    mod = conditions_matrix(system(2, 2, [1, 1]), (7, 2), 7)
+    # column goes, and the mod-p block is the exact one reduced mod p.
+    mod = modular_block(system(2, 2, [1, 1]), (7, 2), 7)
     assert mod.shape == (2, 6)
     assert mod.tolist() == (conditions_matrix(system(2, 2, [1, 1]), (7, 2)) % 7).tolist()
-    with pytest.raises(ValueError, match="distinct mod 7"):
-        conditions_matrix(system(2, 2, [1, 1]), (0, 7), 7)
 
 
 def test_h0_coordinate_points():
@@ -546,7 +551,7 @@ def test_h0_with_zero_mult_slots():
 
 @pytest.mark.parametrize("d", [-1, 1])
 def test_h0_unknown_mode_rejected(d):
-    # Checked before the d < 0 early return, so every degree rejects it.
+    # Every degree rejects it, a negative one (no columns) included.
     with pytest.raises(ValueError, match="unknown oracle mode"):
         h0(system(2, d, [1]), mode="bogus")
 
@@ -567,8 +572,41 @@ def test_oracle_size_cap():
         with pytest.raises(OracleSizeError, match="24x68 exceeds cap 1631"):
             h0(sys_, mode=mode, trials=1, cap_cells=1631)
         res = h0(sys_, mode=mode, trials=1, cap_cells=24 * 68)
-        # The result reports the full 40 x 84 matrix.
-        assert (res.h0, res.rows, res.cols) == (45, 40, 84)
+        assert (res.h0, res.rows, res.cols) == (45, 24, 68)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_h0_result_is_the_eliminated_block(mode):
+    # The result's rows x cols is the block h0 eliminated: the shape of
+    # conditions_matrix at its parameters, the figure the cell cap bounds,
+    # and in exact mode cols less its rank is h0.  A negative degree keeps
+    # no column.  Each system draws its multiplicities up to its own top,
+    # and larger s more often, so that many blocks are not empty.
+    rng = random.Random(97)
+    first = 2**31 - 1 if mode == "exact" else oracle._seeded_primes(0, 2)[0]
+    negative = filled = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        d = rng.randint(-1, 8)
+        top = rng.randint(-1, d + 2)
+        s = max(rng.randint(0, n + 6), rng.randint(0, n + 6))
+        sys_ = system(n, d, [rng.randint(min(1, top), top) for _ in range(s)])
+        res = h0(sys_, mode=mode, trials=2)
+        if d < 0:
+            assert (res.h0, res.cols, res.primes) == (0, 0, (first,)), sys_
+            negative += 1
+            continue
+        M = conditions_matrix(sys_, res.params)
+        assert M.shape == (res.rows, res.cols), sys_
+        if mode == "exact":
+            assert res.h0 == res.cols - rank_exact(M), sys_
+        cells = res.rows * res.cols
+        if cells:
+            assert h0(sys_, mode=mode, trials=2, cap_cells=cells) == res
+            with pytest.raises(OracleSizeError):
+                h0(sys_, mode=mode, trials=2, cap_cells=cells - 1)
+            filled += 1
+    assert negative >= 10 and filled >= 40
 
 
 @pytest.mark.parametrize("cap", [-1, -5])
@@ -587,13 +625,10 @@ def test_primes_from_2_31_rejected():
     pts = range(10**9 + 1, 10**9 + 6)
     exact = conditions_matrix(sys_, pts)
     assert exact.shape == (30, 28) and rank_exact(exact) == 27
-    p = 2**31 - 1
-    assert rank_modular(conditions_matrix(sys_, pts, p), p) == 27
+    assert rank_modular(exact, 2**31 - 1) == 27
     for big in (2**31, 2**61 - 1):
         with pytest.raises(ValueError, match="2\\^31"):
-            conditions_matrix(sys_, pts, big)
-        with pytest.raises(ValueError, match="2\\^31"):
-            rank_modular(conditions_matrix(sys_, pts, p), big)
+            rank_modular(exact, big)
 
 
 def test_structural_block_entries():
