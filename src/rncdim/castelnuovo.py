@@ -71,6 +71,7 @@ from .systems import (
     normalize,
     points_of,
     runs_of,
+    system_label,
 )
 
 Key = tuple[int, int, Runs]
@@ -286,8 +287,8 @@ def recursive_h0(
     nodes: list[tuple[int, str, Key, str]] | None = None if trace is None else []
     val = _eval(key, state, nodes, 0, "root", state.stats.nodes + MAX_NODES)
     for depth, label, (n, d, runs), mark in nodes or ():
-        body = ",".join(map(str, points_of(runs))) if runs else "-"
         tail = f" [{mark}]" if mark else ""
+        name = system_label(n, d, points_of(runs))
         value = state.memo[n, d, runs]
-        trace.append(f"{'  ' * depth}{label} L_{n},{d}({body}) = {value}{tail}")
+        trace.append(f"{'  ' * depth}{label} {name} = {value}{tail}")
     return val

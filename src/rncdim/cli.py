@@ -9,6 +9,8 @@ Subcommands:
   verify    side-by-side evaluator comparison for one instance or a grid
   regindex  regularity index, optionally checked over a degree window
 
+dim and report build one answer object and print it as JSON
+(--format structured) or render their human listing from it.
 Multiplicities accept exponent shorthand: -m 7,6^2,5^7, and may start with
 a negative entry: -m -1,5,3.  Only dim and verify run the oracle, so only
 they take --seed, --cap-cells and --oracle.  verify prints each instance's
@@ -32,7 +34,6 @@ from typing import Sequence
 
 from .castelnuovo import RecursionGuardError, recursive_h0
 from .formula import (
-    DimensionReport,
     DomainViolation,
     dimension,
     in_domain,
@@ -48,12 +49,11 @@ from .oracle import (
     verify_one,
 )
 from .systems import (
-    LinearSystemSpec,
-    epsilon_value,
-    kc_value,
+    kc_epsilon,
     normalize,
     speciality,
     system,
+    system_label,
     vdim,
 )
 
@@ -139,78 +139,13 @@ def parse_grid(text: str) -> dict[str, tuple[int, int]]:
     return ranges
 
 
-def _sys_label(sys: LinearSystemSpec) -> str:
-    body = ",".join(str(m) for m in sys.mults) if sys.mults else "-"
-    return f"L_{sys.n},{sys.d}({body})"
-
-
-def _structured(
-    sys: LinearSystemSpec,
-    norm,
-    dim_value: int | None,
-    evaluator: str,
-    report: DimensionReport | None,
-) -> dict:
-    """The one structured-output object shared by dim and report."""
-    kc = eps = None
-    if norm.s >= norm.n + 3:
-        kc = kc_value(norm.n, norm.d, norm.mults)
-        eps = epsilon_value(norm.n, norm.d, norm.mults)
-    # A JoinClass's __dict__ is its fields in order; dataclasses.asdict
-    # would deep-copy each value, about 11 us a class.
-    effects = report.special_effects if report is not None else ()
-    return {
-        "n": sys.n,
-        "d": sys.d,
-        "mults": list(sys.mults),
-        "s": len(sys.mults),
-        "normalized_mults": list(norm.mults),
-        "kc": kc,
-        "epsilon": eps,
-        "vdim": vdim(norm),
-        "dimension": dim_value,
-        "evaluator": evaluator,
-        "special_effects": [vars(jc) for jc in effects],
-        "trace": [step.as_dict() for step in norm.trace],
-    }
-
-
-def _print_trace(norm) -> None:
-    if not norm.trace:
-        print("trace: input already normalized")
-        return
-    print("trace:")
-    for step in norm.trace:
-        kc_note = f" (kc {step.kc})" if step.kc is not None else ""
-        print(f"  {step.action} point {step.point} mult {step.mult}{kc_note}")
-
-
-def _evaluate(
-    sys: LinearSystemSpec,
-    norm,
-    evaluator: str,
-    oracle_mode: tuple[str, int],
-    seed: int,
-    cap_cells: int,
-    trace: list[str] | None = None,
-) -> tuple[int, str, DimensionReport | None]:
-    """One evaluator's value for the system; returns (value, label, report).
-    evaluator is one of --evaluators' choices, so what is not auto, formula
-    or recursive is the oracle.  The recursion appends its node listing to
-    trace when one is given."""
-    if evaluator == "auto":
-        evaluator = "formula" if in_domain(norm) else "recursive"
-    if evaluator == "formula":
-        rep = dimension(norm)
-        return rep.dimension, "formula", rep
-    if evaluator == "recursive":
-        return recursive_h0(norm, trace=trace), "recursive", None
-    mode, trials = oracle_mode
-    res = h0(sys, mode=mode, seed=seed, trials=trials, cap_cells=cap_cells)
-    return res.h0, f"oracle:{mode}", None
-
-
-def cmd_dim(args: argparse.Namespace) -> int:
+def _answer(args: argparse.Namespace) -> dict:
+    """The structured object of one dim or report answer: the input, its
+    normalized form with kc, epsilon and vdim, the value and label of
+    args.evaluators (report's is formula; auto is the formula in its
+    domain and the recursion outside it; what is not auto, formula or
+    recursive is the oracle), the formula's special-effect classes, the
+    normalization steps, and with --trace the recursion's node listing."""
     rec_trace: list[str] | None = None
     if getattr(args, "trace", False):  # the option is absent unless given
         if args.evaluators != "recursive":
@@ -218,63 +153,90 @@ def cmd_dim(args: argparse.Namespace) -> int:
         rec_trace = []
     sys_ = system(args.n, args.d, args.mults)
     norm = normalize(sys_)
-    dim_value, evaluator, report = _evaluate(
-        sys_, norm, args.evaluators, args.oracle, args.seed, args.cap_cells,
-        rec_trace,
-    )
-
-    if args.format == "structured":
-        obj = _structured(sys_, norm, dim_value, evaluator, report)
-        if rec_trace is not None:
-            obj["recursion_trace"] = rec_trace
-        print(json.dumps(obj))
-        return 0
-
-    vd = vdim(norm)
-    print(_sys_label(sys_))
-    print(f"dimension {dim_value}  [{evaluator}]")
-    print(f"vdim {vd}  expected {max(vd, 0)}  speciality {speciality(dim_value, vd)}")
-    if norm.s >= norm.n + 3:
-        print(
-            f"normalized {_sys_label(norm)}  kc {kc_value(norm.n, norm.d, norm.mults)}"
-            f"  epsilon {epsilon_value(norm.n, norm.d, norm.mults)}"
-        )
+    evaluator = args.evaluators
+    if evaluator == "auto":
+        evaluator = "formula" if in_domain(norm) else "recursive"
+    effects = ()
+    if evaluator == "formula":
+        rep = dimension(norm)
+        value, effects = rep.dimension, rep.special_effects
+    elif evaluator == "recursive":
+        value = recursive_h0(norm, trace=rec_trace)
     else:
-        print(f"normalized {_sys_label(norm)}")
-    _print_trace(norm)
+        mode, trials = args.oracle
+        value = h0(sys_, mode=mode, seed=args.seed, trials=trials,
+                   cap_cells=args.cap_cells).h0
+        evaluator = f"oracle:{mode}"
+    kc, eps = kc_epsilon(norm)
+    obj = {
+        "n": sys_.n,
+        "d": sys_.d,
+        "mults": list(sys_.mults),
+        "s": sys_.s,
+        "normalized_mults": list(norm.mults),
+        "kc": kc,
+        "epsilon": eps,
+        "vdim": vdim(norm),
+        "dimension": value,
+        "evaluator": evaluator,
+        # A JoinClass's __dict__ is its fields in order; dataclasses.asdict
+        # would deep-copy each value, about 11 us a class.
+        "special_effects": [vars(jc) for jc in effects],
+        "trace": [step.as_dict() for step in norm.trace],
+    }
     if rec_trace is not None:
+        obj["recursion_trace"] = rec_trace
+    return obj
+
+
+def _print_dim(obj: dict) -> None:
+    n, d, value, vd = obj["n"], obj["d"], obj["dimension"], obj["vdim"]
+    print(system_label(n, d, obj["mults"]))
+    print(f"dimension {value}  [{obj['evaluator']}]")
+    print(f"vdim {vd}  expected {max(vd, 0)}  speciality {speciality(value, vd)}")
+    normalized = f"normalized {system_label(n, d, obj['normalized_mults'])}"
+    if obj["kc"] is not None:
+        normalized += f"  kc {obj['kc']}  epsilon {obj['epsilon']}"
+    print(normalized)
+    print("trace:" if obj["trace"] else "trace: input already normalized")
+    for step in obj["trace"]:
+        kc_note = f" (kc {step['kc']})" if "kc" in step else ""
+        print("  {action} point {point} mult {mult}".format(**step) + kc_note)
+    if "recursion_trace" in obj:
         print("recursion trace:")
-        for line in rec_trace:
+        for line in obj["recursion_trace"]:
             print(f"  {line}")
-    return 0
 
 
 _R_LABEL = {0: "points", 1: "curves", 2: "surfaces"}
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    sys_ = system(args.n, args.d, args.mults)
-    norm = normalize(sys_)
-    rep = dimension(norm)
-
-    if args.format == "structured":
-        print(json.dumps(_structured(sys_, norm, rep.dimension, "formula", rep)))
-        return 0
-
-    print(_sys_label(sys_))
-    print(f"normalized {_sys_label(norm)}")
-    print(f"kc {rep.kc}  epsilon {rep.epsilon}")
-    effects = rep.special_effects
+def _print_report(obj: dict) -> None:
+    n, d, value, vd = obj["n"], obj["d"], obj["dimension"], obj["vdim"]
+    print(system_label(n, d, obj["mults"]))
+    print(f"normalized {system_label(n, d, obj['normalized_mults'])}")
+    print(f"kc {obj['kc']}  epsilon {obj['epsilon']}")
+    effects = obj["special_effects"]
     if not effects:
         print("no special-effect varieties")
-    for r in sorted({jc.r for jc in effects}):
+    for r in sorted({jc["r"] for jc in effects}):
         print(f"{_R_LABEL.get(r, f'{r}-folds')} (r={r}):")
-        for jc in (e for e in effects if e.r == r):
-            print(
-                f"  c={jc.c} sigma={jc.sigma} t={jc.t} k={jc.k}"
-                f" count={jc.count} f={jc.f} signed={jc.signed}"
-            )
-    print(f"dimension {rep.dimension}  vdim {rep.vdim}  speciality {rep.speciality}")
+        for jc in (e for e in effects if e["r"] == r):
+            print("  c={c} sigma={sigma} t={t} k={k} count={count} f={f}"
+                  " signed={signed}".format(**jc))
+    print(f"dimension {value}  vdim {vd}  speciality {speciality(value, vd)}")
+
+
+def cmd_answer(args: argparse.Namespace) -> int:
+    """dim and report: print the answer's object as JSON or as the
+    command's human listing."""
+    obj = _answer(args)
+    if args.format == "structured":
+        print(json.dumps(obj))
+    elif args.command == "report":
+        _print_report(obj)
+    else:
+        _print_dim(obj)
     return 0
 
 
@@ -297,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rec = records[0]
         values = {(f"oracle:{mode}" if key == "oracle" else key): rec[key]
                   for key in EVALUATORS if rec[key] is not None}
-        print(_sys_label(sys_))
+        print(system_label(sys_.n, sys_.d, sys_.mults))
         width = max(len(k) for k in values)
         for key, value in values.items():
             print(f"  {key:<{width}}  {value}")
@@ -428,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --evaluators recursive: also print the recursion's node"
         " listing (+E1 / project edges, [memo] hits, [summed] chains)",
     )
-    p_dim.set_defaults(func=cmd_dim)
+    p_dim.set_defaults(func=cmd_answer)
 
     p_report = sub.add_parser(
         "report", help="special-effect classes and contributions"
     )
     add_common(p_report)
-    p_report.set_defaults(func=cmd_report)
+    p_report.set_defaults(func=cmd_answer, evaluators="formula")
 
     p_verify = sub.add_parser(
         "verify", help="compare evaluators on one instance or a grid"

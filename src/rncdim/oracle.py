@@ -587,16 +587,18 @@ def verify_one(
     """Every evaluator on one system, compared against the oracle.
 
     Returns the system's record, the fields RECORD_KEYS in that order: the
-    input's n, d, mults and s, the kc and epsilon of its positive
-    multiplicities when there are at least n+3 of them, the value
-    of each evaluator, None for what was not computed, notes on what was
-    skipped or changed, and the verdict.
+    input's n, d, mults and s, the kc and epsilon of the normalized system
+    (systems.kc_epsilon: the k_C the formula uses and dim prints, None when
+    normalization leaves fewer than n+3 points), the value of each
+    evaluator, None for what was not computed, notes on what was skipped
+    or changed, and the verdict.
     The oracle runs unless a block it would build exceeds cap_cells.
     The closed formula runs on the normalized system whenever
     formula.in_domain, the recursion always, the planar form for n = 2 with
-    normalized s >= 5, and ldim for at most n+2 positive multiplicities.  Every value is compared,
-    empty systems included.  With the oracle, the verdict is agree when all
-    values equal it and disagree:<names> naming the ones that do not.
+    normalized s >= 5, and ldim for at most n+2 positive multiplicities.
+    Every value is compared, empty systems included.  With the oracle, the
+    verdict is agree when all values equal it and disagree:<names> naming
+    the ones that do not.
     Without it, the verdict is skip-size when the closed values agree with
     each other and disagree:<names> naming all of them when they do not,
     since none can be preferred.  Two agreements are not independent
@@ -610,10 +612,8 @@ def verify_one(
     rec = dict.fromkeys(RECORD_KEYS)
     rec.update(n=n, d=d, mults=list(ms), s=len(ms), notes=[])
     positive = [m for m in ms if m > 0]
-    if len(positive) >= n + 3:
-        rec["kc"] = systems.kc_value(n, d, positive)
-        rec["epsilon"] = systems.epsilon_value(n, d, positive)
     norm = systems.normalize(spec)
+    rec["kc"], rec["epsilon"] = systems.kc_epsilon(norm)
     try:
         rec["oracle"] = h0(
             spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells

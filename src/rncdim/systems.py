@@ -143,6 +143,21 @@ def epsilon_value(n: int, d: int, mults: Sequence[int]) -> int:
     return (n * d - sum(mults)) % (s - n - 2)
 
 
+def kc_epsilon(sys: LinearSystemSpec) -> tuple[int | None, int | None]:
+    """(k_C, epsilon) of the system's multiplicities, or (None, None) below
+    n + 3 points.  Records report them for the normalized system, the one
+    the formula uses."""
+    if sys.s < sys.n + 3:
+        return None, None
+    return kc_value(sys.n, sys.d, sys.mults), epsilon_value(sys.n, sys.d, sys.mults)
+
+
+def system_label(n: int, d: int, mults: Sequence[int]) -> str:
+    """The system's name L_n,d(m_1,...,m_s); L_n,d(-) with no points."""
+    body = ",".join(map(str, mults)) if mults else "-"
+    return f"L_{n},{d}({body})"
+
+
 def normalize(spec: LinearSystemSpec) -> NormalizedSystem:
     """Canonicalize a raw system; dimension is preserved at every step.
 

@@ -142,6 +142,8 @@ def test_parse_grid():
         # n < 1, s < 0, a key set twice.
         "n=0..2,d=1,s=5,m=1", "n=2,d=1,s=-1,m=1", "n=2,n=3,d=1,s=5,m=1",
         "n=2,d=1,s=5,m=1,d=2",
+        # A bound that is not an integer.
+        "n=a..2,d=1,s=5,m=1",
     ):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_grid(bad)
@@ -452,6 +454,20 @@ def test_verify_kc_of_positive_multiplicities(capsys):
     assert json.loads(capsys.readouterr().out)["kc"] is None
 
 
+def test_verify_size_skip_note(capsys):
+    # With the oracle over the cap, the human listing says so and the
+    # closed values, which agree, give the verdict.
+    assert main(["verify", "-n", "2", "-d", "4", "-m", "2^5", "--cap-cells", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "L_2,4(2,2,2,2,2)",
+        "  formula    1",
+        "  recursive  1",
+        "  planar     1",
+        "  note: oracle skipped: matrix exceeds --cap-cells 1",
+        "verdict: skip-size",
+    ]
+
+
 def test_verify_empty_system_note(capsys):
     # Empty systems are compared like any other: every evaluator prints 0.
     for d, mults in (("1", "1^5"), ("2", "4,1,1,1")):
@@ -532,6 +548,19 @@ def test_regindex_window(capsys):
     assert out[2] == "  d=5: dimension 6 vdim 6 non-special  ok"
     assert out[3] == "  d=6: dimension 13 vdim 13 non-special  ok"
     assert out[4] == "  d=7: dimension 21 vdim 21 non-special  ok"
+
+
+def test_regindex_window_mismatch(capsys, monkeypatch):
+    # An index one too high claims d = 5 special; the window check finds
+    # it non-special, prints MISMATCH and exits 1.
+    real = cli.regularity_index
+    monkeypatch.setattr(cli, "regularity_index", lambda n, mults: real(n, mults) + 1)
+    assert main(["regindex", "-n", "2", "-m", "2^5", "--window", "0"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "regularity index 6",
+        "  d=5: dimension 6 vdim 6 non-special  MISMATCH",
+        "  d=6: dimension 13 vdim 13 non-special  ok",
+    ]
 
 
 def test_regindex_structured(capsys):

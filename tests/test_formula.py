@@ -224,6 +224,8 @@ def test_planar_h0_values():
     assert planar_h0(system(2, 6, [2] * 10)) == dimension(system(2, 6, [2] * 10)).dimension
     assert planar_h0(system(2, 3, [3, 1, 1, 1, 1, 1])) == 0
     assert planar_h0(system(2, 1, [1, 1, 1, 1, 1])) == 0
+    # m_1 > d: every peel keeps G, but the end divisor is not nef.
+    assert planar_h0(system(2, 17, [18, 5, 3, 2, 1])) == 0
 
 
 def test_planar_h0_guards():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -674,7 +675,7 @@ def test_point_rows_are_scaled_taylor_rows(n, d, m, t):
             assert M[r, c] == scale * taylor, (alpha, gamma)
 
 
-def test_consistency_sweep_small_grid():
+def test_consistency_sweep_small_grid(capsys):
     grid = SweepGrid(n=(2, 2), d=(1, 3), s=(5, 5), m=(1, 2))
     records = consistency_sweep(grid, seed=1)
     assert len(records) == 3 * 6  # 3 degrees x multisets of {1,2}^5
@@ -683,7 +684,36 @@ def test_consistency_sweep_small_grid():
         assert rec["verdict"] == "agree", rec
         assert rec["oracle"] is not None
         assert rec["recursive"] is not None
-        assert rec["kc"] is not None
+        # kc and epsilon are the normalized system's, the ones dim prints.
+        assert cli.main(["dim", "-n", "2", "-d", str(rec["d"]),
+                         "-m", ",".join(map(str, rec["mults"])),
+                         "--format", "structured"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (rec["kc"], rec["epsilon"]) == (obj["kc"], obj["epsilon"]), rec
+
+
+def test_consistency_sweep_survives_a_failing_instance(monkeypatch):
+    # An instance whose evaluator raises becomes an error record with its
+    # input and no values; the instances after it are still verified.
+    real = formula.dimension
+
+    def failing(sys):
+        if sys.mults == (2, 2, 1, 1, 1):
+            raise ZeroDivisionError("injected")
+        return real(sys)
+
+    monkeypatch.setattr(formula, "dimension", failing)
+    grid = SweepGrid(n=(2, 2), d=(4, 4), s=(5, 5), m=(1, 2))
+    records = consistency_sweep(grid, seed=1)
+    assert len(records) == 6
+    bad = [rec for rec in records if rec["verdict"].startswith("error")]
+    assert bad == [{
+        **dict.fromkeys(RECORD_KEYS), "n": 2, "d": 4, "mults": [2, 2, 1, 1, 1],
+        "s": 5, "notes": [], "verdict": "error:ZeroDivisionError:injected",
+    }]
+    assert list(bad[0]) == RECORD_KEYS
+    assert records[2] is bad[0]
+    assert [rec["verdict"] for rec in records if rec is not bad[0]] == ["agree"] * 5
 
 
 def test_consistency_sweep_n4_n5_agrees():
