@@ -37,22 +37,43 @@ rendered after the walk and reads every value from the memo, which by then
 holds each visited key (leaves and summed chains from their visit, chain
 nodes from the unwind).
 
-Where no base-locus subvariety can occur, the rest of a chain is summed in
-closed form instead of walked.  Take a chain node (n, d, runs) that is not
-a leaf (so n >= 3, s >= n + 3), with multiplicity sum T, and let r be the
-largest multiplicity the step leaves alone: m_1 if two or more points have
-it, m_2 otherwise.  If r + m_1 <= d + 1 and T <= n*d + 1, every image
-m_i + m_1 - 1 - d is at most r + m_1 - 1 - d <= 0 and kc(D + E_1) <= 0,
-so the projection child is (n-1, m_1-1, ()) with h0 = binom(n+m_1-2, n-1),
-and the redundant-point rule drops no point of the +E_1 child.  Both bounds only fall down the chain (T loses one per
-step, and lowering a point cannot raise the sum of the two largest), so
-the same holds at every later node, and the chain ends at
-((1, n+2),), whose value is binom(n+d, n) - (n+2) (here d >= 2, since
-n*d + 1 >= T >= s >= n + 3).  Lowering a point from m to 0 subtracts
-sum_{k=1..m} binom(n+k-2, n-1) = binom(n+m-1, n) (hockey stick), and the
-n + 2 points that stop at 1 each subtract one less; so the node's value is
-binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  Such a
-node is memoized like a leaf.
+Where every projection child is a one-point leaf, a stretch of the chain
+is stepped in integer arithmetic instead of walked.  Take a chain node
+(n, d, runs) that is not a leaf (so n >= 3, s >= n + 3), with multiplicity
+sum T, and let r be the largest multiplicity the step leaves alone: m_1 if
+two or more points have it, m_2 otherwise.  The region is r + m_1 <= d + 1.
+There every image m_i + m_1 - 1 - d of the projection is at most
+r + m_1 - 1 - d <= 0, so only the image point q of the curve is left: the
+projection child is (n-1, m_1-1, ((kc+, 1),)), or (n-1, m_1-1, ()) when
+kc+ <= 0, kc being that of D + E_1, with value
+max(binom(n+m_1-2, n-1) - binom(n+kc+-2, n-1), 0) (a single point imposes
+independent conditions).  Both r + m_1 and T only fall down the chain (T
+loses one per step, and lowering a point cannot raise the sum of the two
+largest), and so does kc while s is fixed, so the region, once entered,
+holds at every later node.  `_stretch` steps the top run one level of
+c_1 points at a time, and within a level one run of constant kc at a
+time, adding up the projection values, with no key, memo entry or visit
+per step.  A stretch stops
+  - before a step at which the redundant-point rule would drop the +E_1
+    child's lowest point (0 < m_s < kc), since s and so kc change there;
+    so within a stretch kc <= m_1 - 1 and no projection value is 0;
+  - before a step at m_1 = 1, where the lowered point is dropped;
+  - when T reaches n*d + 1, where the rest of the chain sums in closed
+    form (below), and the whole stretch is one leaf.
+At the first two it lands on that node, which the walk visits as usual;
+the stretch is one node, memoized on its start key as h(landing) minus
+the sum.  A stretch that cannot take one step declines, and the node is
+walked.  So the cost of a chain grows with T - n*d only outside the
+region.
+
+From T <= n*d + 1 on in the region, kc(D + E_1) <= 0, so each projection
+child is (n-1, m_1-1, ()) with h0 = binom(n+m_1-2, n-1), no point is
+redundant, and the chain ends at ((1, n+2),), whose value is
+binom(n+d, n) - (n+2) (here d >= 2, since n*d + 1 >= T >= s >= n + 3).
+Lowering a point from m to 0 subtracts sum_{k=1..m} binom(n+k-2, n-1) =
+binom(n+m-1, n) (hockey stick), and the n + 2 points that stop at 1 each
+subtract one less; so the node's value is
+binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.
 """
 
 from __future__ import annotations
@@ -152,8 +173,9 @@ def _children(key: Key) -> tuple[Key, Key]:
 class RecStats:
     """Counters of one RecState, cumulative over every call that shares it;
     the node budget MAX_NODES counts one call.  max_depth is the deepest
-    chain depth reached, counting +E1 and project edges from the root; it
-    is not the Python recursion depth, which only project edges add to."""
+    chain depth reached, counting +E1 and project edges from the root, a
+    stepped stretch of +E1 steps being one edge; it is not the Python
+    recursion depth, which only project edges add to."""
 
     nodes: int = 0
     max_depth: int = 0
@@ -194,24 +216,57 @@ def _base_value(key: Key) -> int | None:
     return None
 
 
-def _summed_chain(key: Key) -> int | None:
-    """Value of a chain node whose projection children are all empty, as
-    the closed-form sum of its chain (see the module docstring), or None
-    if the node is outside that region.  The key is not a leaf."""
+def _stretch(key: Key) -> tuple[Key | None, int, int] | None:
+    """The key's stretch of +E_1 steps whose projection children are all
+    one-point leaves (see the module docstring), stepped in integer
+    arithmetic; None outside the region or when no step can be taken.
+
+    Returns (landing, steps, proj): the key `steps` +E_1 steps down the
+    chain and the sum of the projection values of those steps; or
+    (None, steps, h) when the stretch reaches T <= n*d + 1, where the rest
+    of the chain sums in closed form and h is the key's own value.  The
+    key is not a leaf."""
     n, d, runs = key
-    m1, c1 = runs[0]
-    r = m1 if c1 > 1 else runs[1][0]
-    if r + m1 > d + 1:
+    m, c = runs[0]
+    if (m if c > 1 else runs[1][0]) + m > d + 1:
         return None
-    total = 0
-    for m, c in runs:
-        total += m * c
-    if total > n * d + 1:
+    s = total = 0
+    for mi, ci in runs:
+        s += ci
+        total += mi * ci
+    q = s - n - 2
+    x = total - n * d  # T - n*d of the current key; kc of its step is ceil((x-1)/q)
+    # The current key is (m, c), (m-1, below) and the runs of rest, which
+    # is reversed so that rest[-1] is the next run below m - 1.
+    rest = list(runs[:0:-1])
+    below = rest.pop()[1] if rest and rest[-1][0] == m - 1 else 0
+    steps = proj = 0
+    while x > 1 and m > 1:
+        kc = -((1 - x) // q)
+        if (rest[0][0] if rest else m - 1) < kc:
+            break  # kept_points would drop the lowest point of the +E_1 child
+        # The steps of this level with the same kc, each projection child
+        # being (n-1, m-1, ((kc, 1),)); kc <= m - 1, the lowered point's
+        # multiplicity, or kept_points would drop that point.
+        k = min(c, x - 1 - (kc - 1) * q)
+        proj += k * (binom(n + m - 2, n - 1) - binom(n + kc - 2, n - 1))
+        steps += k
+        x -= k
+        c -= k
+        below += k
+        if not c:
+            m, c, below = m - 1, below, 0
+            if rest and rest[-1][0] == m - 1:
+                below = rest.pop()[1]
+    landing = ((m, c),) + (((m - 1, below),) if below else ()) + tuple(rest[::-1])
+    if x <= 1:
+        h = binom(n + d, n)
+        for mi, ci in landing:
+            h -= ci * binom(n + mi - 1, n)
+        return None, steps, h - proj
+    if not steps:
         return None
-    h = binom(n + d, n)
-    for m, c in runs:
-        h -= c * binom(n + m - 1, n)
-    return h
+    return (n, d, landing), steps, proj
 
 
 def _eval(
@@ -224,11 +279,13 @@ def _eval(
 ) -> int:
     # m_1-descent: walk the +E_1 chain iteratively, recursing only into the
     # projected (n-1)-dimensional systems, until a node is a memo hit or a
-    # base case; then unwind the chain, memoizing each node.  Every visit
-    # is counted here; the call fails once stats.nodes passes stop.  Traced,
-    # each visit appends (depth, label, key, mark) to nodes, mark "memo",
-    # "summed" or ""; recursive_h0 reads the values from the memo after the
-    # walk.  chain[i] = (key, projected value at that step).
+    # base case; then unwind the chain, memoizing each node.  A stretch of
+    # steps with one-point projection leaves is one node whose +E_1 edge
+    # stands for all its steps.  Every visit is counted here; the call
+    # fails once stats.nodes passes stop.  Traced, each visit appends
+    # (depth, label, key, mark) to nodes, mark "memo", "summed", "stepped
+    # N" or ""; recursive_h0 reads the values from the memo after the
+    # walk.  chain[i] = (key, projected value down to the next node).
     stats, memo = state.stats, state.memo
     chain: list[tuple[Key, int]] = []
     while True:
@@ -238,27 +295,32 @@ def _eval(
         if stats.nodes > stop:
             raise RecursionGuardError(f"recursion exceeded {MAX_NODES} nodes")
         mark = ""
+        stretch = None
         h = memo.get(key)
         if h is not None:
             stats.memo_hits += 1
             mark = "memo"
         else:
             h = _base_value(key)
-            if h is None:
-                h = _summed_chain(key)
-                if h is not None:
-                    mark = "summed"
+            if h is None and (stretch := _stretch(key)) is not None:
+                if stretch[0] is None:
+                    h, mark = stretch[2], "summed"
+                else:
+                    mark = f"stepped {stretch[1]}"
             if h is not None:
                 memo[key] = h
         if nodes is not None:
             nodes.append((depth, label, key, mark))
         if h is not None:
             break
-        up_key, proj_key = _children(key)
-        # The projection child comes before the +E_1 child, so the indented
-        # listing nests as a tree (the chain continuation is the +E_1
-        # child's subtree and follows it).
-        proj_val = _eval(proj_key, state, nodes, depth + 1, "project", stop)
+        if stretch is not None:
+            up_key, proj_val = stretch[0], stretch[2]
+        else:
+            up_key, proj_key = _children(key)
+            # The projection child comes before the +E_1 child, so the
+            # indented listing nests as a tree (the chain continuation is
+            # the +E_1 child's subtree and follows it).
+            proj_val = _eval(proj_key, state, nodes, depth + 1, "project", stop)
         chain.append((key, proj_val))
         key, depth, label = up_key, depth + 1, "+E1"
 
@@ -278,7 +340,9 @@ def recursive_h0(
     state carries the memo across calls (pass one RecState to share work in
     a sweep).  If trace is a list, one line per visited node is appended,
     depth-indented, with edge labels +E1 / project, memo hits marked
-    [memo] and closed-form chain sums marked [summed].
+    [memo], closed-form chain sums marked [summed], and a node whose +E1
+    edge stands for a stretch of N steps taken in integer arithmetic
+    marked [stepped N].
     """
     norm = sys if isinstance(sys, NormalizedSystem) else normalize(sys)
     if state is None:

@@ -32,7 +32,7 @@ import re
 import sys
 from typing import Sequence
 
-from .castelnuovo import RecursionGuardError, recursive_h0
+from .castelnuovo import RecState, RecursionGuardError, recursive_h0
 from .formula import (
     DomainViolation,
     dimension,
@@ -145,7 +145,8 @@ def _answer(args: argparse.Namespace) -> dict:
     args.evaluators (report's is formula; auto is the formula in its
     domain and the recursion outside it; what is not auto, formula or
     recursive is the oracle), the formula's special-effect classes, the
-    normalization steps, and with --trace the recursion's node listing."""
+    normalization steps, the recursion's counters when it ran, and with
+    --trace its node listing."""
     rec_trace: list[str] | None = None
     if getattr(args, "trace", False):  # the option is absent unless given
         if args.evaluators != "recursive":
@@ -157,11 +158,13 @@ def _answer(args: argparse.Namespace) -> dict:
     if evaluator == "auto":
         evaluator = "formula" if in_domain(norm) else "recursive"
     effects = ()
+    rec_state = None
     if evaluator == "formula":
         rep = dimension(norm)
         value, effects = rep.dimension, rep.special_effects
     elif evaluator == "recursive":
-        value = recursive_h0(norm, trace=rec_trace)
+        rec_state = RecState()
+        value = recursive_h0(norm, state=rec_state, trace=rec_trace)
     else:
         mode, trials = args.oracle
         value = h0(sys_, mode=mode, seed=args.seed, trials=trials,
@@ -184,6 +187,10 @@ def _answer(args: argparse.Namespace) -> dict:
         "special_effects": [vars(jc) for jc in effects],
         "trace": [step.as_dict() for step in norm.trace],
     }
+    if rec_state is not None:
+        st = rec_state.stats
+        obj["recursion_stats"] = {"nodes": st.nodes, "memo_hits": st.memo_hits,
+                                  "max_depth": st.max_depth, "memo_size": len(rec_state.memo)}
     if rec_trace is not None:
         obj["recursion_trace"] = rec_trace
     return obj
@@ -388,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=argparse.SUPPRESS,
         help="with --evaluators recursive: also print the recursion's node"
-        " listing (+E1 / project edges, [memo] hits, [summed] chains)",
+        " listing (+E1 / project edges, [memo] hits, [summed] chains,"
+        " [stepped N] for a +E1 edge that stands for N steps)",
     )
     p_dim.set_defaults(func=cmd_answer)
 

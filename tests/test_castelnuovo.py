@@ -12,13 +12,14 @@ from rncdim.castelnuovo import (
     RecursionGuardError,
     _base_value,
     _children,
-    _summed_chain,
+    _eval,
+    _stretch,
     l_map,
     recursive_h0,
 )
-from rncdim.formula import dimension
+from rncdim.formula import dimension, in_domain
 from rncdim.oracle import h0
-from rncdim.systems import kc_value, normalize, points_of, runs_of, system
+from rncdim.systems import kc_from_sum, kc_value, normalize, points_of, runs_of, system
 
 
 def test_l_map_worked_example():
@@ -129,8 +130,11 @@ def _near_region_key(rng):
 
 def test_summed_chain_matches_walk():
     # Inside the region (T <= n*d + 1 and m_1 + m_2 <= d + 1) the closed
-    # form equals the walked chain; one past either bound it declines, and
-    # there the first projection child is not empty.
+    # form equals the walked chain; one past the region's bound the stepper
+    # declines, and there the first projection child is not empty.  At
+    # T = n*d + 2 one step reaches T = n*d + 1, so the stretch is summed
+    # after that step (or declines at m_1 = 1, where the step drops a
+    # point).
     rng = random.Random(43)
     seen = Counter()
     while seen["inside"] < 5000:
@@ -142,7 +146,7 @@ def test_summed_chain_matches_walk():
         t_gap = n * d + 1 - sum(mults)
         r_gap = d + 1 - mults[0] - mults[1]
         if t_gap >= 0 and r_gap >= 0:
-            assert _summed_chain(key) == _walk_chain(key), key
+            assert _stretch(key) == (None, 0, _walk_chain(key)), key
             seen["inside"] += 1
             seen["T = nd+1"] += t_gap == 0
             seen["r+m1 = d+1"] += r_gap == 0
@@ -150,29 +154,158 @@ def test_summed_chain_matches_walk():
             seen["c1 > 1"] += runs[0][1] > 1
             seen["c1 = 1"] += runs[0][1] == 1
             seen["m1 = 1"] += mults[0] == 1
-        elif min(t_gap, r_gap) == -1 and max(t_gap, r_gap) >= 0:
-            assert _summed_chain(key) is None, key
+        elif r_gap == -1:
+            assert _stretch(key) is None, key
             assert _children(key)[1][2] != (), key
-            seen["T = nd+2" if t_gap == -1 else "r+m1 = d+2"] += 1
+            seen["r+m1 = d+2"] += 1
+        elif t_gap == -1 and r_gap >= 0:
+            want = None if mults[0] == 1 else (None, 1, _walk_chain(key))
+            assert _stretch(key) == want, key
+            seen["T = nd+2"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _walk_steps(key, steps=None):
+    """Walk the +E1 chain from key through _children, `steps` steps, or to
+    a leaf when steps is None, evaluating every projection child with
+    _eval on a fresh state.  Returns the key reached, the sum of the
+    projection values, and how many of them are 0."""
+    proj_sum = zeros = 0
+    while (_base_value(key) is None) if steps is None else steps > 0:
+        key, proj_key = _children(key)
+        value = _eval(proj_key, RecState(), None, 0, "root", castelnuovo.MAX_NODES)
+        proj_sum += value
+        zeros += value == 0
+        if steps is not None:
+            steps -= 1
+    return key, proj_sum, zeros
+
+
+def _stretch_key(rng):
+    """A canonical non-leaf key with r + m_1 <= d + 2, r the largest
+    multiplicity the first step leaves alone; often with many points, so
+    that k_C nears the lowest multiplicity, or with one point above the
+    rest, so that c_1 = 1."""
+    n = rng.randint(3, 6)
+    d = rng.randint(2, 24)
+    s = rng.randint(n + 3, n + 24)
+    hi = rng.randint(1, d // 2 + 1)
+    mults = [rng.randint(max(1, hi - rng.randint(0, 3)), hi) for _ in range(s)]
+    if rng.random() < 0.4:
+        mults[0] = rng.randint(hi, d + 2 - hi)
+    norm = normalize(system(n, d, mults))
+    key = (n, d, runs_of(norm.mults))
+    if norm.n != n or _base_value(key) is not None:
+        return None
+    (m1, c1), rest = key[2][0], key[2][1:]
+    r = m1 if c1 > 1 else rest[0][0]
+    return key if r + m1 <= d + 2 else None
+
+
+def test_stretch_matches_walk():
+    # Each stretch against the same steps walked one at a time through
+    # _children and _eval: the landing key and the sum of the projection
+    # values agree, no step drops a point, and the stretch stops only
+    # where its next step would drop one (the redundant-point rule, or
+    # m_1 = 1).  A summed stretch equals the whole chain walked to its
+    # leaf.  No projection value in a stretch is 0: that needs k_C > m_1 - 1,
+    # which makes the lowered point redundant, so the stretch stops before
+    # such a step.  At r + m_1 = d + 2 the stepper declines, and the first
+    # projection child is not the one-point leaf it would assume.
+    rng = random.Random(29)
+    seen = Counter()
+    while min(seen[k] for k in (
+        "c1 > 1", "c1 = 1", "redundant stop", "m1 = 1 stop", "lands on T = nd+1",
+        "stop before kc > m1 - 1", "r+m1 = d+2",
+    )) < 50:
+        key = _stretch_key(rng)
+        if key is None:
+            continue
+        n, d, runs = key
+        (m1, c1), rest = runs[0], runs[1:]
+        r = m1 if c1 > 1 else rest[0][0]
+        s = sum(c for _, c in runs)
+        total = sum(m * c for m, c in runs)
+        got = _stretch(key)
+        if r + m1 == d + 2:
+            assert got is None, key
+            kc = kc_from_sum(n, d, s, total - 1)
+            one_point = (n - 1, m1 - 1, ((kc, 1),) if kc > 0 else ())
+            assert _children(key)[1] != one_point, key
+            seen["r+m1 = d+2"] += 1
+            continue
+        if got is None:
+            # T > n*d + 1, and the first step drops a point.
+            assert total > n * d + 1, key
+            up = _children(key)[0]
+            assert sum(c for _, c in up[2]) < s, key
+            seen["declined"] += 1
+            continue
+        landing, steps, value = got
+        seen["c1 > 1" if c1 > 1 else "c1 = 1"] += 1
+        if landing is None:
+            leaf, proj_sum, zeros = _walk_steps(key)
+            assert value == _base_value(leaf) - proj_sum, key
+            seen["lands on T = nd+1"] += steps > 0
+        else:
+            walked, proj_sum, zeros = _walk_steps(key, steps)
+            assert (landing, value) == (walked, proj_sum), key
+            assert sum(c for _, c in landing[2]) == s, key
+            up = _children(landing)[0]
+            m_low = landing[2][0][0]
+            if m_low == 1:
+                seen["m1 = 1 stop"] += 1
+            else:
+                assert sum(c for _, c in up[2]) < s, key
+                seen["redundant stop"] += 1
+                total = sum(m * c for m, c in landing[2])
+                seen["stop before kc > m1 - 1"] += kc_from_sum(n, d, s, total - 1) > m_low - 1
+        assert zeros == 0, key
+
+
+def test_formula_matches_recursion_far_above_nd():
+    # Systems with T - n*d far above d, where a walked chain would take
+    # about T - n*d steps: the closed formula and the recursion agree on
+    # every in-domain draw of random.Random(61), none chosen by its value.
+    # Every other draw raises one point above d/2, so that its chain is
+    # walked until it enters the stepped region.
+    big = normalize(system(3, 300000, [144000] * 11))
+    assert recursive_h0(big) == dimension(big).dimension == 507248442193001
+    rng = random.Random(61)
+    checked = 0
+    for i in range(300):
+        n = rng.randint(3, 6)
+        d = rng.randint(50, 600)
+        s = rng.randint(3 * n + 15, 3 * n + 22)
+        mults = [rng.randint(d // 3, d // 2) for _ in range(s)]
+        if i % 2:
+            mults[0] = rng.randint(d // 2, 3 * d // 4)
+        assert sum(mults) - n * d >= 5 * d
+        norm = normalize(system(n, d, mults))
+        if not in_domain(norm):
+            continue
+        assert recursive_h0(norm) == dimension(norm).dimension, (n, d, mults)
+        checked += 1
+    assert checked >= 250, checked
 
 
 @pytest.mark.parametrize(
     "n, d, mults, want",
     [
         # h0, nodes, memo_hits, max_depth, memo size
-        (10, 30, [20] * 20, (459077106, 281, 31, 99, 250)),
-        (4, 200, [120] * 9, (2309586, 1963, 408, 279, 1555)),
-        (6, 40, [30] * 12, (1, 1641, 333, 92, 1308)),
-        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 57, 7, 13, 50)),
-        (3, 200, [96] * 11, (154175, 911, 345, 455, 566)),
+        (10, 30, [20] * 20, (459077106, 227, 0, 99, 227)),
+        (4, 200, [120] * 9, (2309586, 731, 0, 179, 731)),
+        (6, 40, [30] * 12, (1, 1127, 93, 92, 1034)),
+        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 37, 0, 13, 37)),
+        (3, 200, [96] * 11, (154175, 1, 0, 0, 1)),
     ],
 )
 def test_recursion_counters_pinned(n, d, mults, want):
     # The h0 values are the ones every earlier form of the recursion gave.
-    # The counters pin the walk that sums each chain in closed form once
-    # its projection children are empty: a summed node is one leaf, so the
-    # rest of its chain is neither visited nor memoized.
+    # The counters pin the walk that steps each stretch of one-point
+    # projection leaves as one node, and sums the rest of a chain in closed
+    # form from T = n*d + 1: neither the stepped nodes nor their projection
+    # leaves are visited or memoized.
     state = RecState()
     h = recursive_h0(system(n, d, mults), state=state)
     stats = state.stats
@@ -230,13 +363,15 @@ def test_recursive_memo_consistency():
 
 
 def test_recursive_shared_state():
+    # L_4,4(4^2,2^6) walks a chain of depth 3 (L_3,6(2^10), summed at the
+    # root, has depth 0).
     state = RecState()
-    first = recursive_h0(system(3, 6, [2] * 10), state=state)
-    assert first == 45
+    first = recursive_h0(system(4, 4, [4, 4] + [2] * 6), state=state)
+    assert first == 1
     nodes_after_first = state.stats.nodes
     hits_after_first = state.stats.memo_hits
-    again = recursive_h0(system(3, 6, [2] * 10), state=state)
-    assert again == 45
+    again = recursive_h0(system(4, 4, [4, 4] + [2] * 6), state=state)
+    assert again == 1
     assert state.stats.memo_hits > hits_after_first
     # The repeat is answered from the memo root.
     assert state.stats.nodes == nodes_after_first + 1
@@ -266,20 +401,34 @@ def test_recursive_trace_render():
         "      project L_3,2(1,1) = 8",
         "      +E1 L_4,4(3,2,2,2,2,2,2,2) = 20 [summed]",
     ]
+    # A stretch of 4 stepped +E1 steps stops where the next step would drop
+    # a point of multiplicity 1 < k_C = 2; that step is walked.
+    trace = []
+    val = recursive_h0(system(3, 5, [3] * 4 + [2] * 8), trace=trace)
+    assert val == 6
+    assert trace == [
+        "root L_3,5(3,3,3,3,2,2,2,2,2,2,2,2) = 6 [stepped 4]",
+        "  +E1 L_3,5(2,2,2,2,2,2,2,2,2,2,2,2) = 18",
+        "    project L_2,1(2) = 0",
+        "    +E1 L_3,5(2,2,2,2,2,2,2,2,2,2,2) = 18 [summed]",
+    ]
 
 
 TRACE_LINE = re.compile(
-    r" *(?:root|project|\+E1) L_(\d+),(-?\d+)\(([-\d,]*)\) = (\d+)(?: \[(?:memo|summed)\])?"
+    r" *(?:root|project|\+E1) L_(\d+),(-?\d+)\(([-\d,]*)\) = (\d+)"
+    r"(?: \[(?:memo|summed|stepped \d+)\])?"
 )
 
 
 def _trace_systems():
-    # The two pinned listings' systems, the worked example, and one
-    # perturbation (d and each m_i by -1..1) of six shapes of the `queries`
-    # benchmark workload's strata.
+    # The three pinned listings' systems, the worked example, a walk into a
+    # stepped stretch, and one perturbation (d and each m_i by -1..1) of six
+    # shapes of the `queries` benchmark workload's strata.
     yield system(3, 4, [2, 2, 2, 1, 1, 1])
     yield system(4, 4, [4, 4, 2, 2, 2, 2, 2, 2])
     yield system(5, 8, [7, 6, 6] + [5] * 7 + [2] * 3)
+    yield system(3, 5, [3] * 4 + [2] * 8)
+    yield system(4, 6, [5, 4] + [3] * 7 + [2] * 16)
     rng = random.Random(24)
     for n, d, m, s in [
         (3, 130, 62, 8), (4, 60, 32, 12), (5, 45, 25, 13),
@@ -324,7 +473,7 @@ def test_recursion_guard_counts_one_call(monkeypatch):
         before = state.stats.nodes
         assert recursive_h0(system(3, 6, [2] * 10), state=state) == 45
         assert state.stats.nodes - before <= 50
-    assert state.stats.nodes == 102
+    assert state.stats.nodes == 100
 
 
 def test_three_evaluators_agree_on_fixed_instances():

@@ -258,8 +258,9 @@ def test_recursion_guard_exit_code(capsys, monkeypatch):
     assert main(["dim", "-n", "6", "-d", "40", "-m", "30^12",
                  "--evaluators", "recursive"]) == 3
     assert capsys.readouterr().err == "error: recursion exceeded 10 nodes\n"
+    # L_4,4(4^2,2^6) walks 9 nodes.
     monkeypatch.setattr(castelnuovo, "MAX_NODES", 2)
-    assert main(["verify", "-n", "3", "-d", "6", "-m", "2^10"]) == 3
+    assert main(["verify", "-n", "4", "-d", "4", "-m", "4^2,2^6"]) == 3
     assert capsys.readouterr().err == "error: recursion exceeded 2 nodes\n"
 
 
@@ -285,6 +286,35 @@ def test_dim_recursion_trace(capsys):
     # Without --trace the output is unchanged.
     assert main([*args, "--format", "structured"]) == 0
     assert "recursion_trace" not in json.loads(capsys.readouterr().out)
+
+
+def test_dim_recursion_stats(capsys):
+    # Structured output carries the recursion's counters whenever it ran,
+    # auto's route outside the formula's domain included: L_3,6(2^10) is
+    # one summed node, L_4,4(4^2,2^6) walks nine.  The formula's answer
+    # and the human listing carry none.
+    args = ["dim", "-n", "3", "-d", "6", "-m", "2^10", "--format", "structured"]
+    assert main([*args, "--evaluators", "recursive"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["dimension"] == 45
+    assert obj["recursion_stats"] == {"nodes": 1, "memo_hits": 0, "max_depth": 0, "memo_size": 1}
+    assert main(["dim", "-n", "4", "-d", "4", "-m", "4^2,2^6", "--format", "structured",
+                 "--evaluators", "recursive"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["recursion_stats"] == {"nodes": 9, "memo_hits": 0, "max_depth": 3, "memo_size": 9}
+    assert main(["dim", "-n", "2", "-d", "4", "-m", "1,1", "--format", "structured"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["evaluator"], obj["recursion_stats"]["nodes"]) == ("recursive", 1)
+    assert main(args) == 0
+    assert "recursion_stats" not in json.loads(capsys.readouterr().out)
+    assert main(args[:-2] + ["--evaluators", "recursive"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "L_3,6(2,2,2,2,2,2,2,2,2,2)",
+        "dimension 45  [recursive]",
+        "vdim 44  expected 44  speciality 1",
+        "normalized L_3,6(2,2,2,2,2,2,2,2,2,2)  kc 1  epsilon 3",
+        "trace: input already normalized",
+    ]
 
 
 @pytest.mark.parametrize("evaluator", ["auto", "formula", "oracle"])
