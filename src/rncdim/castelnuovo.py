@@ -31,54 +31,77 @@ planar_h0) and in trace listings.
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
 memoized on its key during unwind.  A memoized projection child is visited
-like any node; each visit counts against a budget of MAX_NODES per call.
+like any node; each visit, and each run a stretch steps (below), counts
+against a budget of MAX_NODES per call.
 A traced walk records each visited node without its value; the listing is
 rendered after the walk and reads every value from the memo, which by then
 holds each visited key (leaves and summed chains from their visit, chain
 nodes from the unwind).
 
-Where every projection child is a one-point leaf, a stretch of the chain
-is stepped in integer arithmetic instead of walked.  Take a chain node
-(n, d, runs) that is not a leaf (so n >= 3, s >= n + 3), with multiplicity
-sum T, and let r be the largest multiplicity the step leaves alone: m_1 if
-two or more points have it, m_2 otherwise.  The region is r + m_1 <= d + 1.
-There every image m_i + m_1 - 1 - d of the projection is at most
-r + m_1 - 1 - d <= 0, so only the image point q of the curve is left: the
-projection child is (n-1, m_1-1, ((kc+, 1),)), or (n-1, m_1-1, ()) when
-kc+ <= 0, kc being that of D + E_1, with value
-max(binom(n+m_1-2, n-1) - binom(n+kc+-2, n-1), 0) (a single point imposes
-independent conditions).  Both r + m_1 and T only fall down the chain (T
-loses one per step, and lowering a point cannot raise the sum of the two
-largest), and so does kc while s is fixed, so the region, once entered,
-holds at every later node.  `_stretch` steps the top run one level of
-c_1 points at a time, and within a level one run of constant kc at a
-time, adding up the projection values, with no key, memo entry or visit
-per step.  A stretch stops
+Where each projection child is worth its virtual dimension (vdim), a
+stretch of the chain is stepped in integer arithmetic instead of walked.
+Take a chain node (n, d, runs) that is not a leaf (so n >= 3, s >= n + 3),
+with multiplicity sum T.  A step lowers one of the c points at m = m_1; its
+projection child is (n-1, m-1, images + kc+), kc being that of D + E_1,
+with images a1 = 2m-1-d for the c-1 points still at m, a1 - 1 for the
+points at m-1, and m_i + m-1-d for the rest (the positive ones count).  The
+child is worth its vdim when its two largest multiplicities sum to at most
+its d' + 1 = m (the pair bound) and either
+  - it has s' <= n + 1 points, a few-point leaf, and vdim >= 0: every
+    correction binom(n' + k_I - |I|, n') of `ldim_sum` over a set I of
+    two or more points has k_I <= 1 < |I| under the pair bound, so is 0,
+    and the leaf is max(vdim, 0); or
+  - n - 1 >= 3 and T' <= (n-1)(m-1) + 1, the summed closed form below
+    (an n = 3 child is planar and takes only the few-point case).
+Within a level (the c points of the top run lowered one by one) and a run
+of constant kc, each step moves one image from a1 to a1 - 1, so the
+child's vdim rises by binom(n+a1-3, n-2) per step, and a run of k steps
+adds k*v0 + binom(n+a1-3, n-2)*k(k-1)/2, v0 the first child's vdim.  Down
+a run T', s' and the child's two largest multiplicities only fall and its
+vdim only rises, so the test is made once per run, at its start.
+`_stretch` steps the top run one level at a time, and within a level one
+run of constant kc at a time, adding up the projection values, with no
+key, memo entry or visit per step.  A cheap test on the top runs declines
+first: the two largest images past the pair bound, or more than n + 1
+positive images that cannot be a summed chain.
+The one-point region is the special case r + m_1 <= d + 1, r the largest
+multiplicity the step leaves alone (m_1 if c_1 > 1, else m_2): there every
+image is at most r + m_1 - 1 - d <= 0, so the child is (n-1, m_1-1,
+((kc+, 1),)), or (n-1, m_1-1, ()) when kc+ <= 0, worth
+binom(n+m_1-2, n-1) - binom(n+kc+-2, n-1) (one point, kc <= m_1 - 1,
+imposes independent conditions).  Both r + m_1 and T only fall down the
+chain, so the one-point region, once entered, holds at every later node.
+A stretch stops
   - before a step at which the redundant-point rule would drop the +E_1
     child's lowest point (0 < m_s < kc), since s and so kc change there;
-    so within a stretch kc <= m_1 - 1 and no projection value is 0;
   - before a step at m_1 = 1, where the lowered point is dropped;
-  - when T reaches n*d + 1, where the rest of the chain sums in closed
-    form (below), and the whole stretch is one leaf.
-At the first two it lands on that node, which the walk visits as usual;
-the stretch is one node, memoized on its start key as h(landing) minus
-the sum.  A stretch that cannot take one step declines, and the node is
-walked.  So the cost of a chain grows with T - n*d only outside the
-region.
+  - before a run whose first projection child is not worth its vdim;
+  - when it has stepped as many runs as the call's node budget has left;
+  - when T reaches n*d + 1 in the one-point region, where the rest of the
+    chain sums in closed form (below), and the whole stretch is one leaf.
+Outside the one-point region it keeps stepping past T = n*d + 1.  Except
+at the last stop it lands on a node, which the walk visits as usual; the
+stretch is one node, memoized on its start key as h(landing) minus the
+sum.  A stretch that cannot take one step declines, and the node is
+walked.  Each stepped run counts against the call's budget of MAX_NODES,
+beside the visits, so a stretch of any length stays bounded.
 
-From T <= n*d + 1 on in the region, kc(D + E_1) <= 0, so each projection
-child is (n-1, m_1-1, ()) with h0 = binom(n+m_1-2, n-1), no point is
-redundant, and the chain ends at ((1, n+2),), whose value is
+From T <= n*d + 1 on in the one-point region, kc(D + E_1) <= 0, so each
+projection child is (n-1, m_1-1, ()) with h0 = binom(n+m_1-2, n-1), no
+point is redundant, and the chain ends at ((1, n+2),), whose value is
 binom(n+d, n) - (n+2) (here d >= 2, since n*d + 1 >= T >= s >= n + 3).
 Lowering a point from m to 0 subtracts sum_{k=1..m} binom(n+k-2, n-1) =
 binom(n+m-1, n) (hockey stick), and the n + 2 points that stop at 1 each
 subtract one less; so the node's value is
-binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.
+binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  A
+projection child (n-1, m-1, ...) with n - 1 >= 3 and s' >= n + 2 is such
+a node when it meets the pair bound and T' <= (n-1)(m-1) + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .binomials import binom
 from .formula import ldim_sum, planar_h0
@@ -172,12 +195,15 @@ def _children(key: Key) -> tuple[Key, Key]:
 @dataclass
 class RecStats:
     """Counters of one RecState, cumulative over every call that shares it;
-    the node budget MAX_NODES counts one call.  max_depth is the deepest
-    chain depth reached, counting +E1 and project edges from the root, a
-    stepped stretch of +E1 steps being one edge; it is not the Python
-    recursion depth, which only project edges add to."""
+    the budget MAX_NODES counts the nodes and steps of one call.  nodes
+    counts visits; steps counts the runs of constant kc that stretches
+    stepped.  max_depth is the deepest chain depth reached, counting +E1
+    and project edges from the root, a stepped stretch of +E1 steps being
+    one edge; it is not the Python recursion depth, which only project
+    edges add to."""
 
     nodes: int = 0
+    steps: int = 0
     max_depth: int = 0
     memo_hits: int = 0
 
@@ -216,19 +242,36 @@ def _base_value(key: Key) -> int | None:
     return None
 
 
-def _stretch(key: Key) -> tuple[Key | None, int, int] | None:
-    """The key's stretch of +E_1 steps whose projection children are all
-    one-point leaves (see the module docstring), stepped in integer
-    arithmetic; None outside the region or when no step can be taken.
+def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
+    """The key's stretch of +E_1 steps whose projection children are each
+    worth their virtual dimension (see the module docstring), stepped in
+    integer arithmetic, at most `budget` runs of constant kc; None when no
+    step can be taken.
 
-    Returns (landing, steps, proj): the key `steps` +E_1 steps down the
-    chain and the sum of the projection values of those steps; or
-    (None, steps, h) when the stretch reaches T <= n*d + 1, where the rest
-    of the chain sums in closed form and h is the key's own value.  The
-    key is not a leaf."""
+    Returns (landing, steps, proj, runs): the key `steps` +E_1 steps down
+    the chain, the sum of the projection values of those steps, and how
+    many runs were stepped; or (None, steps, h, runs) when the stretch
+    reaches T <= n*d + 1 in the one-point region, where the rest of the
+    chain sums in closed form and h is the key's own value.  The key is
+    not a leaf."""
     n, d, runs = key
     m, c = runs[0]
-    if (m if c > 1 else runs[1][0]) + m > d + 1:
+    # Cheap rejection on the top runs: the first step leaves alone rc
+    # points at r and the next largest at r2, whose images are
+    # r + shift >= r2 + shift.  Past the pair bound, or with more than
+    # n + 1 positive images that sum past the summed form's bound (n = 3:
+    # any more than n + 1), the first projection child is not worth its vdim.
+    shift = m - 1 - d
+    if c > 1:
+        r, rc = m, c - 1
+        r2 = m if c > 2 else runs[1][0]
+    else:
+        r, rc = runs[1]
+        r2 = r if rc > 1 else runs[2][0]
+    if r + shift > 0 and (
+        r + r2 + 2 * shift > m
+        or rc > n + 1 and (n == 3 or rc * (r + shift) > (n - 1) * (m - 1) + 1)
+    ):
         return None
     s = total = 0
     for mi, ci in runs:
@@ -236,37 +279,89 @@ def _stretch(key: Key) -> tuple[Key | None, int, int] | None:
         total += mi * ci
     q = s - n - 2
     x = total - n * d  # T - n*d of the current key; kc of its step is ceil((x-1)/q)
-    # The current key is (m, c), (m-1, below) and the runs of rest, which
-    # is reversed so that rest[-1] is the next run below m - 1.
-    rest = list(runs[:0:-1])
-    below = rest.pop()[1] if rest and rest[-1][0] == m - 1 else 0
-    steps = proj = 0
-    while x > 1 and m > 1:
+    low = runs[-1][0]  # the lowest multiplicity below the top run, if any
+    j, below = 1, 0  # the current key is (m, c), (m-1, below) and runs[j:]
+    if len(runs) > 1 and runs[1][0] == m - 1:
+        j, below = 2, runs[1][1]
+    steps = proj = done = 0
+    full = comb(n + m - 2, n - 1)  # the children's forms of degree m - 1 on P^(n-1)
+    while True:
+        # The projection maps a point of multiplicity m_i to m_i + shift;
+        # r is the largest multiplicity the step leaves alone.
+        shift = m - 1 - d
+        r = m if c > 1 else m - 1 if below else runs[j][0]
+        summed = x <= 1 and r + shift <= 0  # the rest sums in closed form
+        if summed or m == 1 or done == budget:
+            break
         kc = -((1 - x) // q)
-        if (rest[0][0] if rest else m - 1) < kc:
+        if (low if j < len(runs) else m - 1) < kc:
             break  # kept_points would drop the lowest point of the +E_1 child
-        # The steps of this level with the same kc, each projection child
-        # being (n-1, m-1, ((kc, 1),)); kc <= m - 1, the lowered point's
-        # multiplicity, or kept_points would drop that point.
-        k = min(c, x - 1 - (kc - 1) * q)
-        proj += k * (binom(n + m - 2, n - 1) - binom(n + kc - 2, n - 1))
+        # The steps of this level with the same kc.  The first one's
+        # projection child (n-1, m-1, images + kc+) has vdim v0.
+        if kc > 0:
+            k = min(c, x - 1 - (kc - 1) * q)
+            v0 = full - comb(n + kc - 2, n - 1)
+        else:
+            k, v0 = c, full
+        if r + shift > 0:
+            # r2 <= r, the next largest multiplicity the step leaves alone.
+            if c > 2:
+                r2 = m
+            elif c == 2:
+                r2 = m - 1 if below else runs[j][0]
+            elif below:
+                r2 = m - 1 if below > 1 else runs[j][0]
+            else:
+                r2 = r if runs[j][1] > 1 else runs[j + 1][0]
+            # The child's two largest multiplicities are r + shift and
+            # max(r2 + shift, kc); the pair bound is their sum <= d' + 1 = m.
+            if r + shift + max(r2 + shift, kc) > m:
+                break
+            # Its images: c - 1 at a1, below at a1 - 1 and runs[j:] shifted,
+            # the positive ones; with kc+, s1 points summing to t1.
+            a1 = m + shift
+            images = [(a1, c - 1)]
+            if a1 > 1:
+                images.append((a1 - 1, below))
+                for mi, ci in runs[j:]:
+                    if mi + shift <= 0:
+                        break
+                    images.append((mi + shift, ci))
+            s1, t1 = kc > 0, max(kc, 0)
+            for a, ci in images:
+                s1 += ci
+                t1 += a * ci
+            few = s1 <= n + 1
+            if not few and (n == 3 or t1 > (n - 1) * (m - 1) + 1):
+                break  # neither a few-point leaf nor a summed chain
+            for a, ci in images:
+                v0 -= ci * binom(n + a - 2, n - 1)
+            if few and v0 < 0:
+                break  # a few-point leaf, worth max(vdim, 0)
+            # Each later step moves one image from a1 to a1 - 1, which
+            # raises the child's vdim by B(a1) - B(a1 - 1) = binom(n+a1-3, n-2).
+            proj += binom(n + a1 - 3, n - 2) * (k * (k - 1) // 2)
+        proj += k * v0
         steps += k
+        done += 1
         x -= k
         c -= k
         below += k
         if not c:
             m, c, below = m - 1, below, 0
-            if rest and rest[-1][0] == m - 1:
-                below = rest.pop()[1]
-    landing = ((m, c),) + (((m - 1, below),) if below else ()) + tuple(rest[::-1])
-    if x <= 1:
+            full = comb(n + m - 2, n - 1)
+            if j < len(runs) and runs[j][0] == m - 1:
+                below = runs[j][1]
+                j += 1
+    landing = ((m, c),) + (((m - 1, below),) if below else ()) + runs[j:]
+    if summed:
         h = binom(n + d, n)
         for mi, ci in landing:
             h -= ci * binom(n + mi - 1, n)
-        return None, steps, h - proj
+        return None, steps, h - proj, done
     if not steps:
         return None
-    return (n, d, landing), steps, proj
+    return (n, d, landing), steps, proj, done
 
 
 def _eval(
@@ -280,9 +375,10 @@ def _eval(
     # m_1-descent: walk the +E_1 chain iteratively, recursing only into the
     # projected (n-1)-dimensional systems, until a node is a memo hit or a
     # base case; then unwind the chain, memoizing each node.  A stretch of
-    # steps with one-point projection leaves is one node whose +E_1 edge
-    # stands for all its steps.  Every visit is counted here; the call
-    # fails once stats.nodes passes stop.  Traced, each visit appends
+    # steps whose projection children are worth their vdim is one node
+    # whose +E_1 edge stands for all its steps.  Every visit and every run
+    # a stretch steps is counted here; the call fails once stats.nodes +
+    # stats.steps passes stop.  Traced, each visit appends
     # (depth, label, key, mark) to nodes, mark "memo", "summed", "stepped
     # N" or ""; recursive_h0 reads the values from the memo after the
     # walk.  chain[i] = (key, projected value down to the next node).
@@ -292,7 +388,7 @@ def _eval(
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        if stats.nodes > stop:
+        if stats.nodes + stats.steps > stop:
             raise RecursionGuardError(f"recursion exceeded {MAX_NODES} nodes")
         mark = ""
         stretch = None
@@ -302,7 +398,10 @@ def _eval(
             mark = "memo"
         else:
             h = _base_value(key)
-            if h is None and (stretch := _stretch(key)) is not None:
+            if h is None and (
+                stretch := _stretch(key, stop - stats.nodes - stats.steps)
+            ) is not None:
+                stats.steps += stretch[3]
                 if stretch[0] is None:
                     h, mark = stretch[2], "summed"
                 else:
@@ -349,7 +448,8 @@ def recursive_h0(
         state = RecState()
     key = (norm.n, norm.d, runs_of(norm.mults))
     nodes: list[tuple[int, str, Key, str]] | None = None if trace is None else []
-    val = _eval(key, state, nodes, 0, "root", state.stats.nodes + MAX_NODES)
+    stop = state.stats.nodes + state.stats.steps + MAX_NODES
+    val = _eval(key, state, nodes, 0, "root", stop)
     for depth, label, (n, d, runs), mark in nodes or ():
         tail = f" [{mark}]" if mark else ""
         name = system_label(n, d, points_of(runs))

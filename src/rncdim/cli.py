@@ -189,8 +189,9 @@ def _answer(args: argparse.Namespace) -> dict:
     }
     if rec_state is not None:
         st = rec_state.stats
-        obj["recursion_stats"] = {"nodes": st.nodes, "memo_hits": st.memo_hits,
-                                  "max_depth": st.max_depth, "memo_size": len(rec_state.memo)}
+        obj["recursion_stats"] = {"nodes": st.nodes, "steps": st.steps,
+                                  "memo_hits": st.memo_hits, "max_depth": st.max_depth,
+                                  "memo_size": len(rec_state.memo)}
     if rec_trace is not None:
         obj["recursion_trace"] = rec_trace
     return obj

@@ -19,7 +19,7 @@ from rncdim.castelnuovo import (
 )
 from rncdim.formula import dimension, in_domain
 from rncdim.oracle import h0
-from rncdim.systems import kc_from_sum, kc_value, normalize, points_of, runs_of, system
+from rncdim.systems import kc_from_sum, kc_value, normalize, points_of, runs_of, system, vdim
 
 
 def test_l_map_worked_example():
@@ -129,12 +129,13 @@ def _near_region_key(rng):
 
 
 def test_summed_chain_matches_walk():
-    # Inside the region (T <= n*d + 1 and m_1 + m_2 <= d + 1) the closed
-    # form equals the walked chain; one past the region's bound the stepper
-    # declines, and there the first projection child is not empty.  At
-    # T = n*d + 2 one step reaches T = n*d + 1, so the stretch is summed
-    # after that step (or declines at m_1 = 1, where the step drops a
-    # point).
+    # Inside the one-point region (T <= n*d + 1 and m_1 + m_2 <= d + 1)
+    # the closed form equals the walked chain; one past the region's bound
+    # the key is not summed where it stands, its first projection child is
+    # not empty, and what the stepper does take matches the walk.  At
+    # T = n*d + 2 one step reaches T = n*d + 1, so
+    # the stretch is summed after that step (or declines at m_1 = 1, where
+    # the step drops a point).
     rng = random.Random(43)
     seen = Counter()
     while seen["inside"] < 5000:
@@ -145,8 +146,9 @@ def test_summed_chain_matches_walk():
         mults = points_of(runs)
         t_gap = n * d + 1 - sum(mults)
         r_gap = d + 1 - mults[0] - mults[1]
+        got = _stretch(key, castelnuovo.MAX_NODES)
         if t_gap >= 0 and r_gap >= 0:
-            assert _stretch(key) == (None, 0, _walk_chain(key)), key
+            assert got == (None, 0, _walk_chain(key), 0), key
             seen["inside"] += 1
             seen["T = nd+1"] += t_gap == 0
             seen["r+m1 = d+1"] += r_gap == 0
@@ -155,12 +157,20 @@ def test_summed_chain_matches_walk():
             seen["c1 = 1"] += runs[0][1] == 1
             seen["m1 = 1"] += mults[0] == 1
         elif r_gap == -1:
-            assert _stretch(key) is None, key
+            assert got is None or got[1] > 0, key
             assert _children(key)[1][2] != (), key
+            if got is not None:
+                landing, steps, value, _ = got
+                leaf, taken = _walk_steps(key)
+                if landing is None:
+                    assert value == _base_value(leaf) - sum(v for _, _, v in taken), key
+                else:
+                    assert landing == taken[steps][0], key
+                    assert value == sum(v for _, _, v in taken[:steps]), key
             seen["r+m1 = d+2"] += 1
         elif t_gap == -1 and r_gap >= 0:
-            want = None if mults[0] == 1 else (None, 1, _walk_chain(key))
-            assert _stretch(key) == want, key
+            want = None if mults[0] == 1 else (None, 1, _walk_chain(key), 1)
+            assert got == want, key
             seen["T = nd+2"] += 1
     assert min(seen.values()) >= 50, seen
 
@@ -168,99 +178,189 @@ def test_summed_chain_matches_walk():
 def _walk_steps(key, steps=None):
     """Walk the +E1 chain from key through _children, `steps` steps, or to
     a leaf when steps is None, evaluating every projection child with
-    _eval on a fresh state.  Returns the key reached, the sum of the
-    projection values, and how many of them are 0."""
-    proj_sum = zeros = 0
-    while (_base_value(key) is None) if steps is None else steps > 0:
-        key, proj_key = _children(key)
+    _eval on a fresh state.  Returns the key reached and, for each step,
+    (the key stepped from, its projection child, the child's value)."""
+    taken = []
+    while (_base_value(key) is None) if steps is None else len(taken) < steps:
+        up, proj_key = _children(key)
         value = _eval(proj_key, RecState(), None, 0, "root", castelnuovo.MAX_NODES)
-        proj_sum += value
-        zeros += value == 0
-        if steps is not None:
-            steps -= 1
-    return key, proj_sum, zeros
+        taken.append((key, proj_key, value))
+        key = up
+    return key, taken
 
 
-def _stretch_key(rng):
-    """A canonical non-leaf key with r + m_1 <= d + 2, r the largest
-    multiplicity the first step leaves alone; often with many points, so
-    that k_C nears the lowest multiplicity, or with one point above the
-    rest, so that c_1 = 1."""
-    n = rng.randint(3, 6)
-    d = rng.randint(2, 24)
-    s = rng.randint(n + 3, n + 24)
-    hi = rng.randint(1, d // 2 + 1)
-    mults = [rng.randint(max(1, hi - rng.randint(0, 3)), hi) for _ in range(s)]
-    if rng.random() < 0.4:
-        mults[0] = rng.randint(hi, d + 2 - hi)
+def _key_vdim(key):
+    n, d, runs = key
+    return vdim(system(n, d, points_of(runs)))
+
+
+def _step_kc(key):
+    """k_C of the key's +E1 child before the redundant-point rule."""
+    n, d, runs = key
+    return kc_from_sum(n, d, sum(c for _, c in runs), sum(m * c for m, c in runs) - 1)
+
+
+def _blocked(key):
+    """Why the stepper may not take the key's next +E1 step, or None: the
+    step drops a point (the redundant-point rule, or m_1 = 1), or its
+    projection child (n', d', runs') fails the test for being worth its
+    vdim: the two largest multiplicities sum to at most d' + 1, and the
+    child is a few-point leaf (s' <= n' + 2) with vdim >= 0, or n' >= 3
+    and T' <= n'd' + 1, the summed closed form."""
+    up, child = _children(key)
+    if sum(c for _, c in up[2]) < sum(c for _, c in key[2]):
+        return "drop"
+    n, d, runs = child
+    mults = points_of(runs)
+    if sum(mults[:2]) > d + 1:
+        return "pair"
+    if len(mults) <= n + 2:
+        return "vdim < 0" if _key_vdim(child) < 0 else None
+    if n == 2:
+        return "planar"
+    return "T'" if sum(mults) > n * d + 1 else None
+
+
+def _stretch_key(rng, mode):
+    """A canonical non-leaf key, or None when the draw misses.
+
+    mode 0: multiplicities near a level from 1 to d/2 + 1, sometimes one
+    point above the rest so that c_1 = 1; with many points k_C nears the
+    lowest multiplicity.  mode 1: a leading run of c_1 points at m_1 with
+    a1 = 2*m_1 - 1 - d in -2..m_1/2 + 1, so the first projection child
+    keeps some images and often meets the pair bound; c_1 is 1 or 2 in
+    two draws of three, and in three draws of ten the other points have
+    no positive image.  mode 2: the first
+    projection child has T' = n'd' + 2.  When every image is positive,
+    T' - n'd' - 1 = (q + 1)(kc + m_1 - 1 - d) - eps - 1, q = s - n - 2 and
+    eps = kc*q - (T - 1 - n*d) in 0..q-1, so kc = d + 2 - m_1 and
+    eps = q - 1.  Every other point is then in kc..m_1 - 1, so none is
+    dropped, and d >= (3m_1 - 4)/2 keeps the pair bound.  mode 3: two runs
+    (m_1, c_1), (m_1 - 1, b) with T - n*d in (m_1 - 2)q + c_1 + 2..
+    (m_1 - 1)q, so kc = m_1 - 1 while the c_1 points step down, and the
+    point the next step lowers to m_1 - 2 is redundant, or dropped at 0
+    when m_1 = 2."""
+    n = rng.randint(4 if mode == 2 else 3, 7)
+    if mode == 0:
+        d = rng.randint(2, 24)
+        s = rng.randint(n + 3, n + 24)
+        hi = rng.randint(1, d // 2 + 1)
+        mults = [rng.randint(max(1, hi - rng.randint(0, 3)), hi) for _ in range(s)]
+        if rng.random() < 0.4:
+            mults[0] = rng.randint(hi, d + 2 - hi)
+    elif mode == 1:
+        m1 = rng.randint(2, 24)
+        d = 2 * m1 - 1 - rng.randint(-2, min(m1 // 2 + 1, m1 - 1))
+        s = rng.randint(n + 3, n + 12)
+        c1 = rng.choice((1, 2, rng.randint(3, s)))
+        low, high = max(1, m1 - rng.randint(1, 5)), m1 - 1
+        if rng.random() < 0.3:
+            low, high = 1, max(1, min(m1 - 1, d + 1 - m1))
+        mults = [m1] * c1 + [rng.randint(low, high) for _ in range(s - c1)]
+    elif mode == 3:
+        m1, c1 = rng.randint(2, 20), rng.randint(1, 6)
+        b = rng.randint(n + 4, n + 20)
+        q = c1 + b - n - 2
+        total = m1 * c1 + (m1 - 1) * b
+        lo = max(m1, -(((m1 - 1) * q - total) // n))
+        hi = (total - (m1 - 2) * q - c1 - 2) // n
+        if lo > hi:
+            return None
+        d = rng.randint(lo, hi)
+        mults = [m1] * c1 + [m1 - 1] * b
+    else:
+        m1 = rng.randint(3, 24)
+        d = rng.randint((3 * m1 - 3) // 2, 2 * m1 - 3)
+        kc = d + 2 - m1
+        q = rng.randint(2, 10)
+        s = n + 2 + q
+        extra = (kc - 1) * q + 2 + n * d - m1 - (s - 1) * kc
+        if not 0 <= extra <= (s - 1) * (m1 - 1 - kc):
+            return None
+        mults = [m1] + [kc] * (s - 1)
+        for i in rng.sample(range(1, s), s - 1):
+            step = min(extra, m1 - 1 - kc)
+            mults[i] += step
+            extra -= step
     norm = normalize(system(n, d, mults))
     key = (n, d, runs_of(norm.mults))
-    if norm.n != n or _base_value(key) is not None:
-        return None
-    (m1, c1), rest = key[2][0], key[2][1:]
-    r = m1 if c1 > 1 else rest[0][0]
-    return key if r + m1 <= d + 2 else None
+    return key if norm.s >= n + 3 and _base_value(key) is None else None
+
+
+STRETCH_CASES = (
+    "c1 >= 3, a1 > 0", "c1 = 2, a1 > 0", "c1 = 1, a1 > 0", "s' falls in a run",
+    "r'+m1' = d'+2 declines", "T' = n'd'+2 declines", "planar declines",
+    "redundant stop", "stop before kc > m1 - 1", "m1 = 1 stop", "summed",
+)
 
 
 def test_stretch_matches_walk():
     # Each stretch against the same steps walked one at a time through
     # _children and _eval: the landing key and the sum of the projection
-    # values agree, no step drops a point, and the stretch stops only
-    # where its next step would drop one (the redundant-point rule, or
-    # m_1 = 1).  A summed stretch equals the whole chain walked to its
-    # leaf.  No projection value in a stretch is 0: that needs k_C > m_1 - 1,
-    # which makes the lowered point redundant, so the stretch stops before
-    # such a step.  At r + m_1 = d + 2 the stepper declines, and the first
-    # projection child is not the one-point leaf it would assume.
-    rng = random.Random(29)
+    # values agree, no step drops a point, every projection child's value
+    # is its vdim and passes the stepper's test (_blocked), and the stretch
+    # stops only where its next step is blocked.  A summed stretch equals
+    # the whole chain walked to its leaf.  A key whose first step is
+    # blocked declines, the boundaries of the test included: a pair of
+    # multiplicities one above d' + 1, T' = n'd' + 2, and, for n = 3, a
+    # planar child that is not a few-point leaf.  Within a run of constant
+    # k_C the images at a1 = 2m - 1 - d move one by one to a1 - 1; at
+    # a1 = 1 they leave the child, so its point count falls within the run.
+    # A few-point child under the pair bound with vdim < 0 would block a
+    # step too, but no key reaches one: none of these draws, and none of
+    # the 97,068 canonical keys with n = 3, 4, 5, d <= 11, 8, 6 and
+    # s <= 9, 10, 11 whose first step keeps its points.  L_3,20(11^5,1)
+    # comes first: its first step leaves n + 1 = 4 positive images, 1
+    # each, and k_C < 0, so its child L_2,10(1^4) is a few-point leaf at
+    # the bound of the stepper's cheap test.
+    rng = random.Random(30)
     seen = Counter()
-    while min(seen[k] for k in (
-        "c1 > 1", "c1 = 1", "redundant stop", "m1 = 1 stop", "lands on T = nd+1",
-        "stop before kc > m1 - 1", "r+m1 = d+2",
-    )) < 50:
-        key = _stretch_key(rng)
+    fixed = [(3, 20, ((11, 5), (1, 1)))]
+    while min(seen[k] for k in STRETCH_CASES) < 50:
+        key = fixed.pop() if fixed else _stretch_key(rng, rng.randrange(4))
         if key is None:
             continue
         n, d, runs = key
-        (m1, c1), rest = runs[0], runs[1:]
-        r = m1 if c1 > 1 else rest[0][0]
+        m1, c1 = runs[0]
         s = sum(c for _, c in runs)
-        total = sum(m * c for m, c in runs)
-        got = _stretch(key)
-        if r + m1 == d + 2:
-            assert got is None, key
-            kc = kc_from_sum(n, d, s, total - 1)
-            one_point = (n - 1, m1 - 1, ((kc, 1),) if kc > 0 else ())
-            assert _children(key)[1] != one_point, key
-            seen["r+m1 = d+2"] += 1
-            continue
+        got = _stretch(key, castelnuovo.MAX_NODES)
         if got is None:
-            # T > n*d + 1, and the first step drops a point.
-            assert total > n * d + 1, key
-            up = _children(key)[0]
-            assert sum(c for _, c in up[2]) < s, key
-            seen["declined"] += 1
+            why = _blocked(key)
+            assert why is not None, key
+            child = _children(key)[1]
+            pair = sum(points_of(child[2])[:2])
+            t1 = sum(m * c for m, c in child[2])
+            seen["r'+m1' = d'+2 declines"] += why == "pair" and pair == m1 + 1
+            seen["T' = n'd'+2 declines"] += why == "T'" and t1 == (n - 1) * (m1 - 1) + 2
+            seen["planar declines"] += why == "planar"
             continue
-        landing, steps, value = got
-        seen["c1 > 1" if c1 > 1 else "c1 = 1"] += 1
+        landing, steps, value, runs_stepped = got
+        assert (runs_stepped > 0) == (steps > 0) and runs_stepped <= steps, key
         if landing is None:
-            leaf, proj_sum, zeros = _walk_steps(key)
-            assert value == _base_value(leaf) - proj_sum, key
-            seen["lands on T = nd+1"] += steps > 0
+            leaf, taken = _walk_steps(key)
+            assert value == _base_value(leaf) - sum(v for _, _, v in taken), key
+            taken = taken[:steps]
+            seen["summed"] += steps > 0
         else:
-            walked, proj_sum, zeros = _walk_steps(key, steps)
-            assert (landing, value) == (walked, proj_sum), key
+            walked, taken = _walk_steps(key, steps)
+            assert (landing, value) == (walked, sum(v for _, _, v in taken)), key
             assert sum(c for _, c in landing[2]) == s, key
-            up = _children(landing)[0]
-            m_low = landing[2][0][0]
-            if m_low == 1:
-                seen["m1 = 1 stop"] += 1
-            else:
-                assert sum(c for _, c in up[2]) < s, key
-                seen["redundant stop"] += 1
-                total = sum(m * c for m, c in landing[2])
-                seen["stop before kc > m1 - 1"] += kc_from_sum(n, d, s, total - 1) > m_low - 1
-        assert zeros == 0, key
+            why = _blocked(landing)
+            assert why is not None, key
+            if why == "drop":
+                m_low = landing[2][0][0]
+                seen["m1 = 1 stop" if m_low == 1 else "redundant stop"] += 1
+                seen["stop before kc > m1 - 1"] += m_low > 1 and _step_kc(landing) > m_low - 1
+        for step_key, child, child_value in taken:
+            assert child_value == _key_vdim(child), (key, child)
+            assert _blocked(step_key) is None, (key, step_key)
+        if steps and 2 * m1 - 1 - d > 0:
+            seen[f"c1 {'>= 3' if c1 >= 3 else f'= {c1}'}, a1 > 0"] += 1
+        seen["s' falls in a run"] += any(
+            a[1][1] == b[1][1] and _step_kc(a[0]) == _step_kc(b[0])
+            and sum(c for _, c in b[1][2]) < sum(c for _, c in a[1][2])
+            for a, b in zip(taken, taken[1:])
+        )
 
 
 def test_formula_matches_recursion_far_above_nd():
@@ -289,27 +389,54 @@ def test_formula_matches_recursion_far_above_nd():
     assert checked >= 250, checked
 
 
+def test_formula_matches_recursion_outside_one_point_region():
+    # Large-d systems whose two largest multiplicities exceed d + 1, so
+    # that the root's projection children keep images and the chain is
+    # stepped, where it is, on children worth their vdim: the closed
+    # formula and the recursion agree on every in-domain draw of
+    # random.Random(30), none chosen by its value.
+    rng = random.Random(30)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        d = rng.randint(100, 2000)
+        s = rng.randint(n + 3, n + 10)
+        c1 = rng.randint(2, 4)
+        mults = [rng.randint((d + 3) // 2, 3 * d // 5) for _ in range(c1)]
+        mults += [rng.randint(d // 4, d // 2) for _ in range(s - c1)]
+        norm = normalize(system(n, d, mults))
+        if not in_domain(norm):
+            continue
+        assert 2 * norm.mults[1] > d + 1, (n, d, mults)
+        assert recursive_h0(norm) == dimension(norm).dimension, (n, d, mults)
+        checked += 1
+    assert checked >= 180, checked
+
+
 @pytest.mark.parametrize(
     "n, d, mults, want",
     [
-        # h0, nodes, memo_hits, max_depth, memo size
-        (10, 30, [20] * 20, (459077106, 227, 0, 99, 227)),
-        (4, 200, [120] * 9, (2309586, 731, 0, 179, 731)),
-        (6, 40, [30] * 12, (1, 1127, 93, 92, 1034)),
-        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 37, 0, 13, 37)),
-        (3, 200, [96] * 11, (154175, 1, 0, 0, 1)),
+        # h0, nodes, steps, memo_hits, max_depth, memo size
+        (10, 30, [20] * 20, (459077106, 23, 56, 0, 11, 23)),
+        (4, 200, [120] * 9, (2309586, 409, 609, 0, 28, 409)),
+        (6, 40, [30] * 12, (1, 371, 674, 12, 29, 359)),
+        (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 11, 12, 0, 4, 11)),
+        (3, 200, [96] * 11, (154175, 1, 110, 0, 0, 1)),
+        (4, 13000, [6800] * 12, (269544566535671, 1, 7400, 0, 0, 1)),
     ],
 )
 def test_recursion_counters_pinned(n, d, mults, want):
     # The h0 values are the ones every earlier form of the recursion gave.
-    # The counters pin the walk that steps each stretch of one-point
-    # projection leaves as one node, and sums the rest of a chain in closed
-    # form from T = n*d + 1: neither the stepped nodes nor their projection
-    # leaves are visited or memoized.
+    # The counters pin the walk that steps each stretch of projection
+    # children worth their vdim as one node, one run of constant k_C per
+    # step counted, and sums the rest of a chain in closed form from
+    # T = n*d + 1 in the one-point region: neither the stepped nodes nor
+    # their projection children are visited or memoized.
     state = RecState()
     h = recursive_h0(system(n, d, mults), state=state)
     stats = state.stats
-    assert (h, stats.nodes, stats.memo_hits, stats.max_depth, len(state.memo)) == want
+    got = (h, stats.nodes, stats.steps, stats.memo_hits, stats.max_depth, len(state.memo))
+    assert got == want
 
 
 def test_memo_keys_are_runs():
@@ -363,7 +490,7 @@ def test_recursive_memo_consistency():
 
 
 def test_recursive_shared_state():
-    # L_4,4(4^2,2^6) walks a chain of depth 3 (L_3,6(2^10), summed at the
+    # L_4,4(4^2,2^6) walks a chain of depth 1 (L_3,6(2^10), summed at the
     # root, has depth 0).
     state = RecState()
     first = recursive_h0(system(4, 4, [4, 4] + [2] * 6), state=state)
@@ -385,21 +512,29 @@ def test_recursive_trace_render():
     val = recursive_h0(system(3, 4, [2, 2, 2, 1, 1, 1]), trace=trace)
     assert val == 20
     assert trace == ["root L_3,4(2,2,2,1,1,1) = 20 [summed]"]
-    # A projection subtree that ends in a summed chain, above the root
-    # chain's own summed node.
+    # The root's first projection child and its +E1 child are each summed
+    # after a stretch whose projection children are worth their vdim.
     trace = []
     val = recursive_h0(system(4, 4, [4, 4, 2, 2, 2, 2, 2, 2]), trace=trace)
     assert val == 1
     assert trace == [
         "root L_4,4(4,4,2,2,2,2,2,2) = 1",
-        "  project L_3,3(3,2,1,1,1,1,1,1) = 2",
-        "    project L_2,2(1,1) = 4",
-        "    +E1 L_3,3(2,2,1,1,1,1,1,1) = 6 [summed]",
-        "  +E1 L_4,4(4,3,2,2,2,2,2,2) = 3",
-        "    project L_3,3(2,1,1,1,1,1,1,1) = 9 [summed]",
-        "    +E1 L_4,4(3,3,2,2,2,2,2,2) = 12",
-        "      project L_3,2(1,1) = 8",
-        "      +E1 L_4,4(3,2,2,2,2,2,2,2) = 20 [summed]",
+        "  project L_3,3(3,2,1,1,1,1,1,1) = 2 [summed]",
+        "  +E1 L_4,4(4,3,2,2,2,2,2,2) = 3 [summed]",
+    ]
+    # A projection subtree that ends in a summed chain, above the root
+    # chain's own summed node.
+    trace = []
+    val = recursive_h0(system(4, 8, [8, 7, 5, 4, 4, 4, 3, 3]), trace=trace)
+    assert val == 3
+    assert trace == [
+        "root L_4,8(8,7,5,4,4,4,3,3) = 3",
+        "  project L_3,7(6,4,3,3,3,3,2,2) = 10",
+        "    project L_2,5(2,2,1,1,1,1) = 11",
+        "    +E1 L_3,7(5,4,3,3,3,3,2,2) = 21 [summed]",
+        "  +E1 L_4,8(7,7,5,4,4,4,3,3) = 13",
+        "    project L_3,6(5,3,2,2,2,2,1,1) = 22 [summed]",
+        "    +E1 L_4,8(7,6,5,4,4,4,3,3) = 35 [summed]",
     ]
     # A stretch of 4 stepped +E1 steps stops where the next step would drop
     # a point of multiplicity 1 < k_C = 2; that step is walked.
@@ -421,11 +556,12 @@ TRACE_LINE = re.compile(
 
 
 def _trace_systems():
-    # The three pinned listings' systems, the worked example, a walk into a
+    # The four pinned listings' systems, the worked example, a walk into a
     # stepped stretch, and one perturbation (d and each m_i by -1..1) of six
     # shapes of the `queries` benchmark workload's strata.
     yield system(3, 4, [2, 2, 2, 1, 1, 1])
     yield system(4, 4, [4, 4, 2, 2, 2, 2, 2, 2])
+    yield system(4, 8, [8, 7, 5, 4, 4, 4, 3, 3])
     yield system(5, 8, [7, 6, 6] + [5] * 7 + [2] * 3)
     yield system(3, 5, [3] * 4 + [2] * 8)
     yield system(4, 6, [5, 4] + [3] * 7 + [2] * 16)
@@ -464,16 +600,31 @@ def test_recursion_guard(monkeypatch):
         recursive_h0(system(5, 8, [7, 6, 6] + [5] * 7))
 
 
+def test_recursion_guard_charges_stretch_runs(monkeypatch):
+    # A stretch is one node however many runs of constant k_C it steps;
+    # each run counts against the budget too, so a stretch longer than the
+    # budget fails instead of running on.  L_3,300000(144000^11) is one
+    # node and 165,817 runs.
+    big = system(3, 300000, [144000] * 11)
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 165_818)
+    state = RecState()
+    assert recursive_h0(big, state=state) == 507248442193001
+    assert (state.stats.nodes, state.stats.steps) == (1, 165_817)
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 165_817)
+    with pytest.raises(RecursionGuardError, match="exceeded 165817 nodes"):
+        recursive_h0(big, state=RecState())
+
+
 def test_recursion_guard_counts_one_call(monkeypatch):
     # The budget is per call; RecStats counts over every call that shares
     # the state, so a long shared run must not trip on small systems.
     monkeypatch.setattr(castelnuovo, "MAX_NODES", 50)
     state = RecState()
     for _ in range(100):
-        before = state.stats.nodes
+        before = state.stats.nodes + state.stats.steps
         assert recursive_h0(system(3, 6, [2] * 10), state=state) == 45
-        assert state.stats.nodes - before <= 50
-    assert state.stats.nodes == 100
+        assert state.stats.nodes + state.stats.steps - before <= 50
+    assert (state.stats.nodes, state.stats.steps) == (100, 1)
 
 
 def test_three_evaluators_agree_on_fixed_instances():

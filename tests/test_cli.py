@@ -258,10 +258,15 @@ def test_recursion_guard_exit_code(capsys, monkeypatch):
     assert main(["dim", "-n", "6", "-d", "40", "-m", "30^12",
                  "--evaluators", "recursive"]) == 3
     assert capsys.readouterr().err == "error: recursion exceeded 10 nodes\n"
-    # L_4,4(4^2,2^6) walks 9 nodes.
+    # L_4,4(4^2,2^6) visits 3 nodes and steps 3 runs.
     monkeypatch.setattr(castelnuovo, "MAX_NODES", 2)
     assert main(["verify", "-n", "4", "-d", "4", "-m", "4^2,2^6"]) == 3
     assert capsys.readouterr().err == "error: recursion exceeded 2 nodes\n"
+    # One node whose stretch steps 165,817 runs, each charged.
+    monkeypatch.setattr(castelnuovo, "MAX_NODES", 1000)
+    assert main(["dim", "-n", "3", "-d", "300000", "-m", "144000^11",
+                 "--evaluators", "recursive"]) == 3
+    assert capsys.readouterr().err == "error: recursion exceeded 1000 nodes\n"
 
 
 def test_dim_recursion_trace(capsys):
@@ -270,7 +275,7 @@ def test_dim_recursion_trace(capsys):
     args = ["dim", "-n", "4", "-d", "4", "-m", "4^2,2^6", "--evaluators", "recursive"]
     listing = []
     recursive_h0(rncdim.system(4, 4, [4, 4] + [2] * 6), trace=listing)
-    assert len(listing) == 9 and "[summed]" in listing[-1]
+    assert len(listing) == 3 and "[summed]" in listing[-1]
     assert main([*args, "--trace"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "dimension 1  [recursive]"
@@ -291,17 +296,19 @@ def test_dim_recursion_trace(capsys):
 def test_dim_recursion_stats(capsys):
     # Structured output carries the recursion's counters whenever it ran,
     # auto's route outside the formula's domain included: L_3,6(2^10) is
-    # one summed node, L_4,4(4^2,2^6) walks nine.  The formula's answer
-    # and the human listing carry none.
+    # one summed node after one stepped run, L_4,4(4^2,2^6) visits three
+    # nodes.  The formula's answer and the human listing carry none.
     args = ["dim", "-n", "3", "-d", "6", "-m", "2^10", "--format", "structured"]
     assert main([*args, "--evaluators", "recursive"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["dimension"] == 45
-    assert obj["recursion_stats"] == {"nodes": 1, "memo_hits": 0, "max_depth": 0, "memo_size": 1}
+    assert obj["recursion_stats"] == {"nodes": 1, "steps": 1, "memo_hits": 0, "max_depth": 0,
+                                      "memo_size": 1}
     assert main(["dim", "-n", "4", "-d", "4", "-m", "4^2,2^6", "--format", "structured",
                  "--evaluators", "recursive"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    assert obj["recursion_stats"] == {"nodes": 9, "memo_hits": 0, "max_depth": 3, "memo_size": 9}
+    assert obj["recursion_stats"] == {"nodes": 3, "steps": 3, "memo_hits": 0, "max_depth": 1,
+                                      "memo_size": 3}
     assert main(["dim", "-n", "2", "-d", "4", "-m", "1,1", "--format", "structured"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert (obj["evaluator"], obj["recursion_stats"]["nodes"]) == ("recursive", 1)
