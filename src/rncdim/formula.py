@@ -9,7 +9,9 @@ where t runs over 0..floor(n/2), I over subsets of the points with
 multiplicities in I, and r = |I| + 2t - 1.  Subsets enter only through
 (|I|, sigma), so instead of 2^s terms we count subsets by size and sum with
 a generating-function DP over the multiplicity multiset and weight each
-(c, sigma, t) class by its count.
+(c, sigma, t) class by its count.  Only the empty class and the classes
+with k >= 1 are listed: f is evaluated only when k >= c + t, so any other
+class adds 0, and a special effect needs k >= 1.
 
 The module also carries the small-s evaluator ldim (inclusion-exclusion
 over all subsets, valid for s <= n+2), the planar closed form with its
@@ -46,7 +48,9 @@ class JoinClass:
     count is the number of c-subsets of the points whose multiplicities sum
     to sigma; every such subset contributes the same term f, so the class
     adds signed = (-1)^c * count * f.  f is 0, and not evaluated, when its
-    argument a = n + k - r - 1 satisfies a < n - t (pruning invariant).
+    argument a = n + k - r - 1 satisfies a < n - t, that is when
+    k < c + t (pruning invariant).  So a class with k < 1 adds 0 unless it
+    is the empty class (c = t = 0), and enumerate_join_classes skips it.
     """
 
     c: int
@@ -79,12 +83,14 @@ def subset_counts(mults: Sequence[int], cmax: int) -> list[dict[int, int]]:
 
 
 def enumerate_join_classes(sys: LinearSystemSpec) -> list[JoinClass]:
-    """All (c, sigma, t) classes of the dimension sum for a system with
-    s >= n+3, ordered by (t, c, sigma), each with its f value and signed
-    term.
+    """The (c, sigma, t) classes of the dimension sum that can count, for a
+    system with s >= n+3, ordered by (t, c, sigma), each with its f value
+    and signed term.
 
     k = sigma + t*kc - (t + c - 1)*d and r = c + 2t - 1; the empty class
-    (c=0, sigma=0, t=0) is always present with k = d, r = -1.
+    (c=0, sigma=0, t=0) is always present with k = d, r = -1.  Every other
+    class is listed only if k >= 1: below that its f is 0 (f needs
+    k >= c + t) and it is no special effect, so the sum is unchanged.
     """
     n, d, mults = sys.n, sys.d, sys.mults
     s = len(mults)
@@ -97,6 +103,8 @@ def enumerate_join_classes(sys: LinearSystemSpec) -> list[JoinClass]:
             r = c + 2 * t - 1
             for sigma in sorted(counts[c]):
                 k = sigma + t * kc - (t + c - 1) * d
+                if k < 1 and (c or t):
+                    continue
                 a = n + k - r - 1
                 val = f(t, a, s, eps, n) if a >= n - t else 0
                 count = counts[c][sigma]
@@ -141,7 +149,9 @@ def in_domain(norm: NormalizedSystem) -> bool:
 def dimension(sys: LinearSystemSpec) -> DimensionReport:
     """Dimension (affine h0) of a system in_domain after normalization.
 
-    Sums the signed terms of enumerate_join_classes exactly.  Inputs
+    Sums the signed terms of enumerate_join_classes exactly.  That lists
+    only the empty class and the classes with k >= 1; the skipped ones have
+    f = 0 and are no special effects, so they add nothing.  Inputs
     outside in_domain raise DomainViolation; route those to the recursion
     (or ldim for s <= n+2).
 

@@ -14,6 +14,7 @@ from rncdim.formula import (
     double_points_h1,
     double_points_h1_f1,
     enumerate_join_classes,
+    in_domain,
     ldim,
     ldim_sum,
     planar_g,
@@ -24,7 +25,7 @@ from rncdim.formula import (
     subset_counts,
 )
 from rncdim.oracle import h0
-from rncdim.systems import epsilon_value, normalize, system, vdim
+from rncdim.systems import epsilon_value, kc_value, normalize, system, vdim
 
 WORKED = system(5, 8, [7, 6, 6] + [5] * 7)
 
@@ -178,8 +179,77 @@ def test_enumerate_join_classes_structure():
         a = n + jc.k - jc.r - 1
         want = f(jc.t, a, WORKED.s, eps, n) if a >= n - jc.t else 0
         assert (jc.f, jc.signed) == (want, (-1) ** jc.c * jc.count * want)
-    # The empty class exists for each t.
-    assert {(jc.t, jc.c) for jc in classes if jc.c == 0} == {(0, 0), (1, 0), (2, 0)}
+    # Past the empty class (t = c = 0) only classes with k >= 1 are listed,
+    # so the (t, c = 0) class is listed iff t = 0 or t*kc - (t-1)*d >= 1.
+    kc = kc_value(n, d, WORKED.mults)
+    want = {(t, 0) for t in range(n // 2 + 1) if t == 0 or t * kc - (t - 1) * d >= 1}
+    assert {(jc.t, jc.c) for jc in classes if jc.c == 0} == want == {(0, 0), (1, 0), (2, 0)}
+    assert all(jc.k >= 1 for jc in classes[1:])
+    assert len(classes) == 19
+    # The empty class is listed even where its k = d is below 1.
+    empty = enumerate_join_classes(system(2, 0, [1] * 5))[0]
+    assert astuple(empty) == (0, 0, 0, 0, -1, 1, 1, 1)
+
+
+def full_join_classes(sys):
+    """Every (c, sigma, t) class, k < 1 included: the reference that the
+    classes enumerate_join_classes skips are checked against."""
+    n, d, mults = sys.n, sys.d, sys.mults
+    kc = kc_value(n, d, mults)
+    eps = epsilon_value(n, d, mults)
+    counts = subset_counts(mults, n)
+    classes = []
+    for t in range(n // 2 + 1):
+        for c in range(n - 2 * t + 1):
+            r = c + 2 * t - 1
+            for sigma in sorted(counts[c]):
+                k = sigma + t * kc - (t + c - 1) * d
+                a = n + k - r - 1
+                val = f(t, a, len(mults), eps, n) if a >= n - t else 0
+                count = counts[c][sigma]
+                classes.append(
+                    JoinClass(c, sigma, t, k, r, count, val, (-1) ** c * count * val)
+                )
+    return classes
+
+
+def test_join_classes_skip_only_classes_that_add_nothing():
+    rng = random.Random(31)
+    systems = [normalize(WORKED)]
+    while len(systems) < 520:
+        n = rng.randint(2, 8)
+        d = rng.randint(0, 14)
+        s = rng.randint(n + 3, n + 8)
+        norm = normalize(system(n, d, [rng.randint(1, max(d, 1)) for _ in range(s)]))
+        if in_domain(norm):
+            systems.append(norm)
+    summed = dropped = 0
+    for norm in systems:
+        n, d = norm.n, norm.d
+        full = full_join_classes(norm)
+        kept = enumerate_join_classes(norm)
+        skipped = set(full) - set(kept)
+        # Kept classes equal the reference's field for field, in its order.
+        assert kept == [jc for jc in full if jc not in skipped], norm
+        kc = kc_value(n, d, norm.mults)
+        for t in range(n // 2 + 1):
+            listed = any(jc.t == t and jc.c == 0 for jc in kept)
+            assert listed == (t == 0 or t * kc - (t - 1) * d >= 1), (norm, t)
+        rep = dimension(norm)
+        for jc in skipped:
+            assert (jc.c, jc.t) != (0, 0) and jc.k < 1 and jc.f == 0, (norm, jc)
+            assert jc not in rep.special_effects, (norm, jc)
+        dropped += len(skipped)
+        # A point above d or a filling join (r = n) empties the system
+        # without the class sum; otherwise the sum is the reference's.
+        if norm.mults[0] > d or any(jc.r == n for jc in rep.special_effects):
+            continue
+        assert rep.dimension == sum(jc.signed for jc in full), norm
+        assert rep.contributions == tuple(jc for jc in full if jc.f), norm
+        effects = tuple(jc for jc in full if jc.k >= 1 and jc.r >= 1)
+        assert rep.special_effects == effects, norm
+        summed += 1
+    assert summed >= 500 and dropped >= 50_000
 
 
 def test_ldim_values():
