@@ -11,8 +11,10 @@ multiplicities become m_1 + m_i - d), and the image point q of the curve's
 projection picks up multiplicity kc+ of the system being projected.  The
 descent lowers m_1 until normalization drops the point or a base case is
 reached: d < 0 or m_1 > d (empty), no points (full space), s <= n+2
-(subset formula), n = 2 (planar closed form), n = 1 (points on a line
-impose independent conditions).
+(subset formula), n = 1 (points on a line impose independent
+conditions).  A plane system with s >= 5 points is a chain node like any
+other, so the recursion never uses the planar closed form
+`formula.planar_h0`, and the two are independent checks of each other.
 
 The recursion steps on canonical keys (n, d, runs): the multiplicities of
 the normalized system in run-length form ((m, count), ...), m strictly
@@ -25,8 +27,8 @@ point of the leading run down to m_1 - 1 (dropping it at 0); the
 projection child shifts each run, stops at the first non-positive image,
 and merges kc+ into its run or inserts it.  Both then go through
 `systems.kept_points`, the one redundant-point rule.  Point lists are
-expanded from the runs only at the leaves that need one (ldim_sum,
-planar_h0) and in trace listings.
+expanded from the runs only at the few-point leaves (ldim_sum) and in
+trace listings.
 
 The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
@@ -40,7 +42,7 @@ nodes from the unwind).
 
 Where each projection child is worth its virtual dimension (vdim), a
 stretch of the chain is stepped in integer arithmetic instead of walked.
-Take a chain node (n, d, runs) that is not a leaf (so n >= 3, s >= n + 3),
+Take a chain node (n, d, runs) that is not a leaf (so n >= 2, s >= n + 3),
 with multiplicity sum T.  A step lowers one of the c points at m = m_1; its
 projection child is (n-1, m-1, images + kc+), kc being that of D + E_1,
 with images a1 = 2m-1-d for the c-1 points still at m, a1 - 1 for the
@@ -52,7 +54,11 @@ its d' + 1 = m (the pair bound) and either
     two or more points has k_I <= 1 < |I| under the pair bound, so is 0,
     and the leaf is max(vdim, 0); or
   - n - 1 >= 3 and T' <= (n-1)(m-1) + 1, the summed closed form below
-    (an n = 3 child is planar and takes only the few-point case).
+    (an n = 3 child is planar and takes only the few-point case); or
+  - n - 1 = 1 and T' <= m: a child on P^1 is worth max(vdim, 0), since
+    points on a line impose independent conditions, and its vdim is
+    m - T'.  The same summed test T' <= (n-1)(m-1) + 1 reads T' <= m
+    there, so the stepper makes it for every n other than 3.
 Within a level (the c points of the top run lowered one by one) and a run
 of constant kc, each step moves one image from a1 to a1 - 1, so the
 child's vdim rises by binom(n+a1-3, n-2) per step, and a run of k steps
@@ -93,7 +99,8 @@ binom(n+d, n) - (n+2) (here d >= 2, since n*d + 1 >= T >= s >= n + 3).
 Lowering a point from m to 0 subtracts sum_{k=1..m} binom(n+k-2, n-1) =
 binom(n+m-1, n) (hockey stick), and the n + 2 points that stop at 1 each
 subtract one less; so the node's value is
-binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  A
+binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  This
+holds at n = 2 as well, where the projection children lie on P^1.  A
 projection child (n-1, m-1, ...) with n - 1 >= 3 and s' >= n + 2 is such
 a node when it meets the pair bound and T' <= (n-1)(m-1) + 1.
 """
@@ -104,7 +111,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .binomials import binom
-from .formula import ldim_sum, planar_h0
+# planar_h0 is not called here; perfbench/tracing.py wraps this binding
+# as the castelnuovo.base layer, beside ldim_sum.
+from .formula import ldim_sum, planar_h0  # noqa: F401
 from .systems import (
     LinearSystemSpec,
     NormalizedSystem,
@@ -145,7 +154,7 @@ def l_map(sys: LinearSystemSpec) -> LinearSystemSpec:
 def _children(key: Key) -> tuple[Key, Key]:
     """Canonical keys of the +E_1 child normalize(up) and the projection
     child normalize(l_map(up)), where up lowers m_1 of the canonical key by
-    one.  The key has n >= 3 and s >= n + 3."""
+    one.  The key has n >= 2 and s >= n + 3."""
     n, d, runs = key
     m1, c1 = runs[0]
     tail = runs[1:]
@@ -237,8 +246,6 @@ def _base_value(key: Key) -> int | None:
         s += c
     if s <= n + 2:
         return max(ldim_sum(n, d, points_of(runs)), 0)
-    if n == 2:
-        return planar_h0(LinearSystemSpec(n, d, points_of(runs)))
     return None
 
 

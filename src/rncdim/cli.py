@@ -16,6 +16,10 @@ a negative entry: -m -1,5,3.  Only dim and verify run the oracle, so only
 they take --seed, --cap-cells and --oracle.  verify prints each instance's
 oracle.verify_one record as one JSON line, the same for -n -d -m --format
 structured as in --grid, which prints NDJSON and rejects --format human.
+Each call is parsed once, by its command's own parser; so an unrecognized
+argument is reported under the command's name (`rncdim dim: error:
+unrecognized arguments: --bogus`).  Only an empty call, -h/--help and an
+unknown command go to the top-level parser.
 Exit codes: 0 ok, 1 a verify disagreement or a regindex mismatch, 2 bad
 input, 3 domain violation or a size guard (oracle cell cap, recursion node
 budget), 141 (128 + SIGPIPE) the reader closed the output pipe early, as
@@ -338,11 +342,11 @@ def cmd_regindex(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared after it.
-    parse_args leaves it unchanged and gives every call a new namespace
-    filled from the defaults, so main reuses it; callers must not modify
-    it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built on the
+    first call and shared after it.  parse_args leaves a parser unchanged
+    and gives every call a new namespace filled from the defaults, so
+    main reuses them; callers must not modify them."""
     parser = argparse.ArgumentParser(
         prog="rncdim",
         description="Dimensions of linear systems through points on a"
@@ -432,7 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_reg.set_defaults(func=cmd_regindex)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's top-level parser, the one `_parsers` builds and shares."""
+    return _parsers()[0]
 
 
 def _join_negative_mults(argv: Sequence[str]) -> list[str]:
@@ -448,11 +457,24 @@ def _join_negative_mults(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace that build_parser().parse_args gives for argv, after
+    `_join_negative_mults`, parsed once: a call that names a command is
+    parsed by that command's parser alone, so an unrecognized argument is
+    reported as `rncdim dim: error: ...`.  The top-level parser runs only
+    for usage, help and unknown commands."""
+    argv = _join_negative_mults(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
-        _join_negative_mults(sys.argv[1:] if argv is None else argv)
-    )
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

@@ -601,12 +601,13 @@ def verify_one(
     the ones that do not.
     Without it, the verdict is skip-size when the closed values agree with
     each other and disagree:<names> naming all of them when they do not,
-    since none can be preferred.  Two agreements are not independent
-    checks: at n = 2 with m_1 <= d the recursion's base case is planar_h0
-    on the same points, and for at most n+2 positive multiplicities with
-    n >= 2 ldim and the recursion both compute max(ldim_sum, 0); the
-    oracle is the check there.  state carries the recursion memo across
-    calls.  Evaluators are looked up in their modules at call time.
+    since none can be preferred.  One agreement is not an independent
+    check: for at most n+2 positive multiplicities with n >= 2, ldim and
+    the recursion both compute max(ldim_sum, 0); the oracle is the check
+    there.  The recursion never calls planar_h0, so at n = 2 the planar
+    form checks it where the oracle cannot reach.  state carries the
+    recursion memo across calls.  Evaluators are looked up in their
+    modules at call time.
     """
     n, d, ms = spec.n, spec.d, spec.mults
     rec = dict.fromkeys(RECORD_KEYS)

@@ -17,8 +17,8 @@ from rncdim.castelnuovo import (
     l_map,
     recursive_h0,
 )
-from rncdim.formula import dimension, in_domain
-from rncdim.oracle import h0
+from rncdim.formula import dimension, in_domain, planar_h0
+from rncdim.oracle import OracleSizeError, h0
 from rncdim.systems import kc_from_sum, kc_value, normalize, points_of, runs_of, system, vdim
 
 
@@ -389,6 +389,41 @@ def test_formula_matches_recursion_far_above_nd():
     assert checked >= 250, checked
 
 
+def test_planar_recursion_matches_planar_h0_and_oracle():
+    # At n = 2 the recursion walks and steps its chain down to projection
+    # children on P^1 and never calls planar_h0, so the two check each
+    # other.  They agree on the normalized system of every draw of
+    # random.Random(71) that keeps s >= 5 points, and the exact oracle
+    # agrees wherever its block fits 3000 cells; none is chosen by its
+    # value.  Every other draw raises one point to between d/2 and d, where
+    # the stretch's P^1 children sit at the edge of vdim >= 0.  planar_h0
+    # expects normalized input: on the raw system below it gives 0, where
+    # the dimension is 1.
+    raw = system(2, 12, [1, 5, 4, 5, 9, 4])
+    assert planar_h0(raw) == 0
+    assert recursive_h0(raw) == planar_h0(normalize(raw)) == h0(raw).h0 == 1
+    rng = random.Random(71)
+    state = RecState()
+    planar = oracled = 0
+    for i in range(1200):
+        d = rng.randint(2, 40)
+        mults = [rng.randint(1, d // 2 + 1) for _ in range(rng.randint(5, 12))]
+        if i % 2:
+            mults[0] = rng.randint(d // 2, d)
+        norm = normalize(system(2, d, mults))
+        value = recursive_h0(norm, state=state)
+        if len(norm.mults) >= 5:
+            assert value == planar_h0(norm), norm
+            planar += 1
+        try:
+            assert value == h0(norm, cap_cells=3000).h0, norm
+            oracled += 1
+        except OracleSizeError:
+            pass
+    assert planar >= 700 and oracled >= 600, (planar, oracled)
+    assert state.stats.steps > state.stats.nodes, state.stats
+
+
 def test_formula_matches_recursion_outside_one_point_region():
     # Large-d systems whose two largest multiplicities exceed d + 1, so
     # that the root's projection children keep images and the chain is
@@ -419,7 +454,7 @@ def test_formula_matches_recursion_outside_one_point_region():
         # h0, nodes, steps, memo_hits, max_depth, memo size
         (10, 30, [20] * 20, (459077106, 23, 56, 0, 11, 23)),
         (4, 200, [120] * 9, (2309586, 409, 609, 0, 28, 409)),
-        (6, 40, [30] * 12, (1, 371, 674, 12, 29, 359)),
+        (6, 40, [30] * 12, (1, 371, 713, 12, 29, 359)),
         (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 11, 12, 0, 4, 11)),
         (3, 200, [96] * 11, (154175, 1, 110, 0, 0, 1)),
         (4, 13000, [6800] * 12, (269544566535671, 1, 7400, 0, 0, 1)),
@@ -523,14 +558,15 @@ def test_recursive_trace_render():
         "  +E1 L_4,4(4,3,2,2,2,2,2,2) = 3 [summed]",
     ]
     # A projection subtree that ends in a summed chain, above the root
-    # chain's own summed node.
+    # chain's own summed node.  Its planar child is summed too: its
+    # projection children lie on P^1, where they are worth their vdim.
     trace = []
     val = recursive_h0(system(4, 8, [8, 7, 5, 4, 4, 4, 3, 3]), trace=trace)
     assert val == 3
     assert trace == [
         "root L_4,8(8,7,5,4,4,4,3,3) = 3",
         "  project L_3,7(6,4,3,3,3,3,2,2) = 10",
-        "    project L_2,5(2,2,1,1,1,1) = 11",
+        "    project L_2,5(2,2,1,1,1,1) = 11 [summed]",
         "    +E1 L_3,7(5,4,3,3,3,3,2,2) = 21 [summed]",
         "  +E1 L_4,8(7,7,5,4,4,4,3,3) = 13",
         "    project L_3,6(5,3,2,2,2,2,1,1) = 22 [summed]",

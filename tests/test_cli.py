@@ -423,19 +423,30 @@ def test_formula_domain_excludes_lines(capsys):
 
 
 def test_parser_reused_without_leaks(capsys, monkeypatch):
-    # One parser serves every call in the process; each call's options and
-    # defaults are its own, verify's format=None included.
+    # One build of the parsers serves every call in the process; each call
+    # is parsed once, by its command's parser, and its options and defaults
+    # are its own, verify's format=None included.
     parser = cli.build_parser()
     assert cli.build_parser() is parser
+    top, commands = cli._parsers()
+    assert top is parser
     seen = []
-    real_parse = parser.parse_args
 
-    def spy(argv):
-        ns = real_parse(argv)
-        seen.append({k: v for k, v in vars(ns).items() if k != "func"})
-        return ns
+    def spy(command):
+        real_parse = command.parse_args
 
-    monkeypatch.setattr(parser, "parse_args", spy)
+        def parse(argv):
+            ns = real_parse(argv)
+            seen.append((command.prog, {k: v for k, v in vars(ns).items() if k != "func"}))
+            return ns
+        return parse
+
+    def top_parse(argv):
+        raise AssertionError(f"top-level parser ran on {argv}")
+
+    monkeypatch.setattr(parser, "parse_args", top_parse)
+    for command in commands.values():
+        monkeypatch.setattr(command, "parse_args", spy(command))
     system_args = ["-n", "2", "-d", "4", "-m", "2^5"]
     oracle_defaults = {"seed": 0, "cap_cells": cli.CAP_CELLS, "oracle": ("exact", 1)}
     calls = [
@@ -454,13 +465,80 @@ def test_parser_reused_without_leaks(capsys, monkeypatch):
     for argv, options in calls:
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
-        want = {"command": argv[0], "n": 2, "d": 4, "mults": (2,) * 5, **options}
-        assert seen[-1] == want, argv
+        want = {"n": 2, "d": 4, "mults": (2,) * 5, **options}
+        assert len(seen) == len(outputs), argv
+        assert seen[-1] == (f"rncdim {argv[0]}", want), argv
     assert json.loads(outputs[0])["evaluator"] == "oracle:modular"
     assert json.loads(outputs[1])["oracle"] == 1
     assert outputs[2].splitlines()[-1] == "verdict: agree"
     assert "oracle:exact" in outputs[2]
     assert outputs[3].splitlines()[1] == "dimension 1  [formula]"
+
+
+DISPATCH_ARGV = [
+    ["dim", "-n", "2", "-d", "4", "-m", "2^5"],
+    ["dim", "-n", "4", "-d", "4", "-m", "4^2,2^6", "--evaluators", "recursive",
+     "--trace", "--format", "structured"],
+    ["dim", "-n", "2", "-d", "4", "-m", "2^5", "--evaluators", "oracle",
+     "--oracle", "modular:2", "--seed", "7", "--cap-cells", "500"],
+    ["dim", "-n", "2", "-d", "6", "-m", "-1,5,3"],
+    ["dim", "-n", "2", "-d", "6", "-m=-1,5,3", "--ev", "formula"],
+    ["report", "-n", "5", "-d", "8", "-m", "7,6^2,5^7,2^3"],
+    ["report", "-n", "2", "-d", "6", "-m", "-1,5,3", "--format", "structured"],
+    ["verify", "-n", "2", "-d", "4", "-m", "2^5"],
+    ["verify", "-n", "3", "-d", "6", "-m", "2^10", "--oracle", "modular:2",
+     "--format", "structured"],
+    ["verify", "--grid", "n=2..3,d=0..4,s=5..6,m=1..3", "--cap-cells", "100"],
+    ["regindex", "-n", "2", "-m", "2^5"],
+    ["regindex", "-n", "2", "-m", "-1,2^5", "--window", "2", "--format", "structured"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_matches_top_level_parser(argv):
+    # A call that names a command is parsed by that command's parser alone;
+    # its namespace is field for field the one the top-level parser gives,
+    # command, func and every default included.
+    ns = cli.parse_args(argv)
+    assert ns == cli.build_parser().parse_args(cli._join_negative_mults(argv))
+    assert ns.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"]])
+def test_top_level_parser_paths(capsys, argv):
+    # An empty call, help and an unknown command go to the top-level parser,
+    # with its usage line, messages and exit codes.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    if argv and argv[0].startswith("-"):
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: rncdim [-h] {dim,report,verify,regindex}")
+    else:
+        assert exc.value.code == 2
+        assert captured.err.startswith("usage: rncdim [-h] {dim,report,verify,regindex}")
+        if argv:
+            assert "rncdim: error: argument command: invalid choice: 'bogus'" in captured.err
+        else:
+            assert "rncdim: error: the following arguments are required: command" in captured.err
+
+
+@pytest.mark.parametrize("command", ["dim", "report", "verify", "regindex"])
+def test_command_parser_errors(capsys, command):
+    # The command's parser reports an unrecognized argument under its name,
+    # and its help, as before.
+    system_args = ["-n", "2", "-m", "2^5"]
+    if command != "regindex":
+        system_args += ["-d", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *system_args, "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"\nrncdim {command}: error: unrecognized arguments: --bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rncdim {command} [-h]")
 
 
 def test_verify_single_instance(capsys):
