@@ -138,12 +138,13 @@ def l_map(sys: LinearSystemSpec) -> LinearSystemSpec:
     Returns the raw (n-1)-dimensional system: degree m_1, multiplicities
     m_1 + m_i - d for the remaining points (negatives allowed; normalize
     clamps downstream), plus one new point of multiplicity kc+ of the input
-    system, appended last.  Requires n >= 3 and s >= n+3 so that kc is
-    defined and the target still carries a rational normal curve.
+    system, appended last.  Requires n >= 2 and s >= n+3 so that kc is
+    defined and the target still carries a rational normal curve (at n = 2
+    the target is P^1, the curve the line itself).
     """
     n, d, mults = sys.n, sys.d, sys.mults
-    if n < 3:
-        raise ValueError("projection drops below the planar base case")
+    if n < 2:
+        raise ValueError("projection needs n >= 2 (P^1 has no projection)")
     if len(mults) < n + 3:
         raise ValueError("projection needs s >= n+3 (kc undefined otherwise)")
     m1 = mults[0]

@@ -73,12 +73,17 @@ neither built nor eliminated.
     on the exact h0 at the same parameters, wrong only if every sampled
     prime divides the same nonzero minor.
 
-rank_modular delays reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS
-34(3), 2008): the pivot row and the multipliers are centered into
-[-(p-1)/2, (p-1)/2], so one update moves an entry by less than 2^60, and
-the rows below, reduced into [0, p), take 7 updates before the next
-reduction.  Every int64 entry stays in (-2^63, 2^63), so the arithmetic is
-exact for every prime p < 2^31.
+rank_modular eliminates in panels of PANEL = 16 columns, after FFLAS-FFPACK
+(Dumas, Giorgi and Pernet, ACM TOMS 34(3), 2008): the small, latency-bound
+steps in exact integer arithmetic, the bulk in a floating-point matrix
+product that is provably exact.  A panel's columns are eliminated in int64,
+entries reduced into [0, p) after every update, so every intermediate
+stays below p + (p-1)^2 < 2^63.  The rows below then take the panel's
+pivot rows at once, as X @ A12 mod p: X their coefficients on the pivot
+rows, A12 the pivot rows' trailing part.  That product is two float64
+BLAS products, one on each 16-bit half of A12, every sum below
+16 * 2^31 * 2^16 = 2^51 < 2^53 and so exact in any summation order.  The
+arithmetic is exact for every prime p < 2^31.
 
 verify_one returns one system's record (RECORD_KEYS), every evaluator
 against the oracle, and consistency_sweep that record for a whole grid.
@@ -341,14 +346,18 @@ def _point_rows(
 ) -> np.ndarray:
     """The condition rows of the point at parameter t (not a node) with
     multiplicity m on the box of caps: its structural block with each
-    column scaled by the point's monomial, exact or mod p."""
+    column scaled by the point's monomial, exact or mod p.  Mod p, B is
+    reduced first only when d > 31: otherwise B <= 2^d and v < p < 2^31,
+    so B * v < 2^62 fits int64 as it is."""
     import numpy as np
 
     B = _structural_block(n, d, caps, m)
     v = _point_monomials(n, d, caps, t, p)
     if p is None:
         return B * v
-    return (B % p).astype(np.int64, copy=False) * v % p
+    if d > 31:
+        B = (B % p).astype(np.int64, copy=False)
+    return _reduce(B * v, p)
 
 
 def _block(
@@ -387,66 +396,89 @@ def conditions_matrix(sys: LinearSystemSpec, params: Sequence[int]) -> np.ndarra
     return _block(sys.n, sys.d, *_layout(sys, params), None)
 
 
-# Updates between reductions of the rows below, see rank_modular.  Eight
-# would still be exact, as (p-1) + 8 * ((p-1)/2)^2 = (p-1)(2p-1) < 2^63;
-# seven keeps the simpler bound 7 * 2^60 < 2^63 - 2^31.
-REDUCE_EVERY = 7
+# Columns per panel of rank_modular.  The float64 trailing update is exact
+# for panels up to 64 wide; on the certificate blocks 8 and 12 were slower
+# than 16, and 24 and 32 no faster.
+PANEL = 16
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x %= p in place for an int64 array, as x - (x // p) * p: numpy
+    floor-divides an int64 array by a scalar without the hardware division
+    per entry that its % does.  Returns x."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def rank_modular(M: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by elimination with delayed reduction; requires p < 2^31.
+    """Rank over GF(p) by blocked elimination; requires p < 2^31.
 
     The elimination runs along the shorter side (a tall matrix is
-    transposed) and updates the rows below each pivot in place.  The pivot
-    row and the multipliers (the entries below the pivot over the pivot)
-    are centered into [-(p-1)/2, (p-1)/2], so one update moves an entry by
-    at most ((p-1)/2)^2 < 2^60.  The rows below are reduced into [0, p)
-    before the first update and after every REDUCE_EVERY = 7 updates, so
-    their entries stay below p + 7 * 2^60 < 2^63 in magnitude and int64 is
-    exact throughout.  Pivots and multipliers are read mod p.  The input
-    and the rows below are reduced as x - (x // p) * p, which is x % p:
-    numpy floor-divides an int64 array by a scalar without the hardware
-    division per entry that its % does.
+    transposed), PANEL columns at a time, each column's pivot the first
+    row with a nonzero entry there.  A panel's columns of the rows not yet
+    pivots are eliminated in an int64 work array, entries in [0, p), every
+    update reduced at once: an entry less a multiplier times a pivot entry
+    stays above -(p-1)^2 > -2^62.  When columns remain to the right, the
+    work array also carries, for each row, its coefficients on the panel's
+    original pivot rows, so after the panel each remaining row is its own
+    original trailing part plus X @ A12 (mod p), X those coefficients and
+    A12 the original trailing part of the pivot rows; no triangular solve
+    is needed.  X @ A12 is two float64 matrix products, one on each 16-bit
+    half of A12: every sum is below k * 2^31 * 2^16 <= 2^51 for the k <=
+    PANEL = 16 pivots of a panel (2^53 would allow 64), so each product is
+    exact whatever the order of summation.  The input is reduced first.
     """
     import numpy as np
 
     if not 1 < p < 1 << 31:  # products of two residues must fit int64
         raise ValueError(f"the prime must be in [2, 2^31) for int64 products, got {p}")
-    R = M // p  # R = M % p, a copy: the elimination writes in place
+    R = M // p  # R = M % p as in _reduce; M may hold Python integers
     R *= -p
     R += M
     M = R.astype(np.int64, copy=False)
     if M.shape[0] > M.shape[1]:
         M = np.ascontiguousarray(M.T)
-    nrows, ncols = M.shape
-    half = p // 2
     rank = 0
-    pending = 0  # updates since the rows below were last reduced
-    for col in range(ncols):
-        if rank == nrows:
+    while M.size:  # M: the rows not yet pivots, right of the last panel
+        nrows, ncols = M.shape
+        w = min(PANEL, ncols)
+        more = ncols > w  # columns remain right of the panel
+        W = np.zeros((nrows, 2 * w if more else w), dtype=np.int64)
+        W[:, :w] = M[:, :w]
+        order = list(range(nrows))  # W's rows as rows of M
+        k = 0  # pivots so far in this panel
+        for j in range(w):
+            nz = W[k:, j].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = k + int(nz[0])
+            if i > k:
+                W[k], W[i] = W[i], W[k].copy()
+                order[k], order[i] = order[i], order[k]
+            if more:
+                W[k, w + k] = 1
+            if nz.size > 1:  # some row below has a nonzero entry in this column
+                f = W[k + 1 :, j] * pow(int(W[k, j]), -1, p) % p
+                end = w + k + 1 if more else w  # later coefficients are 0
+                below = W[k + 1 :, j:end]
+                below -= np.multiply.outer(f, W[k, j:end])
+                _reduce(below, p)
+            k += 1
+            if k == nrows:
+                break
+        rank += k
+        if not more or k == nrows:
             break
-        c = M[rank:, col] % p
-        nz = c.nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = int(nz[0])
-        if i:
-            row = M[rank, col:].copy()
-            M[rank, col:] = M[rank + i, col:]
-            M[rank + i, col:] = row
-            c[0], c[i] = c[i], c[0]
-        rank += 1
-        if nz.size > 1:  # some row below has a nonzero entry in this column
-            f = (c[1:] * pow(int(c[0]), -1, p) + half) % p - half
-            piv = (M[rank - 1, col + 1 :] + half) % p - half
-            below = M[rank:, col + 1 :]
-            below -= np.multiply.outer(f, piv)
-            pending += 1
-            if pending == REDUCE_EVERY:  # below %= p
-                q = below // p
-                q *= p
-                below -= q
-                pending = 0
+        A12 = M[order[:k], w:]
+        X = W[k:, w : w + k].astype(np.float64)
+        # (X @ hi mod p) * 2^16 + X @ lo + A22 < 2^47 + 2^51 + 2^31 fits int64.
+        T = _reduce((X @ (A12 >> 16).astype(np.float64)).astype(np.int64), p)
+        T <<= 16
+        T += (X @ (A12 & 0xFFFF).astype(np.float64)).astype(np.int64)
+        T += M[order[k:], w:]
+        M = _reduce(T, p)
     return rank
 
 

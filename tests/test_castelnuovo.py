@@ -42,7 +42,7 @@ def test_l_map_appends_positive_kc_only():
 
 def test_l_map_guards():
     with pytest.raises(ValueError):
-        l_map(system(2, 3, [2, 2, 2, 2, 2]))
+        l_map(system(1, 3, [2, 2, 2, 2, 2]))
     with pytest.raises(ValueError):
         l_map(system(3, 4, [2, 2, 2]))
 
@@ -60,7 +60,7 @@ def test_children_match_normalize():
     rng = random.Random(29)
     seen = Counter()
     for i in range(3000):
-        n = rng.randint(3, 10)
+        n = rng.randint(2, 10)
         d = rng.randint(0, 60)
         s = rng.randint(n + 3, n + 12)
         if i % 2:

@@ -243,6 +243,68 @@ def test_rank_modular_matches_reference():
         assert rank_modular(np.zeros(shape, dtype=np.int64), 7) == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 2147483629, 2**31 - 1],
+                         ids=["2", "3", "7", "2^31-19", "2^31-1"])
+def test_rank_modular_panels_match_reference(p):
+    # Blocks around the panel width, each eliminated wide and (transposed)
+    # tall: columns with no pivot at a panel's first and last column, top
+    # rows that only become pivots in a later panel (so row swaps carry
+    # them across panel edges), and rank-deficient blocks.
+    w = oracle.PANEL
+    rng = random.Random(89)
+    for nrows, ncols in combinations_with_replacement((w - 1, w, w + 1, 2 * w + 3), 2):
+        for case in ("dense", "pivotless", "late rows", "deficient"):
+            M = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+            if case == "pivotless":  # zero, or a copy of an earlier column
+                for c in (0, w - 1, w, 2 * w - 1):
+                    if c < ncols:
+                        src = rng.randrange(c) if c and rng.random() < 0.5 else None
+                        for row in M:
+                            row[c] = 0 if src is None else row[src]
+            elif case == "late rows":
+                for row in M[:3]:
+                    row[: min(w + 2, ncols - 1)] = [0] * min(w + 2, ncols - 1)
+            elif case == "deficient":
+                keep = rng.randint(1, nrows - 1)
+                for row in M[keep:]:
+                    coeffs = [rng.randrange(p) for _ in range(keep)]
+                    row[:] = [sum(c * r[j] for c, r in zip(coeffs, M[:keep])) % p
+                              for j in range(ncols)]
+                rng.shuffle(M)
+            want = rank_mod_reference(M, p)
+            if case == "deficient":
+                assert want < nrows
+            A = np.array(M, dtype=np.int64)
+            assert rank_modular(A, p) == want, (p, nrows, ncols, case)
+            assert rank_modular(A.T, p) == want, (p, nrows, ncols, case)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483629], ids=["2^31-1", "2^31-19"])
+def test_rank_modular_trailing_update_at_its_bound(p):
+    # PANEL pivot rows e_k followed by the largest residues: p-1 (the
+    # largest high half) and the largest residue whose low half is 2^16-1.
+    # A row with 1 in every panel column takes every pivot with multiplier
+    # 1, so all its coefficients on the pivot rows are p-1 and every sum
+    # of the two float64 products is at its largest: PANEL (p-1) times
+    # the half.  The sum of the pivot rows then reduces to zero; the same
+    # row with one trailing entry changed does not.
+    w = oracle.PANEL
+    top = (p - 1) | 0xFFFF
+    if top >= p:
+        top -= 1 << 16
+    tail = [p - 1, top] * (w + 2)
+    pivots = [[int(j == k) for j in range(w)] + tail for k in range(w)]
+    total = [1] * w + [w * x % p for x in tail]
+    changed = total[:-1] + [(total[-1] + 1) % p]
+    for below, want in (([total], w), ([total, changed], w + 1),
+                        ([total, [1] * w + [p - 1] * len(tail)], w + 1)):
+        M = pivots + below
+        assert rank_mod_reference(M, p) == want
+        A = np.array(M, dtype=np.int64)
+        assert rank_modular(A, p) == want
+        assert rank_modular(A.T, p) == want
+
+
 def test_h0_bounds_and_monotonicity():
     rng = random.Random(43)
     for _ in range(25):
@@ -472,7 +534,8 @@ def test_conditions_matrix_modular_matches_exact():
             assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, mults)
     # High degrees: B reaches binom(40, 20) > 2^37 at d = 40, so B times a
     # residue overflows int64 unless B is reduced first; d = 63 has object B.
-    for n, d, m in ((1, 32, 17), (2, 33, 12), (1, 40, 21), (1, 63, 32)):
+    # Up to d = 31, B <= 2^31 times a residue fits int64 unreduced.
+    for n, d, m in ((2, 31, 16), (1, 32, 17), (2, 33, 12), (1, 40, 21), (1, 63, 32)):
         sys_ = system(n, d, [m, m])
         exact = conditions_matrix(sys_, (2, -2))
         for p in ((1 << 31) - 1, 1580651243):
