@@ -7,12 +7,12 @@ normal curve, four ways:
 
   * formula.dimension: closed formula over special-effect join classes,
     with a full contribution report;
-  * castelnuovo.recursive_h0: projection recursion down to planar and
-    few-point base cases;
+  * castelnuovo.recursive_h0: projection recursion down to few-point
+    (s <= n+2) and n = 1 base cases;
   * formula.planar_h0 / formula.ldim: closed forms on their own domains
-    (n = 2, and s <= n+2 points).  They repeat the recursion's own base
-    cases at n = 2 and for s <= n+2, so there they and the recursion are
-    not independent checks;
+    (n = 2, and s <= n+2 points).  ldim repeats the recursion's few-point
+    leaf, so there the two are not independent checks; planar_h0 is
+    independent of the recursion, which projects plane systems to P^1;
   * oracle.h0: rank of the interpolation matrix, exact or modular; the
     ground truth the others are checked against.
 

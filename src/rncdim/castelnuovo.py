@@ -48,17 +48,12 @@ projection child is (n-1, m-1, images + kc+), kc being that of D + E_1,
 with images a1 = 2m-1-d for the c-1 points still at m, a1 - 1 for the
 points at m-1, and m_i + m-1-d for the rest (the positive ones count).  The
 child is worth its vdim when its two largest multiplicities sum to at most
-its d' + 1 = m (the pair bound) and either
-  - it has s' <= n + 1 points, a few-point leaf, and vdim >= 0: every
-    correction binom(n' + k_I - |I|, n') of `ldim_sum` over a set I of
-    two or more points has k_I <= 1 < |I| under the pair bound, so is 0,
-    and the leaf is max(vdim, 0); or
-  - n - 1 >= 3 and T' <= (n-1)(m-1) + 1, the summed closed form below
-    (an n = 3 child is planar and takes only the few-point case); or
-  - n - 1 = 1 and T' <= m: a child on P^1 is worth max(vdim, 0), since
-    points on a line impose independent conditions, and its vdim is
-    m - T'.  The same summed test T' <= (n-1)(m-1) + 1 reads T' <= m
-    there, so the stepper makes it for every n other than 3.
+its d' + 1 = m (the pair bound) and either it has s' <= n + 1 points, a
+few-point leaf, with vdim >= 0, or T' <= (n-1)(m-1) + 1, the summed closed
+form below; the one rule holds at every n.  At a few-point leaf every
+correction binom(n' + k_I - |I|, n') of `ldim_sum` over a set I of two or
+more points has k_I <= 1 < |I| under the pair bound, so is 0, and the
+leaf is max(vdim, 0).
 Within a level (the c points of the top run lowered one by one) and a run
 of constant kc, each step moves one image from a1 to a1 - 1, so the
 child's vdim rises by binom(n+a1-3, n-2) per step, and a run of k steps
@@ -67,9 +62,7 @@ a run T', s' and the child's two largest multiplicities only fall and its
 vdim only rises, so the test is made once per run, at its start.
 `_stretch` steps the top run one level at a time, and within a level one
 run of constant kc at a time, adding up the projection values, with no
-key, memo entry or visit per step.  A cheap test on the top runs declines
-first: the two largest images past the pair bound, or more than n + 1
-positive images that cannot be a summed chain.
+key, memo entry or visit per step.
 The one-point region is the special case r + m_1 <= d + 1, r the largest
 multiplicity the step leaves alone (m_1 if c_1 > 1, else m_2): there every
 image is at most r + m_1 - 1 - d <= 0, so the child is (n-1, m_1-1,
@@ -100,9 +93,11 @@ Lowering a point from m to 0 subtracts sum_{k=1..m} binom(n+k-2, n-1) =
 binom(n+m-1, n) (hockey stick), and the n + 2 points that stop at 1 each
 subtract one less; so the node's value is
 binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  This
-holds at n = 2 as well, where the projection children lie on P^1.  A
-projection child (n-1, m-1, ...) with n - 1 >= 3 and s' >= n + 2 is such
-a node when it meets the pair bound and T' <= (n-1)(m-1) + 1.
+holds at n = 2 as well, where the projection children lie on P^1; and on
+P^1 itself, where points impose independent conditions, T' <= d' + 1
+makes the value d' + 1 - T', the vdim.  So a projection child
+(n-1, m-1, ...) with s' >= n + 2 is worth its vdim when it meets the pair
+bound and T' <= (n-1)(m-1) + 1.
 """
 
 from __future__ import annotations
@@ -264,23 +259,6 @@ def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
     not a leaf."""
     n, d, runs = key
     m, c = runs[0]
-    # Cheap rejection on the top runs: the first step leaves alone rc
-    # points at r and the next largest at r2, whose images are
-    # r + shift >= r2 + shift.  Past the pair bound, or with more than
-    # n + 1 positive images that sum past the summed form's bound (n = 3:
-    # any more than n + 1), the first projection child is not worth its vdim.
-    shift = m - 1 - d
-    if c > 1:
-        r, rc = m, c - 1
-        r2 = m if c > 2 else runs[1][0]
-    else:
-        r, rc = runs[1]
-        r2 = r if rc > 1 else runs[2][0]
-    if r + shift > 0 and (
-        r + r2 + 2 * shift > m
-        or rc > n + 1 and (n == 3 or rc * (r + shift) > (n - 1) * (m - 1) + 1)
-    ):
-        return None
     s = total = 0
     for mi, ci in runs:
         s += ci
@@ -340,7 +318,7 @@ def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
                 s1 += ci
                 t1 += a * ci
             few = s1 <= n + 1
-            if not few and (n == 3 or t1 > (n - 1) * (m - 1) + 1):
+            if not few and t1 > (n - 1) * (m - 1) + 1:
                 break  # neither a few-point leaf nor a summed chain
             for a, ci in images:
                 v0 -= ci * binom(n + a - 2, n - 1)

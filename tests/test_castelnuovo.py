@@ -205,8 +205,8 @@ def _blocked(key):
     step drops a point (the redundant-point rule, or m_1 = 1), or its
     projection child (n', d', runs') fails the test for being worth its
     vdim: the two largest multiplicities sum to at most d' + 1, and the
-    child is a few-point leaf (s' <= n' + 2) with vdim >= 0, or n' >= 3
-    and T' <= n'd' + 1, the summed closed form."""
+    child is a few-point leaf (s' <= n' + 2) with vdim >= 0, or
+    T' <= n'd' + 1, the summed closed form."""
     up, child = _children(key)
     if sum(c for _, c in up[2]) < sum(c for _, c in key[2]):
         return "drop"
@@ -216,8 +216,6 @@ def _blocked(key):
         return "pair"
     if len(mults) <= n + 2:
         return "vdim < 0" if _key_vdim(child) < 0 else None
-    if n == 2:
-        return "planar"
     return "T'" if sum(mults) > n * d + 1 else None
 
 
@@ -240,7 +238,7 @@ def _stretch_key(rng, mode):
     (m_1 - 1)q, so kc = m_1 - 1 while the c_1 points step down, and the
     point the next step lowers to m_1 - 2 is redundant, or dropped at 0
     when m_1 = 2."""
-    n = rng.randint(4 if mode == 2 else 3, 7)
+    n = rng.randint(3, 7)
     if mode == 0:
         d = rng.randint(2, 24)
         s = rng.randint(n + 3, n + 24)
@@ -289,7 +287,7 @@ def _stretch_key(rng, mode):
 
 STRETCH_CASES = (
     "c1 >= 3, a1 > 0", "c1 = 2, a1 > 0", "c1 = 1, a1 > 0", "s' falls in a run",
-    "r'+m1' = d'+2 declines", "T' = n'd'+2 declines", "planar declines",
+    "r'+m1' = d'+2 declines", "T' = n'd'+2 declines", "planar child stepped",
     "redundant stop", "stop before kc > m1 - 1", "m1 = 1 stop", "summed",
 )
 
@@ -302,17 +300,19 @@ def test_stretch_matches_walk():
     # stops only where its next step is blocked.  A summed stretch equals
     # the whole chain walked to its leaf.  A key whose first step is
     # blocked declines, the boundaries of the test included: a pair of
-    # multiplicities one above d' + 1, T' = n'd' + 2, and, for n = 3, a
-    # planar child that is not a few-point leaf.  Within a run of constant
-    # k_C the images at a1 = 2m - 1 - d move one by one to a1 - 1; at
-    # a1 = 1 they leave the child, so its point count falls within the run.
+    # multiplicities one above d' + 1 and T' = n'd' + 2, at n = 3 too.
+    # The test is the same at every n: n = 3 stretches step over planar
+    # children with s' >= 5, chain nodes rather than leaves.  Within a
+    # run of constant k_C the images at a1 = 2m - 1 - d move one by one to
+    # a1 - 1; at a1 = 1 they leave the child, so its point count falls
+    # within the run.
     # A few-point child under the pair bound with vdim < 0 would block a
     # step too, but no key reaches one: none of these draws, and none of
     # the 97,068 canonical keys with n = 3, 4, 5, d <= 11, 8, 6 and
     # s <= 9, 10, 11 whose first step keeps its points.  L_3,20(11^5,1)
     # comes first: its first step leaves n + 1 = 4 positive images, 1
-    # each, and k_C < 0, so its child L_2,10(1^4) is a few-point leaf at
-    # the bound of the stepper's cheap test.
+    # each, and k_C < 0, so its child L_2,10(1^4) is a few-point leaf with
+    # the most points a leaf has.
     rng = random.Random(30)
     seen = Counter()
     fixed = [(3, 20, ((11, 5), (1, 1)))]
@@ -332,7 +332,6 @@ def test_stretch_matches_walk():
             t1 = sum(m * c for m, c in child[2])
             seen["r'+m1' = d'+2 declines"] += why == "pair" and pair == m1 + 1
             seen["T' = n'd'+2 declines"] += why == "T'" and t1 == (n - 1) * (m1 - 1) + 2
-            seen["planar declines"] += why == "planar"
             continue
         landing, steps, value, runs_stepped = got
         assert (runs_stepped > 0) == (steps > 0) and runs_stepped <= steps, key
@@ -354,6 +353,9 @@ def test_stretch_matches_walk():
         for step_key, child, child_value in taken:
             assert child_value == _key_vdim(child), (key, child)
             assert _blocked(step_key) is None, (key, step_key)
+        seen["planar child stepped"] += n == 3 and any(
+            sum(c for _, c in child[2]) >= 5 for _, child, _ in taken
+        )
         if steps and 2 * m1 - 1 - d > 0:
             seen[f"c1 {'>= 3' if c1 >= 3 else f'= {c1}'}, a1 > 0"] += 1
         seen["s' falls in a run"] += any(
@@ -453,8 +455,8 @@ def test_formula_matches_recursion_outside_one_point_region():
     [
         # h0, nodes, steps, memo_hits, max_depth, memo size
         (10, 30, [20] * 20, (459077106, 23, 56, 0, 11, 23)),
-        (4, 200, [120] * 9, (2309586, 409, 609, 0, 28, 409)),
-        (6, 40, [30] * 12, (1, 371, 713, 12, 29, 359)),
+        (4, 200, [120] * 9, (2309586, 55, 786, 0, 27, 55)),
+        (6, 40, [30] * 12, (1, 267, 784, 8, 29, 259)),
         (5, 8, [7, 6, 6] + [5] * 7 + [2] * 3, (6, 11, 12, 0, 4, 11)),
         (3, 200, [96] * 11, (154175, 1, 110, 0, 0, 1)),
         (4, 13000, [6800] * 12, (269544566535671, 1, 7400, 0, 0, 1)),
@@ -557,17 +559,15 @@ def test_recursive_trace_render():
         "  project L_3,3(3,2,1,1,1,1,1,1) = 2 [summed]",
         "  +E1 L_4,4(4,3,2,2,2,2,2,2) = 3 [summed]",
     ]
-    # A projection subtree that ends in a summed chain, above the root
-    # chain's own summed node.  Its planar child is summed too: its
-    # projection children lie on P^1, where they are worth their vdim.
+    # Two walked steps of the root chain, above its own summed node.  The
+    # first projection child is summed at once: its chain steps over the
+    # planar child L_2,5(2,2,1,1,1,1), a chain node rather than a leaf.
     trace = []
     val = recursive_h0(system(4, 8, [8, 7, 5, 4, 4, 4, 3, 3]), trace=trace)
     assert val == 3
     assert trace == [
         "root L_4,8(8,7,5,4,4,4,3,3) = 3",
-        "  project L_3,7(6,4,3,3,3,3,2,2) = 10",
-        "    project L_2,5(2,2,1,1,1,1) = 11 [summed]",
-        "    +E1 L_3,7(5,4,3,3,3,3,2,2) = 21 [summed]",
+        "  project L_3,7(6,4,3,3,3,3,2,2) = 10 [summed]",
         "  +E1 L_4,8(7,7,5,4,4,4,3,3) = 13",
         "    project L_3,6(5,3,2,2,2,2,1,1) = 22 [summed]",
         "    +E1 L_4,8(7,6,5,4,4,4,3,3) = 35 [summed]",
