@@ -149,8 +149,9 @@ def _answer(args: argparse.Namespace) -> dict:
     args.evaluators (report's is formula; auto is the formula in its
     domain and the recursion outside it; what is not auto, formula or
     recursive is the oracle), the formula's special-effect classes, the
-    normalization steps, the recursion's counters when it ran, and with
-    --trace its node listing."""
+    normalization steps, the recursion's counters when it ran, the
+    oracle's block shape and primes when it ran, and with --trace its node
+    listing."""
     rec_trace: list[str] | None = None
     if getattr(args, "trace", False):  # the option is absent unless given
         if args.evaluators != "recursive":
@@ -163,6 +164,7 @@ def _answer(args: argparse.Namespace) -> dict:
         evaluator = "formula" if in_domain(norm) else "recursive"
     effects = ()
     rec_state = None
+    oracle_res = None
     if evaluator == "formula":
         rep = dimension(norm)
         value, effects = rep.dimension, rep.special_effects
@@ -171,8 +173,9 @@ def _answer(args: argparse.Namespace) -> dict:
         value = recursive_h0(norm, state=rec_state, trace=rec_trace)
     else:
         mode, trials = args.oracle
-        value = h0(sys_, mode=mode, seed=args.seed, trials=trials,
-                   cap_cells=args.cap_cells).h0
+        oracle_res = h0(sys_, mode=mode, seed=args.seed, trials=trials,
+                        cap_cells=args.cap_cells)
+        value = oracle_res.h0
         evaluator = f"oracle:{mode}"
     kc, eps = kc_epsilon(norm)
     obj = {
@@ -196,6 +199,9 @@ def _answer(args: argparse.Namespace) -> dict:
         obj["recursion_stats"] = {"nodes": st.nodes, "steps": st.steps,
                                   "memo_hits": st.memo_hits, "max_depth": st.max_depth,
                                   "memo_size": len(rec_state.memo)}
+    if oracle_res is not None:
+        obj["oracle_stats"] = {"rows": oracle_res.rows, "cols": oracle_res.cols,
+                               "primes": list(oracle_res.primes)}
     if rec_trace is not None:
         obj["recursion_trace"] = rec_trace
     return obj

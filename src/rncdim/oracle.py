@@ -47,12 +47,15 @@ scales the block's columns by the point's monomials, exactly over the
 integers (conditions_matrix, and h0's exact elimination) or mod a prime
 (h0's ranks mod p).  Those monomials, q^gamma on the box, do not depend on
 m and are cached per (n, d, box, t, p), t the curve parameter and p the
-prime (None for exact values), in one bounded lru_cache.  Primes are drawn
-once per (seed, trials) per process, so repeated calls, a sweep's included,
-find a point's monomials there.  h0 puts the n+1 largest multiplicities on
-the nodes, so only the other s-n-1 points add rows; it lays the points out
-once, counts the kept block before listing any monomial, and builds the
-block for each prime from that layout.  That block, conditions_matrix at
+prime (None for exact values), in one bounded lru_cache; the point q itself
+is cached per (n, t), and each coordinate's exponent range on the box is
+read from the caps, so a new prime costs only the powers and their
+products.  Primes are drawn once per (seed, trials) per process, so
+repeated calls, a sweep's included, find a point's monomials there.  h0
+puts the n+1 largest multiplicities on the nodes, so only the other s-n-1
+points add rows; it lays the points out once, counts the kept block before
+listing any monomial, and builds the block for each prime from that
+layout.  That block, conditions_matrix at
 h0's parameters, is the one matrix h0 names: its rows and cols are the
 result's, the cell cap bounds it and OracleSizeError reports it.  Every
 array it builds is at most as wide as the box, and its binomial and power
@@ -83,7 +86,10 @@ pivot rows at once, as X @ A12 mod p: X their coefficients on the pivot
 rows, A12 the pivot rows' trailing part.  That product is two float64
 BLAS products, one on each 16-bit half of A12, every sum below
 16 * 2^31 * 2^16 = 2^51 < 2^53 and so exact in any summation order.  The
-arithmetic is exact for every prime p < 2^31.
+arithmetic is exact for every prime p < 2^31.  The elimination ends once
+the rows below are all zero, as rank-revealing eliminations of that family
+do: on a special system's rank-deficient block that comes well before the
+last column.
 
 verify_one returns one system's record (RECORD_KEYS), every evaluator
 against the oracle, and consistency_sweep that record for a whole grid.
@@ -211,8 +217,10 @@ def _node(k: int) -> int:
     return (k + 1) // 2 if k % 2 else -(k // 2)
 
 
+@lru_cache(maxsize=1024)
 def _curve_point(n: int, t: int) -> tuple[int, ...]:
-    """C_n(t) / gcd, the primitive integer point of the curve at t."""
+    """C_n(t) / gcd, the primitive integer point of the curve at t, cached
+    per (n, t)."""
     nodes = [_node(k) for k in range(n + 1)]
     q = [1] * (n + 1)
     for j in range(n + 1):
@@ -247,6 +255,15 @@ def _columns(n: int, d: int, caps: tuple[int, ...] | None = None) -> np.ndarray:
     return np.column_stack(H + [left])
 
 
+def _exponent_ranges(d: int, caps: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The least and the largest gamma_j in the box _columns(n, d, caps),
+    one pair per coordinate j = 0..n, read from the caps alone: gamma_j
+    runs from max(0, d - (the other caps' sum)) to min(caps[j], d), every
+    exponent in between included.  The box must not be empty."""
+    total = sum(caps)
+    return [(max(0, d - total + cap), min(cap, d)) for cap in caps]
+
+
 @lru_cache(maxsize=64)
 def _structural_block(n: int, d: int, caps: tuple[int, ...], m: int) -> np.ndarray:
     """B[alpha, gamma] = prod_{j>=1} binom(gamma_j, alpha_j), orders alpha
@@ -264,10 +281,9 @@ def _structural_block(n: int, d: int, caps: tuple[int, ...], m: int) -> np.ndarr
     A = _columns(n, m - 1)[:, 1:]
     dtype = np.int64 if d <= 62 else object
     B = np.ones((len(A), len(G)), dtype=dtype)
-    for g, a in zip(G.T, A.T):
-        lo = int(g.min())
+    for g, a, (lo, hi) in zip(G.T, A.T, _exponent_ranges(d, caps)[1:]):
         table = np.array(
-            [[math.comb(x, k) for k in range(m)] for x in range(lo, int(g.max()) + 1)],
+            [[math.comb(x, k) for k in range(m)] for x in range(lo, hi + 1)],
             dtype=dtype,
         )
         B = B * table[g[None, :] - lo, a[:, None]]
@@ -330,10 +346,9 @@ def _point_monomials(
     H = _columns(n, d, caps)
     dtype = object if p is None else np.int64
     v = np.ones(len(H), dtype=dtype)
-    for x, col in zip(_curve_point(n, t), H.T):
-        lo = int(col.min())
+    for x, col, (lo, hi) in zip(_curve_point(n, t), H.T, _exponent_ranges(d, caps)):
         pw = [x**lo if p is None else pow(x, lo, p)]
-        for _ in range(lo, int(col.max())):
+        for _ in range(lo, hi):
             pw.append(pw[-1] * x if p is None else pw[-1] * x % p)
         v = v * np.array(pw, dtype=dtype)[col - lo]
         if p is not None:
@@ -428,7 +443,10 @@ def rank_modular(M: np.ndarray, p: int) -> int:
     is needed.  X @ A12 is two float64 matrix products, one on each 16-bit
     half of A12: every sum is below k * 2^31 * 2^16 <= 2^51 for the k <=
     PANEL = 16 pivots of a panel (2^53 would allow 64), so each product is
-    exact whatever the order of summation.  The input is reduced first.
+    exact whatever the order of summation.  The elimination stops as soon as
+    the trailing update leaves the rows not yet pivots all zero: they then
+    lie in the span of the pivot rows mod p, so no later panel can add a
+    pivot, and the rank is the pivots so far.  The input is reduced first.
     """
     import numpy as np
 
@@ -479,6 +497,8 @@ def rank_modular(M: np.ndarray, p: int) -> int:
         T += (X @ (A12 & 0xFFFF).astype(np.float64)).astype(np.int64)
         T += M[order[k:], w:]
         M = _reduce(T, p)
+        if not M.any():  # the rows left lie in the pivot rows' span mod p
+            break
     return rank
 
 

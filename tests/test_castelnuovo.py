@@ -138,7 +138,9 @@ def test_summed_chain_matches_walk():
     # the step drops a point).
     rng = random.Random(43)
     seen = Counter()
-    while seen["inside"] < 5000:
+    for _ in range(200_000):  # 43,273 draws of this seed reach the counts
+        if seen["inside"] >= 5000:
+            break
         key = _near_region_key(rng)
         if key is None:
             continue
@@ -172,6 +174,7 @@ def test_summed_chain_matches_walk():
             want = None if mults[0] == 1 else (None, 1, _walk_chain(key), 1)
             assert got == want, key
             seen["T = nd+2"] += 1
+    assert seen["inside"] >= 5000, seen
     assert min(seen.values()) >= 50, seen
 
 
@@ -316,7 +319,9 @@ def test_stretch_matches_walk():
     rng = random.Random(30)
     seen = Counter()
     fixed = [(3, 20, ((11, 5), (1, 1)))]
-    while min(seen[k] for k in STRETCH_CASES) < 50:
+    for _ in range(50_000):  # 5,383 draws of this seed reach the counts
+        if min(seen[k] for k in STRETCH_CASES) >= 50:
+            break
         key = fixed.pop() if fixed else _stretch_key(rng, rng.randrange(4))
         if key is None:
             continue
@@ -363,6 +368,7 @@ def test_stretch_matches_walk():
             and sum(c for _, c in b[1][2]) < sum(c for _, c in a[1][2])
             for a, b in zip(taken, taken[1:])
         )
+    assert min(seen[k] for k in STRETCH_CASES) >= 50, seen
 
 
 def test_formula_matches_recursion_far_above_nd():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rncdim
-from rncdim import castelnuovo, cli
+from rncdim import castelnuovo, cli, oracle
 from rncdim.castelnuovo import recursive_h0
 from rncdim.cli import main, parse_cap, parse_grid, parse_mults, parse_oracle_mode
 
@@ -320,6 +320,36 @@ def test_dim_recursion_stats(capsys):
         "dimension 45  [recursive]",
         "vdim 44  expected 44  speciality 1",
         "normalized L_3,6(2,2,2,2,2,2,2,2,2,2)  kc 1  epsilon 3",
+        "trace: input already normalized",
+    ]
+
+
+def test_dim_oracle_stats(capsys):
+    # Structured output carries the oracle's block shape and primes, read
+    # from the OracleResult, whenever the oracle answered: L_4,8(3^13) keeps
+    # 120 x 420 and is rank-deficient, so modular:3 eliminates mod all three
+    # primes; L_3,4(2^5) has full rank mod exact mode's one prime.  Other
+    # evaluators' answers and the human listing carry none.
+    args = ["dim", "-n", "4", "-d", "8", "-m", "3^13", "--evaluators", "oracle"]
+    assert main([*args, "--oracle", "modular:3", "--seed", "7", "--format", "structured"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    res = oracle.h0(rncdim.system(4, 8, [3] * 13), mode="modular", seed=7, trials=3)
+    assert (obj["dimension"], obj["vdim"], res.h0) == (306, 300, 306)
+    assert obj["oracle_stats"] == {"rows": 120, "cols": 420, "primes": list(res.primes)}
+    assert len(res.primes) == 3
+    assert main(["dim", "-n", "3", "-d", "4", "-m", "2^5", "--evaluators", "oracle",
+                 "--format", "structured"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["oracle_stats"] == {"rows": 4, "cols": 19, "primes": [oracle.FULL_RANK_PRIME]}
+    assert "recursion_stats" not in obj
+    assert main(args[:-2] + ["--format", "structured"]) == 0
+    assert "oracle_stats" not in json.loads(capsys.readouterr().out)
+    assert main([*args, "--oracle", "modular:3", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "L_4,8(3,3,3,3,3,3,3,3,3,3,3,3,3)",
+        "dimension 306  [oracle:modular]",
+        "vdim 300  expected 300  speciality 6",
+        "normalized L_4,8(3,3,3,3,3,3,3,3,3,3,3,3,3)  kc 1  epsilon 0",
         "trace: input already normalized",
     ]
 

@@ -279,6 +279,69 @@ def test_rank_modular_panels_match_reference(p):
             assert rank_modular(A.T, p) == want, (p, nrows, ncols, case)
 
 
+def _low_rank(rng, nrows, ncols, k, p):
+    """A random nrows x ncols product of nrows x k and k x ncols factors mod
+    p, as Python integers: rank at most k."""
+    L = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+    R = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*R)] for row in L]
+
+
+@pytest.mark.parametrize("p", [7, 2147483629, 2**31 - 1], ids=["7", "2^31-19", "2^31-1"])
+def test_rank_modular_low_rank_spans_panels(p):
+    # Low-rank blocks three or more panels wide, eliminated wide and
+    # (transposed) tall: the rows left vanish after the first panel or
+    # two, where the elimination stops, and a rank above PANEL carries
+    # pivots across panel edges first.
+    w = oracle.PANEL
+    rng = random.Random(101)
+    for nrows, ncols, k in ((40, 200, 12), (40, 200, 1), (40, 3 * w, w + 3), (50, 4 * w + 1, 35)):
+        M = _low_rank(rng, nrows, ncols, k, p)
+        want = rank_mod_reference(M, p)
+        assert want <= k
+        A = np.array(M, dtype=np.int64)
+        assert rank_modular(A, p) == want, (p, nrows, ncols, k)
+        assert rank_modular(A.T, p) == want, (p, nrows, ncols, k)
+
+
+@pytest.mark.parametrize("p", [7, 2147483629, 2**31 - 1], ids=["7", "2^31-19", "2^31-1"])
+def test_rank_modular_last_pivot_in_last_panel(p):
+    # Rows in the span of a few rows, but one of them off it by a single
+    # entry in the last panel (its first or its last column).  Once the
+    # span's pivots are taken, that row is zero except for that entry and
+    # the panels before the last add no pivot, so an elimination that
+    # stopped on a panel without a pivot, on the next panel's columns, or
+    # one panel early in any other way would miss the last pivot.
+    w = oracle.PANEL
+    rng = random.Random(103)
+    for ncols in (3 * w, 3 * w + 5):
+        first = (ncols - 1) // w * w  # the last panel's first column
+        for late, k in itertools.product((first, ncols - 1), (3, w + 2)):
+            M = _low_rank(rng, 2 * k + 4, ncols, k, p)
+            row = rng.randrange(len(M))
+            M[row][late] = (M[row][late] + rng.randrange(1, p)) % p
+            want = rank_mod_reference(M, p)
+            A = np.array(M, dtype=np.int64)
+            assert rank_modular(A, p) == want, (p, ncols, late, k)
+            assert rank_modular(A.T, p) == want, (p, ncols, late, k)
+            assert want == rank_mod_reference(M[:row] + M[row + 1 :], p) + 1
+    # Rows that copy combinations of the top rows on the first panel and
+    # are zero right of it: their later pivots come from the trailing
+    # update alone, so a stop that read the rows' own entries right of
+    # the panel, before that update, would miss them.
+    for k in (3, w):
+        top = _low_rank(rng, k, 3 * w + 5, k, p)
+        low = [[sum(c * r[j] for c, r in zip(coeffs, top)) % p if j < w else 0
+                for j in range(3 * w + 5)]
+               for coeffs in [[rng.randrange(p) for _ in range(k)] for _ in range(6)]]
+        M = top + low
+        want = rank_mod_reference(M, p)
+        assert want > rank_mod_reference(top, p)
+        A = np.array(M, dtype=np.int64)
+        assert rank_modular(A, p) == want, (p, k)
+        assert rank_modular(A.T, p) == want, (p, k)
+
+
 @pytest.mark.parametrize("p", [2**31 - 1, 2147483629], ids=["2^31-1", "2^31-19"])
 def test_rank_modular_trailing_update_at_its_bound(p):
     # PANEL pivot rows e_k followed by the largest residues: p-1 (the
@@ -491,6 +554,30 @@ def test_h0_empty_block_is_not_eliminated(monkeypatch, sys_, want, mode, prime):
 def modular_block(sys_, params, p):
     """The block at params built mod p, the build h0 runs for each prime."""
     return oracle._block(sys_.n, sys_.d, *oracle._layout(sys_, params), p)
+
+
+def test_block_mod_p_matches_conditions_matrix_on_boxes():
+    # The block h0 builds mod each prime, at h0's own parameters, equals the
+    # exact conditions matrix reduced mod p, on boxes that the nodes cut to
+    # different caps: the full box, one or several coordinates cut, caps
+    # down to 0, d > 31 (B reduced first) and n = 1.  Each point's
+    # monomials and curve point come from the caches on the second build.
+    systems_ = (
+        system(2, 4, [1] * 6), system(3, 6, [2] * 10), system(3, 10, [7, 4, 4, 3, 3, 3, 2]),
+        system(4, 8, [8, 3, 3, 3, 3, 3, 3]), system(2, 9, [9, 5, 2, 2, 2, 2]),
+        system(5, 5, [4, 3, 2, 2, 2, 2, 2, 2]), system(2, 40, [30, 12, 5, 21, 21]),
+        system(1, 20, [15, 3, 3, 3]),
+    )
+    for sys_ in systems_:
+        params = oracle._default_params(sys_.n, sys_.mults)
+        exact = conditions_matrix(sys_, params)
+        assert exact.size, sys_
+        for p in (7, 1580651243, 2**31 - 1):
+            want = [[x % p for x in row] for row in exact]
+            for _ in range(2):
+                mod = modular_block(sys_, params, p)
+                assert mod.dtype == np.int64
+                assert mod.tolist() == want, (sys_, p)
 
 
 @pytest.mark.parametrize("p", [None, 2**31 - 1], ids=["exact", "modular"])
@@ -883,6 +970,9 @@ def test_box_listing_matches_filtered_reference():
         assert H.shape == (len(want), n + 1), (n, d, caps)
         assert H.tolist() == [list(g) for g in want], (n, d, caps)
         assert oracle._kept_count(n, d, caps) == len(want), (n, d, caps)
+        if want:  # each coordinate's exponent range, read from the caps
+            ranges = [(min(col), max(col)) for col in zip(*want)]
+            assert oracle._exponent_ranges(d, caps) == ranges, (n, d, caps)
 
 
 def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
