@@ -49,11 +49,22 @@ with images a1 = 2m-1-d for the c-1 points still at m, a1 - 1 for the
 points at m-1, and m_i + m-1-d for the rest (the positive ones count).  The
 child is worth its vdim when its two largest multiplicities sum to at most
 its d' + 1 = m (the pair bound) and either it has s' <= n + 1 points, a
-few-point leaf, with vdim >= 0, or T' <= (n-1)(m-1) + 1, the summed closed
-form below; the one rule holds at every n.  At a few-point leaf every
-correction binom(n' + k_I - |I|, n') of `ldim_sum` over a set I of two or
-more points has k_I <= 1 < |I| under the pair bound, so is 0, and the
-leaf is max(vdim, 0).
+few-point leaf, or T' <= (n-1)(m-1) + 1, the summed closed form below; the
+one rule holds at every n.  At a few-point leaf every correction
+binom(n' + k_I - |I|, n') of `ldim_sum` over a set I of two or more points
+has k_I <= 1 < |I| under the pair bound, so is 0, and the leaf is
+max(vdim, 0), which is its vdim, never negative here.  With s' <= n
+points, coordinate points of P^(n-1), the pair bound makes the monomials
+each deletes (gamma_j > d' - a_j) disjoint, so vdim counts those left.
+With s' = n + 1, T' <= (n-1)(m-1).  D + E_1 has the lowered point at
+m - 1, the p sources of the images a_i at a_i + d+1-m, and s - 1 - p more
+points, each of multiplicity >= max(kc, 1) (a stretch stops before kc
+exceeds the lowest point), and T - 1 - n*d <= max(kc, 0)(s-n-2).  So if
+kc > 0 (p = n), T' = sum a_i + kc <= (n-1)(m-1), and if kc <= 0
+(p = n + 1), T' <= n(m-1) - d - (s-n-2) < (n-1)(m-1), as d >= m.  With
+one more point of multiplicity 1 the pair bound still holds (each
+a_i <= m - 1) and T' <= (n-1)(m-1) + 1, so by the closed form below the
+h0 >= 0 of that system is its vdim, the child's less 1.
 Within a level (the c points of the top run lowered one by one) and a run
 of constant kc, each step moves one image from a1 to a1 - 1, so the
 child's vdim rises by binom(n+a1-3, n-2) per step, and a run of k steps
@@ -317,13 +328,10 @@ def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
             for a, ci in images:
                 s1 += ci
                 t1 += a * ci
-            few = s1 <= n + 1
-            if not few and t1 > (n - 1) * (m - 1) + 1:
+            if s1 > n + 1 and t1 > (n - 1) * (m - 1) + 1:
                 break  # neither a few-point leaf nor a summed chain
             for a, ci in images:
                 v0 -= ci * binom(n + a - 2, n - 1)
-            if few and v0 < 0:
-                break  # a few-point leaf, worth max(vdim, 0)
             # Each later step moves one image from a1 to a1 - 1, which
             # raises the child's vdim by B(a1) - B(a1 - 1) = binom(n+a1-3, n-2).
             proj += binom(n + a1 - 3, n - 2) * (k * (k - 1) // 2)

@@ -177,7 +177,7 @@ def _answer(args: argparse.Namespace) -> dict:
                         cap_cells=args.cap_cells)
         value = oracle_res.h0
         evaluator = f"oracle:{mode}"
-    kc, eps = kc_epsilon(norm)
+    kc, eps = kc_epsilon(norm.n, norm.d, norm.mults)
     obj = {
         "n": sys_.n,
         "d": sys_.d,
@@ -445,11 +445,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's top-level parser, the one `_parsers` builds and shares."""
-    return _parsers()[0]
-
-
 def _join_negative_mults(argv: Sequence[str]) -> list[str]:
     """Rewrite `-m -1,5,3` as `-m=-1,5,3`.  argparse takes a value that
     starts with "-" and is not a plain number for an option, though a
@@ -464,8 +459,8 @@ def _join_negative_mults(argv: Sequence[str]) -> list[str]:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The namespace that build_parser().parse_args gives for argv, after
-    `_join_negative_mults`, parsed once: a call that names a command is
+    """The namespace that the top-level parser of `_parsers` gives for argv,
+    after `_join_negative_mults`, parsed once: a call that names a command is
     parsed by that command's parser alone, so an unrecognized argument is
     reported as `rncdim dim: error: ...`.  The top-level parser runs only
     for usage, help and unknown commands."""

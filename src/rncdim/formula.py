@@ -29,7 +29,7 @@ from .binomials import binom, f
 from .systems import (
     LinearSystemSpec,
     NormalizedSystem,
-    epsilon_value,
+    kc_epsilon,
     kc_value,
     normalize,
     speciality,
@@ -94,8 +94,7 @@ def enumerate_join_classes(sys: LinearSystemSpec) -> list[JoinClass]:
     """
     n, d, mults = sys.n, sys.d, sys.mults
     s = len(mults)
-    kc = kc_value(n, d, mults)
-    eps = epsilon_value(n, d, mults)
+    kc, eps = kc_epsilon(n, d, mults)
     counts = subset_counts(mults, n)
     classes: list[JoinClass] = []
     for t in range(n // 2 + 1):
@@ -178,8 +177,7 @@ def dimension(sys: LinearSystemSpec) -> DimensionReport:
             f"dimension formula needs s >= n+3 after normalization and n >= 2"
             f" (got s={norm.s}, n={n})"
         )
-    kc = kc_value(n, d, mults)
-    eps = epsilon_value(n, d, mults)
+    kc, eps = kc_epsilon(n, d, mults)
     # A degree-d form with a point of multiplicity m_1 > d, or vanishing
     # along a join that fills P^n, is zero; that point or those joins are
     # then the classes and the special effects.
@@ -262,8 +260,7 @@ def planar_g(d: int, mults: Sequence[int]) -> int:
     point slot.
     """
     s = len(mults)
-    kc = kc_value(2, d, mults)
-    eps = epsilon_value(2, d, mults)
+    kc, eps = kc_epsilon(2, d, mults)
     g = binom(d + 2, 2) - sum(binom(m + 1, 2) for m in mults)
     for mi, mj in combinations(mults, 2):
         g += binom(mi + mj - d, 2)

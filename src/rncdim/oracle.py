@@ -544,7 +544,7 @@ def h0(
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
-    cap_cells: int | None = None,
+    cap_cells: int = CAP_CELLS,
 ) -> OracleResult:
     """Oracle dimension of the system, as an affine count.
 
@@ -567,10 +567,10 @@ def h0(
     (once per (seed, trials) per process), no exact elimination.  h0 is an
     upper bound on the exact h0 at the same parameters, equal to it unless
     every prime divides the same minor.
-    In both modes M' must fit in cap_cells (rows * cols, >= 0) when that is
-    given; its shape is counted before any monomial is listed.  M' and
-    every array it is built from are no wider than the kept box, so the
-    cap bounds the work too.  Multiplicities <= 0 impose no conditions.
+    In both modes M' must fit in cap_cells (rows * cols, >= 0), CAP_CELLS
+    unless given; its shape is counted before any monomial is listed.  M'
+    and every array it is built from are no wider than the kept box, so
+    the cap bounds the work too.  Multiplicities <= 0 impose no conditions.
     An empty M' (no rows or no columns; a degree d < 0 keeps no column)
     has rank 0 and is neither built nor eliminated; primes still names
     the first prime of the mode.
@@ -584,12 +584,12 @@ def h0(
         raise ValueError(f"unknown oracle mode {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if cap_cells is not None and cap_cells < 0:
+    if cap_cells < 0:
         raise ValueError(f"cap_cells must be >= 0, got {cap_cells}")
     caps, rows = _layout(sys, ps)
     erows = sum(binom(n + m - 1, n) for _, m in rows)
     ecols = _kept_count(n, d, caps)
-    if cap_cells is not None and erows * ecols > cap_cells:
+    if erows * ecols > cap_cells:
         raise OracleSizeError(f"oracle matrix {erows}x{ecols} exceeds cap {cap_cells}")
     primes = (FULL_RANK_PRIME,) if mode == "exact" else _seeded_primes(seed, trials)
     full = min(erows, ecols)
@@ -633,18 +633,18 @@ def verify_one(
     oracle_mode: str = "exact",
     trials: int = 3,
     seed: int = 0,
-    cap_cells: int | None = None,
+    cap_cells: int = CAP_CELLS,
     state: castelnuovo.RecState | None = None,
 ) -> dict:
     """Every evaluator on one system, compared against the oracle.
 
     Returns the system's record, the fields RECORD_KEYS in that order: the
     input's n, d, mults and s, the kc and epsilon of the normalized system
-    (systems.kc_epsilon: the k_C the formula uses and dim prints, None when
-    normalization leaves fewer than n+3 points), the value of each
-    evaluator, None for what was not computed, notes on what was skipped
-    or changed, and the verdict.
-    The oracle runs unless a block it would build exceeds cap_cells.
+    (systems.kc_epsilon, one division: the k_C the formula uses and dim
+    prints, None when normalization leaves fewer than n+3 points), the
+    value of each evaluator, None for what was not computed, notes on what
+    was skipped or changed, and the verdict.
+    The oracle runs unless its block exceeds cap_cells (by default CAP_CELLS).
     The closed formula runs on the normalized system whenever
     formula.in_domain, the recursion always, the planar form for n = 2 with
     normalized s >= 5, and ldim for at most n+2 positive multiplicities.
@@ -666,7 +666,7 @@ def verify_one(
     rec.update(n=n, d=d, mults=list(ms), s=len(ms), notes=[])
     positive = [m for m in ms if m > 0]
     norm = systems.normalize(spec)
-    rec["kc"], rec["epsilon"] = systems.kc_epsilon(norm)
+    rec["kc"], rec["epsilon"] = systems.kc_epsilon(norm.n, norm.d, norm.mults)
     try:
         rec["oracle"] = h0(
             spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells

@@ -134,22 +134,18 @@ def kept_points(
     return tuple(runs if out is None else out)
 
 
-def epsilon_value(n: int, d: int, mults: Sequence[int]) -> int:
-    """Excess of the ceiling in kc_value; the unique value in 0..s-n-3 with
-    k_C = (sum(m) - n*d + eps) / (s - n - 2); requires s >= n + 3."""
+def kc_epsilon(n: int, d: int, mults: Sequence[int]) -> tuple[int | None, int | None]:
+    """(k_C, epsilon) from one division, or (None, None) below n + 3 points.
+
+    divmod(n*d - sum(m), s - n - 2) gives (-k_C, epsilon): k_C is the exact
+    ceiling kc_value computes and epsilon, in 0..s-n-3, its excess, so
+    k_C * (s - n - 2) = sum(m) - n*d + epsilon.  Records report them for
+    the normalized system, the one the formula uses."""
     s = len(mults)
     if s < n + 3:
-        raise ValueError(f"epsilon needs s >= n + 3 points (s={s}, n={n})")
-    return (n * d - sum(mults)) % (s - n - 2)
-
-
-def kc_epsilon(sys: LinearSystemSpec) -> tuple[int | None, int | None]:
-    """(k_C, epsilon) of the system's multiplicities, or (None, None) below
-    n + 3 points.  Records report them for the normalized system, the one
-    the formula uses."""
-    if sys.s < sys.n + 3:
         return None, None
-    return kc_value(sys.n, sys.d, sys.mults), epsilon_value(sys.n, sys.d, sys.mults)
+    q, eps = divmod(n * d - sum(mults), s - n - 2)
+    return -q, eps
 
 
 def system_label(n: int, d: int, mults: Sequence[int]) -> str:

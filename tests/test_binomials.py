@@ -4,6 +4,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+import pytest
+
 from rncdim.binomials import binom, f, f_cache_size
 
 # ---------------------------------------------------------------------------
@@ -216,6 +218,9 @@ def test_f_base_case_is_binomial():
     for a in range(-3, 12):
         for n in range(0, 6):
             assert f(0, a, 10, 1, n) == binom(a, n)
+    # t = 0 is the base; there is no f below it.
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        f(-1, 3, 10, 1, 2)
 
 
 def test_f_frozen_values():

@@ -208,8 +208,10 @@ def _blocked(key):
     step drops a point (the redundant-point rule, or m_1 = 1), or its
     projection child (n', d', runs') fails the test for being worth its
     vdim: the two largest multiplicities sum to at most d' + 1, and the
-    child is a few-point leaf (s' <= n' + 2) with vdim >= 0, or
-    T' <= n'd' + 1, the summed closed form."""
+    child is a few-point leaf (s' <= n' + 2), or T' <= n'd' + 1, the
+    summed closed form.  A few-point leaf that passes is worth its vdim
+    because that is >= 0: castelnuovo's module docstring proves it, and
+    this asserts it."""
     up, child = _children(key)
     if sum(c for _, c in up[2]) < sum(c for _, c in key[2]):
         return "drop"
@@ -218,7 +220,8 @@ def _blocked(key):
     if sum(mults[:2]) > d + 1:
         return "pair"
     if len(mults) <= n + 2:
-        return "vdim < 0" if _key_vdim(child) < 0 else None
+        assert _key_vdim(child) >= 0, key
+        return None
     return "T'" if sum(mults) > n * d + 1 else None
 
 
@@ -309,13 +312,11 @@ def test_stretch_matches_walk():
     # run of constant k_C the images at a1 = 2m - 1 - d move one by one to
     # a1 - 1; at a1 = 1 they leave the child, so its point count falls
     # within the run.
-    # A few-point child under the pair bound with vdim < 0 would block a
-    # step too, but no key reaches one: none of these draws, and none of
-    # the 97,068 canonical keys with n = 3, 4, 5, d <= 11, 8, 6 and
-    # s <= 9, 10, 11 whose first step keeps its points.  L_3,20(11^5,1)
-    # comes first: its first step leaves n + 1 = 4 positive images, 1
-    # each, and k_C < 0, so its child L_2,10(1^4) is a few-point leaf with
-    # the most points a leaf has.
+    # A few-point child under the pair bound never has vdim < 0 (the
+    # module docstring proves it; _blocked asserts it on every key tried).
+    # L_3,20(11^5,1) comes first: its first step leaves n + 1 = 4 positive
+    # images, 1 each, and k_C < 0, so its child L_2,10(1^4) is a few-point
+    # leaf with the most points a leaf has.
     rng = random.Random(30)
     seen = Counter()
     fixed = [(3, 20, ((11, 5), (1, 1)))]

@@ -456,10 +456,8 @@ def test_parser_reused_without_leaks(capsys, monkeypatch):
     # One build of the parsers serves every call in the process; each call
     # is parsed once, by its command's parser, and its options and defaults
     # are its own, verify's format=None included.
-    parser = cli.build_parser()
-    assert cli.build_parser() is parser
-    top, commands = cli._parsers()
-    assert top is parser
+    parser, commands = cli._parsers()
+    assert cli._parsers()[0] is parser
     seen = []
 
     def spy(command):
@@ -530,7 +528,7 @@ def test_dispatch_matches_top_level_parser(argv):
     # its namespace is field for field the one the top-level parser gives,
     # command, func and every default included.
     ns = cli.parse_args(argv)
-    assert ns == cli.build_parser().parse_args(cli._join_negative_mults(argv))
+    assert ns == cli._parsers()[0].parse_args(cli._join_negative_mults(argv))
     assert ns.command == argv[0]
 
 

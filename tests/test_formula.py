@@ -25,7 +25,7 @@ from rncdim.formula import (
     subset_counts,
 )
 from rncdim.oracle import h0
-from rncdim.systems import epsilon_value, kc_value, normalize, system, vdim
+from rncdim.systems import kc_epsilon, kc_value, normalize, system, vdim
 
 WORKED = system(5, 8, [7, 6, 6] + [5] * 7)
 
@@ -136,7 +136,7 @@ def test_dimension_prune_invariance():
         norm = normalize(system(n, d, mults))
         if norm.s < n + 3 or norm.mults[0] > d:
             continue
-        eps = epsilon_value(n, d, norm.mults)
+        eps = kc_epsilon(n, d, norm.mults)[1]
         for jc in enumerate_join_classes(norm):
             a = n + jc.k - jc.r - 1
             if a < n - jc.t:
@@ -170,7 +170,7 @@ def test_subset_counts_row_sums():
 def test_enumerate_join_classes_structure():
     classes = enumerate_join_classes(WORKED)
     n, d = WORKED.n, WORKED.d
-    eps = epsilon_value(n, d, WORKED.mults)
+    kc, eps = kc_epsilon(n, d, WORKED.mults)
     keys = [(jc.t, jc.c, jc.sigma) for jc in classes]
     assert keys == sorted(keys)
     assert classes[0].c == 0 and classes[0].k == d and classes[0].r == -1
@@ -181,7 +181,6 @@ def test_enumerate_join_classes_structure():
         assert (jc.f, jc.signed) == (want, (-1) ** jc.c * jc.count * want)
     # Past the empty class (t = c = 0) only classes with k >= 1 are listed,
     # so the (t, c = 0) class is listed iff t = 0 or t*kc - (t-1)*d >= 1.
-    kc = kc_value(n, d, WORKED.mults)
     want = {(t, 0) for t in range(n // 2 + 1) if t == 0 or t * kc - (t - 1) * d >= 1}
     assert {(jc.t, jc.c) for jc in classes if jc.c == 0} == want == {(0, 0), (1, 0), (2, 0)}
     assert all(jc.k >= 1 for jc in classes[1:])
@@ -195,8 +194,7 @@ def full_join_classes(sys):
     """Every (c, sigma, t) class, k < 1 included: the reference that the
     classes enumerate_join_classes skips are checked against."""
     n, d, mults = sys.n, sys.d, sys.mults
-    kc = kc_value(n, d, mults)
-    eps = epsilon_value(n, d, mults)
+    kc, eps = kc_epsilon(n, d, mults)
     counts = subset_counts(mults, n)
     classes = []
     for t in range(n // 2 + 1):
@@ -381,6 +379,8 @@ def test_double_points_h1_f1_agreement():
                 assert via_f == double_points_h1(3, d, s), (d, s)
     # Low-regime corner with negative excess parameter.
     assert double_points_h1_f1(3, 2, 6) is None
+    with pytest.raises(ValueError):
+        double_points_h1_f1(3, 4, 5)
 
 
 def test_dimension_matches_vdim_in_regular_range():

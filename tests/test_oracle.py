@@ -1,6 +1,7 @@
 """Interpolation oracle: matrix construction, exact and modular rank."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -922,6 +923,9 @@ def test_modular_sweep_draws_each_prime_once(monkeypatch):
         fresh = [real(rng) for _ in range(3)]
         primes = h0(system(3, 5, [3] * 9), mode="modular", seed=seed, trials=3).primes
         assert primes == tuple(fresh[: len(primes)])
+    # The primality test behind every draw, below 2 and through its witnesses.
+    small = [x for x in range(-2, 40) if oracle._is_probable_prime(x)]
+    assert small == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 def test_point_monomial_cache_keeps_results():
@@ -984,10 +988,25 @@ def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_columns", unused)
     with pytest.raises(OracleSizeError, match="exceeds cap 1000"):
         h0(system(3, 400, [2] * 8), cap_cells=1000)
+    # With no cap given, the library applies CAP_CELLS, as the CLI does.
+    with pytest.raises(OracleSizeError, match=f"exceeds cap {oracle.CAP_CELLS}$"):
+        h0(system(3, 400, [2] * 8))
     argv = ["dim", "-n", "3", "-d", "400", "-m", "2^8", "--evaluators", "oracle",
             "--cap-cells", "1000"]
     assert cli.main(argv) == 3
     assert "exceeds cap 1000" in capsys.readouterr().err
+
+
+def test_every_entry_point_defaults_to_cap_cells():
+    # One size guard: the library calls, the sweep grid and the commands
+    # that run the oracle all cap the block at CAP_CELLS unless told otherwise.
+    defaults = [
+        inspect.signature(fn).parameters["cap_cells"].default for fn in (h0, verify_one)
+    ]
+    defaults.append(SweepGrid(n=(2, 2), d=(2, 2), s=(5, 5), m=(1, 1)).cap_cells)
+    commands = cli._parsers()[1]
+    defaults += [commands[name].get_default("cap_cells") for name in ("dim", "verify")]
+    assert defaults == [oracle.CAP_CELLS] * 5
 
 
 def test_cap_bounds_the_box_build(monkeypatch):

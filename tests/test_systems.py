@@ -7,7 +7,7 @@ import pytest
 from rncdim.systems import (
     LinearSystemSpec,
     NormalizedSystem,
-    epsilon_value,
+    kc_epsilon,
     kc_value,
     kept_points,
     normalize,
@@ -100,33 +100,36 @@ def test_kc_and_epsilon_worked_values():
     assert kc_value(5, 8, raw) == 4
     norm_mults = [7, 6, 6] + [5] * 7
     assert kc_value(5, 8, norm_mults) == 5
-    assert epsilon_value(5, 8, norm_mults) == 1
+    assert kc_epsilon(5, 8, norm_mults) == (5, 1)
 
     assert kc_value(2, 4, [2] * 5) == 2
-    assert epsilon_value(2, 4, [2] * 5) == 0
+    assert kc_epsilon(2, 4, [2] * 5) == (2, 0)
 
     assert kc_value(2, 6, [1] * 5) == -7
-    assert epsilon_value(2, 6, [1] * 5) == 0
+    assert kc_epsilon(2, 6, [1] * 5) == (-7, 0)
 
 
 def test_kc_requires_enough_points():
     with pytest.raises(ValueError):
         kc_value(3, 4, [2, 2, 2, 2, 2])  # s = n + 2
     with pytest.raises(ValueError):
-        epsilon_value(2, 3, [1, 1, 1, 1])
+        kc_value(2, 3, [1, 1, 1, 1])
+    # kc_epsilon reports the missing pair as records and dim print it.
+    assert kc_epsilon(3, 4, [2] * 5) == (None, None)
+    assert kc_epsilon(2, 3, []) == (None, None)
 
 
 def test_epsilon_range_property():
-    # epsilon_value is one residue; this is the property that defines it,
-    # negative degrees and multiplicities included.
+    # epsilon is the remainder of kc_epsilon's one division; this is the
+    # property that defines it, negative degrees and multiplicities included.
     rng = random.Random(17)
     for _ in range(3000):
         n = rng.randint(1, 12)
         s = rng.randint(n + 3, n + 9)
         d = rng.randint(-5, 60)
         mults = [rng.randint(-3, 70) for _ in range(s)]
-        kc = kc_value(n, d, mults)
-        eps = epsilon_value(n, d, mults)
+        kc, eps = kc_epsilon(n, d, mults)
+        assert kc == kc_value(n, d, mults)
         assert 0 <= eps <= s - n - 3
         assert kc * (s - n - 2) == sum(mults) - n * d + eps
 
