@@ -34,7 +34,9 @@ The m_1-descent is a linear chain, so it is evaluated iteratively and only
 projections recurse; recursion depth is bounded by n.  Every chain node is
 memoized on its key during unwind.  A memoized projection child is visited
 like any node; each visit, and each run a stretch steps (below), counts
-against a budget of MAX_NODES per call.
+against a budget of MAX_NODES per call.  `_eval` sums each visited key
+once; the leaf test, the stretch and the children take its point count s
+and multiplicity sum T from it, as `kept_points` takes them from its caller.
 A traced walk records each visited node without its value; the listing is
 rendered after the walk and reads every value from the memo, which by then
 holds each visited key (leaves and summed chains from their visit, chain
@@ -158,18 +160,14 @@ def l_map(sys: LinearSystemSpec) -> LinearSystemSpec:
     return LinearSystemSpec(n - 1, m1, (*(m + m1 - d for m in mults[1:]), kcp))
 
 
-def _children(key: Key) -> tuple[Key, Key]:
+def _children(key: Key, s: int, total: int) -> tuple[Key, Key]:
     """Canonical keys of the +E_1 child normalize(up) and the projection
     child normalize(l_map(up)), where up lowers m_1 of the canonical key by
-    one.  The key has n >= 2 and s >= n + 3."""
+    one.  The key has n >= 2 and s >= n + 3 points summing to total."""
     n, d, runs = key
     m1, c1 = runs[0]
     tail = runs[1:]
-    s = total = 0  # points and multiplicity sum of up, a zero point included
-    for m, c in runs:
-        s += c
-        total += m * c
-    total -= 1
+    total -= 1  # up's points (a zero point included) sum to one less
     head = ((m1, c1 - 1),) if c1 > 1 else ()
     rest = head + tail  # the points of up other than the lowered one
     if m1 == 1:
@@ -239,28 +237,27 @@ class RecursionGuardError(RuntimeError):
     """Node budget exceeded; input far outside the intended desk scale."""
 
 
-def _base_value(key: Key) -> int | None:
-    """Value at a leaf of the recursion, or None if another step is needed."""
+def _base_value(key: Key, s: int, total: int) -> int | None:
+    """The key's value if it is a leaf (s points summing to total), else None."""
     n, d, runs = key
     if d < 0 or (runs and runs[0][0] > d):
         return 0  # negative degree, or a point of multiplicity above d: empty
     if not runs:
         return binom(n + d, n)
     if n == 1:
-        return max(d + 1 - sum(m * c for m, c in runs), 0)
-    s = 0
-    for _, c in runs:
-        s += c
+        return max(d + 1 - total, 0)
     if s <= n + 2:
         return max(ldim_sum(n, d, points_of(runs)), 0)
     return None
 
 
-def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
+def _stretch(
+    key: Key, s: int, total: int, budget: int
+) -> tuple[Key | None, int, int, int] | None:
     """The key's stretch of +E_1 steps whose projection children are each
     worth their virtual dimension (see the module docstring), stepped in
     integer arithmetic, at most `budget` runs of constant kc; None when no
-    step can be taken.
+    step can be taken.  The key has s points summing to total.
 
     Returns (landing, steps, proj, runs): the key `steps` +E_1 steps down
     the chain, the sum of the projection values of those steps, and how
@@ -270,10 +267,6 @@ def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
     not a leaf."""
     n, d, runs = key
     m, c = runs[0]
-    s = total = 0
-    for mi, ci in runs:
-        s += ci
-        total += mi * ci
     q = s - n - 2
     x = total - n * d  # T - n*d of the current key; kc of its step is ceil((x-1)/q)
     low = runs[-1][0]  # the lowest multiplicity below the top run, if any
@@ -295,11 +288,8 @@ def _stretch(key: Key, budget: int) -> tuple[Key | None, int, int, int] | None:
             break  # kept_points would drop the lowest point of the +E_1 child
         # The steps of this level with the same kc.  The first one's
         # projection child (n-1, m-1, images + kc+) has vdim v0.
-        if kc > 0:
-            k = min(c, x - 1 - (kc - 1) * q)
-            v0 = full - comb(n + kc - 2, n - 1)
-        else:
-            k, v0 = c, full
+        k = min(c, x - 1 - (kc - 1) * q) if kc > 0 else c
+        v0 = full - comb(n + kc - 2, n - 1) if kc > 0 else full
         if r + shift > 0:
             # r2 <= r, the next largest multiplicity the step leaves alone.
             if c > 2:
@@ -391,9 +381,13 @@ def _eval(
             stats.memo_hits += 1
             mark = "memo"
         else:
-            h = _base_value(key)
+            s = total = 0
+            for m, c in key[2]:
+                s += c
+                total += m * c
+            h = _base_value(key, s, total)
             if h is None and (
-                stretch := _stretch(key, stop - stats.nodes - stats.steps)
+                stretch := _stretch(key, s, total, stop - stats.nodes - stats.steps)
             ) is not None:
                 stats.steps += stretch[3]
                 if stretch[0] is None:
@@ -409,7 +403,7 @@ def _eval(
         if stretch is not None:
             up_key, proj_val = stretch[0], stretch[2]
         else:
-            up_key, proj_key = _children(key)
+            up_key, proj_key = _children(key, s, total)
             # The projection child comes before the +E_1 child, so the
             # indented listing nests as a tree (the chain continuation is
             # the +E_1 child's subtree and follows it).

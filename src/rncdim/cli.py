@@ -265,13 +265,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     mode, trials = args.oracle
     if args.grid is None:
         sys_ = system(args.n, args.d, args.mults)
-        records = [verify_one(sys_, mode, trials, args.seed, args.cap_cells)]
+        records = [verify_one(sys_, mode=mode, seed=args.seed, trials=trials,
+                              cap_cells=args.cap_cells)]
     elif args.format == "human":
         raise ValueError("verify --grid prints NDJSON records; --format human"
                          " is for -n, -d and -m")
     else:
         grid = SweepGrid(**args.grid, cap_cells=args.cap_cells)
-        records = consistency_sweep(grid, args.seed, mode, trials)
+        records = consistency_sweep(grid, mode=mode, seed=args.seed, trials=trials)
     failures = sum(rec["verdict"] not in ("agree", "skip-size") for rec in records)
     if args.grid is None and args.format != "structured":
         rec = records[0]

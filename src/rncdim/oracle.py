@@ -299,11 +299,12 @@ def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
     prod_j (1 - x^(caps[j] + 1)).  Caps >= d add no term."""
     if min(caps) < 0:
         return 0
-    c = [1] + [0] * d  # c[e] for e = 0..d; higher powers add no monomial
+    c = {0: 1}  # the nonzero c_e, e <= d: at most 2^(n+1), whatever d
     for cap in caps:
-        for e in range(d, cap, -1):
-            c[e] -= c[e - cap - 1]
-    return sum(ce * math.comb(n + d - e, n) for e, ce in enumerate(c) if ce)
+        for e, ce in list(c.items()):
+            if e + cap < d:
+                c[e + cap + 1] = c.get(e + cap + 1, 0) - ce
+    return sum(ce * math.comb(n + d - e, n) for e, ce in c.items() if ce)
 
 
 def _layout(
@@ -541,6 +542,7 @@ def _default_params(n: int, mults: Sequence[int]) -> tuple[int, ...]:
 
 def h0(
     sys: LinearSystemSpec,
+    *,
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
@@ -630,9 +632,10 @@ RECORD_KEYS = (
 
 def verify_one(
     spec: LinearSystemSpec,
-    oracle_mode: str = "exact",
-    trials: int = 3,
+    *,
+    mode: str = "exact",
     seed: int = 0,
+    trials: int = 3,
     cap_cells: int = CAP_CELLS,
     state: castelnuovo.RecState | None = None,
 ) -> dict:
@@ -644,7 +647,7 @@ def verify_one(
     prints, None when normalization leaves fewer than n+3 points), the
     value of each evaluator, None for what was not computed, notes on what
     was skipped or changed, and the verdict.
-    The oracle runs unless its block exceeds cap_cells (by default CAP_CELLS).
+    The oracle runs, at h0's settings, unless its block exceeds cap_cells.
     The closed formula runs on the normalized system whenever
     formula.in_domain, the recursion always, the planar form for n = 2 with
     normalized s >= 5, and ldim for at most n+2 positive multiplicities.
@@ -669,7 +672,7 @@ def verify_one(
     rec["kc"], rec["epsilon"] = systems.kc_epsilon(norm.n, norm.d, norm.mults)
     try:
         rec["oracle"] = h0(
-            spec, mode=oracle_mode, seed=seed, trials=trials, cap_cells=cap_cells
+            spec, mode=mode, seed=seed, trials=trials, cap_cells=cap_cells
         ).h0
     except OracleSizeError:
         rec["notes"].append(f"oracle skipped: matrix exceeds --cap-cells {cap_cells}")
@@ -697,11 +700,12 @@ def verify_one(
 
 def consistency_sweep(
     grid: SweepGrid,
+    *,
+    mode: str = "exact",
     seed: int = 0,
-    oracle_mode: str = "exact",
     trials: int = 3,
 ) -> list[dict]:
-    """verify_one's record for every grid instance.
+    """verify_one's record for every grid instance, at h0's settings.
 
     Instances are the multisets of grid.m of each size in grid.s, listed
     non-increasingly.  One recursion memo is shared by the instances of
@@ -721,8 +725,8 @@ def consistency_sweep(
                     ms = tuple(sorted(combo, reverse=True))
                     try:
                         rec = verify_one(
-                            LinearSystemSpec(n, d, ms), oracle_mode, trials, seed,
-                            grid.cap_cells, rec_state,
+                            LinearSystemSpec(n, d, ms), mode=mode, seed=seed,
+                            trials=trials, cap_cells=grid.cap_cells, state=rec_state,
                         )
                     except Exception as exc:  # a sweep must survive any instance
                         rec = dict.fromkeys(RECORD_KEYS)

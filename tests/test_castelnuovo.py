@@ -51,6 +51,12 @@ def _run_key(norm):
     return (norm.n, norm.d, runs_of(norm.mults))
 
 
+def _sums(key):
+    """The key's point count and multiplicity sum, as _eval passes them."""
+    runs = key[2]
+    return sum(c for _, c in runs), sum(m * c for m, c in runs)
+
+
 def test_children_match_normalize():
     # The key-level step against the spec-level one, along the first +E1
     # steps of random raw systems with multiplicities in -2..d+1, with
@@ -70,13 +76,14 @@ def test_children_match_normalize():
             hi = min(lo + 2, d + 1)
         key = _run_key(normalize(system(n, d, [rng.randint(lo, hi) for _ in range(s)])))
         for _ in range(20):
-            if _base_value(key) is not None:
+            if _base_value(key, *_sums(key)) is not None:
                 break
             n, d, runs = key
             mults = points_of(runs)
             up = system(n, d, (mults[0] - 1,) + mults[1:])
             up_norm, proj_norm = normalize(up), normalize(l_map(up))
-            assert _children(key) == (_run_key(up_norm), _run_key(proj_norm)), key
+            want = (_run_key(up_norm), _run_key(proj_norm))
+            assert _children(key, *_sums(key)) == want, key
             seen["keys"] += 1
             seen["kc<0"] += kc_value(n, d, up.mults) < 0
             seen.update(step.action for step in up_norm.trace + proj_norm.trace)
@@ -90,9 +97,9 @@ def _walk_chain(key):
     minus the projection values along the way, each projection child
     being a leaf itself."""
     h = 0
-    while (leaf := _base_value(key)) is None:
-        key, proj_key = _children(key)
-        proj = _base_value(proj_key)
+    while (leaf := _base_value(key, *_sums(key))) is None:
+        key, proj_key = _children(key, *_sums(key))
+        proj = _base_value(proj_key, *_sums(proj_key))
         assert proj is not None, proj_key
         h -= proj
     return h + leaf
@@ -125,7 +132,7 @@ def _near_region_key(rng):
     key = (n, d, runs_of(mults))
     if _run_key(normalize(system(n, d, mults))) != key:
         return None  # past T = n*d + 1, k_C can make a point redundant
-    return key if _base_value(key) is None else None
+    return key if _base_value(key, *_sums(key)) is None else None
 
 
 def test_summed_chain_matches_walk():
@@ -148,7 +155,7 @@ def test_summed_chain_matches_walk():
         mults = points_of(runs)
         t_gap = n * d + 1 - sum(mults)
         r_gap = d + 1 - mults[0] - mults[1]
-        got = _stretch(key, castelnuovo.MAX_NODES)
+        got = _stretch(key, *_sums(key), castelnuovo.MAX_NODES)
         if t_gap >= 0 and r_gap >= 0:
             assert got == (None, 0, _walk_chain(key), 0), key
             seen["inside"] += 1
@@ -160,12 +167,13 @@ def test_summed_chain_matches_walk():
             seen["m1 = 1"] += mults[0] == 1
         elif r_gap == -1:
             assert got is None or got[1] > 0, key
-            assert _children(key)[1][2] != (), key
+            assert _children(key, *_sums(key))[1][2] != (), key
             if got is not None:
                 landing, steps, value, _ = got
                 leaf, taken = _walk_steps(key)
                 if landing is None:
-                    assert value == _base_value(leaf) - sum(v for _, _, v in taken), key
+                    h = _base_value(leaf, *_sums(leaf))
+                    assert value == h - sum(v for _, _, v in taken), key
                 else:
                     assert landing == taken[steps][0], key
                     assert value == sum(v for _, _, v in taken[:steps]), key
@@ -184,8 +192,8 @@ def _walk_steps(key, steps=None):
     _eval on a fresh state.  Returns the key reached and, for each step,
     (the key stepped from, its projection child, the child's value)."""
     taken = []
-    while (_base_value(key) is None) if steps is None else len(taken) < steps:
-        up, proj_key = _children(key)
+    while _base_value(key, *_sums(key)) is None if steps is None else len(taken) < steps:
+        up, proj_key = _children(key, *_sums(key))
         value = _eval(proj_key, RecState(), None, 0, "root", castelnuovo.MAX_NODES)
         taken.append((key, proj_key, value))
         key = up
@@ -212,7 +220,7 @@ def _blocked(key):
     summed closed form.  A few-point leaf that passes is worth its vdim
     because that is >= 0: castelnuovo's module docstring proves it, and
     this asserts it."""
-    up, child = _children(key)
+    up, child = _children(key, *_sums(key))
     if sum(c for _, c in up[2]) < sum(c for _, c in key[2]):
         return "drop"
     n, d, runs = child
@@ -288,7 +296,7 @@ def _stretch_key(rng, mode):
             extra -= step
     norm = normalize(system(n, d, mults))
     key = (n, d, runs_of(norm.mults))
-    return key if norm.s >= n + 3 and _base_value(key) is None else None
+    return key if norm.s >= n + 3 and _base_value(key, *_sums(key)) is None else None
 
 
 STRETCH_CASES = (
@@ -329,11 +337,11 @@ def test_stretch_matches_walk():
         n, d, runs = key
         m1, c1 = runs[0]
         s = sum(c for _, c in runs)
-        got = _stretch(key, castelnuovo.MAX_NODES)
+        got = _stretch(key, *_sums(key), castelnuovo.MAX_NODES)
         if got is None:
             why = _blocked(key)
             assert why is not None, key
-            child = _children(key)[1]
+            child = _children(key, *_sums(key))[1]
             pair = sum(points_of(child[2])[:2])
             t1 = sum(m * c for m, c in child[2])
             seen["r'+m1' = d'+2 declines"] += why == "pair" and pair == m1 + 1
@@ -343,7 +351,8 @@ def test_stretch_matches_walk():
         assert (runs_stepped > 0) == (steps > 0) and runs_stepped <= steps, key
         if landing is None:
             leaf, taken = _walk_steps(key)
-            assert value == _base_value(leaf) - sum(v for _, _, v in taken), key
+            h = _base_value(leaf, *_sums(leaf))
+            assert value == h - sum(v for _, _, v in taken), key
             taken = taken[:steps]
             seen["summed"] += steps > 0
         else:

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -888,11 +889,13 @@ def test_consistency_sweep_matches_per_instance_calls(mode, trials):
     # node; the sweep's calls run in one order on one recursion memo and
     # monomial cache, the per-instance calls after them on a fresh memo.
     grid = SweepGrid(n=(2, 3), d=(0, 6), s=(3, 7), m=(0, 4))
-    records = consistency_sweep(grid, seed=5, oracle_mode=mode, trials=trials)
+    records = consistency_sweep(grid, mode=mode, seed=5, trials=trials)
     state = RecState()
     for rec in records:
         spec = LinearSystemSpec(rec["n"], rec["d"], tuple(rec["mults"]))
-        assert verify_one(spec, mode, trials, 5, grid.cap_cells, state) == rec, rec
+        got = verify_one(spec, mode=mode, seed=5, trials=trials,
+                         cap_cells=grid.cap_cells, state=state)
+        assert got == rec, rec
 
 
 def test_modular_sweep_draws_each_prime_once(monkeypatch):
@@ -913,7 +916,7 @@ def test_modular_sweep_draws_each_prime_once(monkeypatch):
     drawn = []
     for seed in (5, 6, 5):
         calls.clear()
-        records = consistency_sweep(grid, seed=seed, oracle_mode="modular", trials=3)
+        records = consistency_sweep(grid, mode="modular", seed=seed, trials=3)
         assert all(rec["verdict"] == "agree" for rec in records)
         drawn.append(len(calls))
     assert 1 <= drawn[0] <= 3 and 1 <= drawn[1] <= 3
@@ -991,6 +994,15 @@ def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
     # With no cap given, the library applies CAP_CELLS, as the CLI does.
     with pytest.raises(OracleSizeError, match=f"exceeds cap {oracle.CAP_CELLS}$"):
         h0(system(3, 400, [2] * 8))
+    # The box is counted in time and memory that do not grow with d.
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleSizeError, match=f"exceeds cap {oracle.CAP_CELLS}$"):
+            h0(system(2, 10**6, [1] * 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
     argv = ["dim", "-n", "3", "-d", "400", "-m", "2^8", "--evaluators", "oracle",
             "--cap-cells", "1000"]
     assert cli.main(argv) == 3
@@ -1007,6 +1019,14 @@ def test_every_entry_point_defaults_to_cap_cells():
     commands = cli._parsers()[1]
     defaults += [commands[name].get_default("cap_cells") for name in ("dim", "verify")]
     assert defaults == [oracle.CAP_CELLS] * 5
+    # The oracle settings have h0's names, defaults and order in every entry
+    # point, keyword-only, so no positional call can swap seed and trials.
+    want = [("mode", "exact"), ("seed", 0), ("trials", 3), ("cap_cells", oracle.CAP_CELLS)]
+    for fn, n_settings in ((h0, 4), (verify_one, 4), (consistency_sweep, 3)):
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        got = [(p.name, p.default) for p in params[:n_settings]]
+        assert got == want[:n_settings], fn
+        assert all(p.kind is p.KEYWORD_ONLY for p in params), fn
 
 
 def test_cap_bounds_the_box_build(monkeypatch):
