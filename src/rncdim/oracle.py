@@ -45,10 +45,13 @@ binom(n+d, n) monomials around it.  B depends only on the box and m, so one
 cached block per (n, d, box, m) serves every point: one private builder
 scales the block's columns by the point's monomials, exactly over the
 integers (conditions_matrix, and h0's exact elimination) or mod a prime
-(h0's ranks mod p).  Those monomials, q^gamma on the box, do not depend on
-m and are cached per (n, d, box, t, p), t the curve parameter and p the
-prime (None for exact values), in one bounded lru_cache; the point q itself
-is cached per (n, t), and each coordinate's exponent range on the box is
+(h0's ranks mod p).  Mod p the rows are the plain int64 products of B and
+the monomials, congruent to the exact rows but not reduced: rank_modular
+reduces its input once, so each block is reduced mod p exactly once.  The
+node index {a_k: k} is built once per n.  The monomials, q^gamma on the
+box, do not depend on m and are cached per (n, d, box, t, p), t the curve
+parameter and p the prime (None for exact values), in one bounded
+lru_cache; the point q itself is cached per (n, t), and each coordinate's exponent range on the box is
 read from the caps, so a new prime costs only the powers and their
 products.  Primes are drawn once per (seed, trials) per process, so
 repeated calls, a sweep's included, find a point's monomials there.  h0
@@ -62,11 +65,12 @@ array it builds is at most as wide as the box, and its binomial and power
 tables run only over exponents the box holds, so the cell cap bounds the
 work too.
 
-Both rank modes run one loop on that kept block: the max rank mod each of
-their primes, stopping at the first full rank (min(rows, cols)).  A nonzero
-minor mod p is a nonzero integer, so rank mod p never exceeds the rational
-rank, and a full rank mod p is the rational rank: a proof, not a
-probability.  An empty block (no rows or no columns) has rank 0 and is
+Both kernels eliminate along the block's shorter side, transposing a tall
+block, since rank is transpose-invariant.  Both rank modes run one loop on
+that kept block: the max rank mod each of their primes, stopping at the
+first full rank (min(rows, cols)).  A nonzero minor mod p is a nonzero
+integer, so rank mod p never exceeds the rational rank, and a full rank
+mod p is the rational rank: a proof, not a probability.  An empty block (no rows or no columns) has rank 0 and is
 neither built nor eliminated.
   * exact: one prime, FULL_RANK_PRIME.  Only below full rank (a special
     system) does fraction-free elimination over Python integers run, on
@@ -95,9 +99,9 @@ verify_one returns one system's record (RECORD_KEYS), every evaluator
 against the oracle, and consistency_sweep that record for a whole grid.
 
 numpy is imported inside the functions that build or eliminate arrays
-(_columns, _structural_block, _point_monomials, _point_rows, _block and
-rank_modular), not at module level: the closed formula and the
-recursion are integer arithmetic, so importing the package and every
+(_columns, _structural_block, _point_monomials, _point_rows, _block,
+rank_exact and rank_modular), not at module level: the closed formula and
+the recursion are integer arithmetic, so importing the package and every
 command that does not run the oracle leave numpy unloaded.
 """
 
@@ -121,8 +125,11 @@ if TYPE_CHECKING:
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-free elimination on primitive rows.
 
-    The rows are copied as Python integers (int64 products would wrap) and
-    divided by their contents (gcd of entries), zero rows dropped.  Each
+    The elimination runs along the shorter side, as in rank_modular: rank
+    is transpose-invariant, so a tall matrix is read transposed.  Its rows
+    are read as Python integers in one conversion (int64 products would
+    wrap) and divided by their contents (gcd of entries), zero rows
+    dropped; a matrix with no entries has rank 0.  Each
     column's pivot is the row with the smallest nonzero entry there, to
     slow coefficient growth.  Every other row with a nonzero entry v in
     that column becomes (piv/g) * row - (v/g) * pivot row, g = gcd(piv, v),
@@ -133,7 +140,14 @@ def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
     entries are never larger.  Columns left of the current one are no
     longer read, so updates work on row tails only.
     """
-    rows = [[int(x) for x in row] for row in matrix]
+    import numpy as np
+
+    M = np.asarray(matrix, dtype=object)
+    if not M.size:
+        return 0
+    if M.shape[0] > M.shape[1]:
+        M = M.T
+    rows = M.tolist()
     m = [[x // g for x in row] for row in rows if (g := math.gcd(*row))]
     ncols = len(m[0]) if m else 0
     rank = 0
@@ -307,6 +321,13 @@ def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
     return sum(ce * math.comb(n + d - e, n) for e, ce in c.items() if ce)
 
 
+@lru_cache(maxsize=64)
+def _node_index(n: int) -> dict[int, int]:
+    """{a_k: k} for the nodes a_0..a_n of C_n, built once per n.  Callers
+    must not mutate the returned dict."""
+    return {_node(k): k for k in range(n + 1)}
+
+
 def _layout(
     sys: LinearSystemSpec, params: Sequence[int]
 ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
@@ -321,7 +342,7 @@ def _layout(
         raise ValueError("need one curve parameter per point")
     if len(set(params)) != len(params):
         raise ValueError("curve parameters must be pairwise distinct")
-    node_of = {_node(k): k for k in range(n + 1)}
+    node_of = _node_index(n)
     caps = [d] * (n + 1)
     rows = []
     for t, m in zip(params, sys.mults):
@@ -361,19 +382,19 @@ def _point_rows(
     n: int, d: int, caps: tuple[int, ...], t: int, m: int, p: int | None
 ) -> np.ndarray:
     """The condition rows of the point at parameter t (not a node) with
-    multiplicity m on the box of caps: its structural block with each
-    column scaled by the point's monomial, exact or mod p.  Mod p, B is
-    reduced first only when d > 31: otherwise B <= 2^d and v < p < 2^31,
-    so B * v < 2^62 fits int64 as it is."""
+    multiplicity m on the box of caps: its structural block B with each
+    column scaled by the point's monomial v, exactly, or mod p as the
+    plain int64 products B * v, congruent to the rows mod p but not
+    reduced.  The monomials mod p lie in [0, p), p < 2^31, so up to d = 31,
+    where B <= 2^d, every product is below 2^62; beyond that B is reduced
+    first."""
     import numpy as np
 
     B = _structural_block(n, d, caps, m)
     v = _point_monomials(n, d, caps, t, p)
-    if p is None:
-        return B * v
-    if d > 31:
+    if p is not None and d > 31:
         B = (B % p).astype(np.int64, copy=False)
-    return _reduce(B * v, p)
+    return B * v
 
 
 def _block(
@@ -384,7 +405,9 @@ def _block(
     p: int | None,
 ) -> np.ndarray:
     """The kept block of a _layout: the rows of every (t, m) in rows on the
-    box of caps, exact (object dtype) or int64 mod p."""
+    box of caps, exact (object dtype), or mod p as int64 entries in
+    [0, 2^62) congruent to the exact ones but not reduced: rank_modular's
+    input reduction is the block's one reduction mod p."""
     import numpy as np
 
     ncols = len(_columns(n, d, caps))
@@ -447,7 +470,9 @@ def rank_modular(M: np.ndarray, p: int) -> int:
     exact whatever the order of summation.  The elimination stops as soon as
     the trailing update leaves the rows not yet pivots all zero: they then
     lie in the span of the pivot rows mod p, so no later panel can add a
-    pivot, and the rank is the pivots so far.  The input is reduced first.
+    pivot, and the rank is the pivots so far.  The input, any integer
+    array (h0's blocks come from the build unreduced, entries below 2^62),
+    is reduced into [0, p) first, once: the block's one reduction mod p.
     """
     import numpy as np
 
@@ -532,7 +557,7 @@ def _default_params(n: int, mults: Sequence[int]) -> tuple[int, ...]:
     first (ties go to the lower index), and a_{n+1}, a_{n+2}, ... = the
     smallest unused integers of 0, 1, -1, 2, -2, ... for the other points
     in index order."""
-    order = sorted(range(len(mults)), key=lambda i: -mults[i])
+    order = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)
     node = {i: k for k, i in enumerate(order[: n + 1])}
     rest = iter(range(n + 1, len(mults)))
     return tuple(
@@ -558,13 +583,15 @@ def h0(
     less the rank of the kept block M' = conditions_matrix(sys, params),
     and the result's rows and cols are M'.shape.  Both modes take the max
     rank of M' mod each of their primes, built mod p by the private
-    builder, and stop at the first full rank (min of M'.shape), which no
+    builder as unreduced int64 products that rank_modular reduces once,
+    and stop at the first full rank (min of M'.shape), which no
     later prime can exceed.  The parameters are distinct mod every prime
     used here.
     mode="exact": h0 exactly.  The one prime is FULL_RANK_PRIME; a full
     rank mod p is the rational rank, since rank mod p never exceeds rank
     over the rationals.  Otherwise rank_exact, fraction-free elimination
-    of M' on primitive integer rows, gives the rank.
+    of M' (or of its transpose, when M' is tall) on primitive integer
+    rows, gives the rank.
     mode="modular": `trials` (>= 1) random ~31-bit primes drawn from seed
     (once per (seed, trials) per process), no exact elimination.  h0 is an
     upper bound on the exact h0 at the same parameters, equal to it unless

@@ -141,6 +141,19 @@ def test_rank_exact_matches_fraction_elimination():
         if rng.random() < 0.2:
             M[0] = [0] * ncols
         assert rank_exact(M) == fraction_rank(M), M
+    # Tall inputs, up to twice as many rows as columns, whose extra rows
+    # are combinations of the others: rank_exact eliminates the transpose,
+    # and the rank is the same read either way.
+    for _ in range(120):
+        ncols = rng.randint(1, 8)
+        nrows = rng.randint(ncols + 1, 2 * ncols)
+        base = [[rng.randint(-5, 5) for _ in range(ncols)]
+                for _ in range(rng.randint(1, ncols))]
+        M = base + [[sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(ncols)]
+                    for _ in range(nrows - len(base))]
+        rng.shuffle(M)
+        T = [list(col) for col in zip(*M)]
+        assert rank_exact(M) == rank_exact(T) == fraction_rank(M), M
 
 
 def test_rank_exact_on_int64_and_scaled_rows():
@@ -559,9 +572,10 @@ def modular_block(sys_, params, p):
 
 
 def test_block_mod_p_matches_conditions_matrix_on_boxes():
-    # The block h0 builds mod each prime, at h0's own parameters, equals the
-    # exact conditions matrix reduced mod p, on boxes that the nodes cut to
-    # different caps: the full box, one or several coordinates cut, caps
+    # The block h0 builds mod each prime, at h0's own parameters, is
+    # congruent to the exact conditions matrix mod p, with int64 entries in
+    # [0, 2^62) left for rank_modular to reduce, on boxes that the nodes cut
+    # to different caps: the full box, one or several coordinates cut, caps
     # down to 0, d > 31 (B reduced first) and n = 1.  Each point's
     # monomials and curve point come from the caches on the second build.
     systems_ = (
@@ -579,7 +593,8 @@ def test_block_mod_p_matches_conditions_matrix_on_boxes():
             for _ in range(2):
                 mod = modular_block(sys_, params, p)
                 assert mod.dtype == np.int64
-                assert mod.tolist() == want, (sys_, p)
+                assert 0 <= mod.min() and mod.max() < 1 << 62, (sys_, p)
+                assert (mod % p).tolist() == want, (sys_, p)
 
 
 @pytest.mark.parametrize("p", [None, 2**31 - 1], ids=["exact", "modular"])
@@ -620,7 +635,7 @@ def test_conditions_matrix_modular_matches_exact():
             mod = modular_block(sys_, ps, p)
             assert mod.dtype == np.int64
             assert mod.shape == exact.shape
-            assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, mults)
+            assert [[x % p for x in row] for row in exact] == (mod % p).tolist(), (n, d, mults)
     # High degrees: B reaches binom(40, 20) > 2^37 at d = 40, so B times a
     # residue overflows int64 unless B is reduced first; d = 63 has object B.
     # Up to d = 31, B <= 2^31 times a residue fits int64 unreduced.
@@ -629,7 +644,8 @@ def test_conditions_matrix_modular_matches_exact():
         exact = conditions_matrix(sys_, (2, -2))
         for p in ((1 << 31) - 1, 1580651243):
             mod = modular_block(sys_, (2, -2), p)
-            assert [[x % p for x in row] for row in exact] == mod.tolist(), (n, d, p)
+            assert 0 <= mod.min() and mod.max() < 1 << 62, (n, d, p)
+            assert [[x % p for x in row] for row in exact] == (mod % p).tolist(), (n, d, p)
 
 
 def test_conditions_matrix_coordinate_points():
@@ -654,10 +670,10 @@ def test_conditions_matrix_coordinate_points():
                     got = conditions_matrix(system(n, d, [m, 1]), (a_j, t))
                     assert got.tolist() == [want], (n, d, j, m)
     # A parameter congruent to a node only mod p is an ordinary point: no
-    # column goes, and the mod-p block is the exact one reduced mod p.
+    # column goes, and the mod-p block is congruent to the exact one mod p.
     mod = modular_block(system(2, 2, [1, 1]), (7, 2), 7)
     assert mod.shape == (2, 6)
-    assert mod.tolist() == (conditions_matrix(system(2, 2, [1, 1]), (7, 2)) % 7).tolist()
+    assert (mod % 7).tolist() == (conditions_matrix(system(2, 2, [1, 1]), (7, 2)) % 7).tolist()
 
 
 def test_h0_coordinate_points():
