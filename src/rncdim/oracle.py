@@ -51,27 +51,32 @@ reduces its input once, so each block is reduced mod p exactly once.  The
 node index {a_k: k} is built once per n.  The monomials, q^gamma on the
 box, do not depend on m and are cached per (n, d, box, t, p), t the curve
 parameter and p the prime (None for exact values), in one bounded
-lru_cache; the point q itself is cached per (n, t), and each coordinate's exponent range on the box is
-read from the caps, so a new prime costs only the powers and their
-products.  Primes are drawn once per (seed, trials) per process, so
-repeated calls, a sweep's included, find a point's monomials there.  h0
-puts the n+1 largest multiplicities on the nodes, so only the other s-n-1
-points add rows; it lays the points out once, counts the kept block before
-listing any monomial, and builds the block for each prime from that
-layout.  That block, conditions_matrix at
-h0's parameters, is the one matrix h0 names: its rows and cols are the
-result's, the cell cap bounds it and OracleSizeError reports it.  Every
-array it builds is at most as wide as the box, and its binomial and power
-tables run only over exponents the box holds, so the cell cap bounds the
-work too.
+lru_cache; the point q itself is cached per (n, t), and each coordinate's
+exponent range on the box is read from the caps, so a new prime costs only
+the powers and their products.  Primes are drawn once per (seed, trials)
+per process, so repeated calls, a sweep's included, find a point's
+monomials there.  The box-keyed caches (the listing _columns, the blocks
+_structural_block and the box count _kept_count) share one bound,
+BOX_CACHE = 512, sized from a criterion-3 sweep's working set of 178
+boxes, 251 blocks and 385 box counts: its 9,030 instances share those, and
+each is built once whatever the cell order.  h0 puts the n+1 largest
+multiplicities on the nodes, so only the other s-n-1 points add rows; it
+lays the points out once, counts the kept block before listing any
+monomial (the box count and the rows per multiplicity are looked up), and
+builds the block for each prime from that layout.  That block,
+conditions_matrix at h0's parameters, is the one matrix h0 names: its rows
+and cols are the result's, the cell cap bounds it and OracleSizeError
+reports it.  Every array it builds is at most as wide as the box, and its
+binomial and power tables run only over exponents the box holds, so the
+cell cap bounds the work too.
 
 Both kernels eliminate along the block's shorter side, transposing a tall
 block, since rank is transpose-invariant.  Both rank modes run one loop on
 that kept block: the max rank mod each of their primes, stopping at the
 first full rank (min(rows, cols)).  A nonzero minor mod p is a nonzero
 integer, so rank mod p never exceeds the rational rank, and a full rank
-mod p is the rational rank: a proof, not a probability.  An empty block (no rows or no columns) has rank 0 and is
-neither built nor eliminated.
+mod p is the rational rank: a proof, not a probability.  An empty block
+(no rows or no columns) has rank 0 and is neither built nor eliminated.
   * exact: one prime, FULL_RANK_PRIME.  Only below full rank (a special
     system) does fraction-free elimination over Python integers run, on
     primitive rows (see rank_exact).
@@ -120,6 +125,14 @@ from .systems import LinearSystemSpec
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Entries of each box-keyed cache (_columns, _structural_block, _kept_count).
+# A sweep over the criterion-3 family (n = 2..3, d = 0..6, s = 5..9,
+# m = 1..4), in any cell order, lists 178 boxes, builds 251 blocks and
+# counts 385 boxes, the empty ones included, so 512 holds all three working
+# sets.  A bound below a working set evicts what a later cell of a shuffled
+# pass needs again, and each such entry is built over and over.
+BOX_CACHE = 512
 
 
 def rank_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -245,7 +258,7 @@ def _curve_point(n: int, t: int) -> tuple[int, ...]:
     return tuple(x // g for x in q)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=BOX_CACHE)
 def _columns(n: int, d: int, caps: tuple[int, ...] | None = None) -> np.ndarray:
     """The monomial columns in the box gamma_j <= caps[j] (j = 0..n; all of
     them when caps is None) as an array H, one row (gamma_0, gamma') each,
@@ -278,7 +291,7 @@ def _exponent_ranges(d: int, caps: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(max(0, d - total + cap), min(cap, d)) for cap in caps]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=BOX_CACHE)
 def _structural_block(n: int, d: int, caps: tuple[int, ...], m: int) -> np.ndarray:
     """B[alpha, gamma] = prod_{j>=1} binom(gamma_j, alpha_j), orders alpha
     (|alpha| < m) by the columns gamma of the box _columns(n, d, caps): the
@@ -304,13 +317,14 @@ def _structural_block(n: int, d: int, caps: tuple[int, ...], m: int) -> np.ndarr
     return B
 
 
+@lru_cache(maxsize=BOX_CACHE)
 def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
     """The size of the box _columns(n, d, caps), counted without listing a
     monomial.  By inclusion-exclusion over the coordinates: the monomials of
     degree d with gamma_j >= caps[j] + 1 for every j in a set S number
     binom(n + d - e, n), e = sum_{j in S} (caps[j] + 1), so the count is
     sum_e c_e binom(n + d - e, n), c_e the coefficient of x^e in
-    prod_j (1 - x^(caps[j] + 1)).  Caps >= d add no term."""
+    prod_j (1 - x^(caps[j] + 1)).  Caps >= d add no term.  Cached per box."""
     if min(caps) < 0:
         return 0
     c = {0: 1}  # the nonzero c_e, e <= d: at most 2^(n+1), whatever d
@@ -319,6 +333,13 @@ def _kept_count(n: int, d: int, caps: tuple[int, ...]) -> int:
             if e + cap < d:
                 c[e + cap + 1] = c.get(e + cap + 1, 0) - ce
     return sum(ce * math.comb(n + d - e, n) for e, ce in c.items() if ce)
+
+
+@lru_cache(maxsize=64)
+def _point_row_count(n: int, m: int) -> int:
+    """binom(n + m - 1, n): the orders alpha, |alpha| < m, so the rows of
+    one point of multiplicity m off the nodes; looked up per (n, m)."""
+    return binom(n + m - 1, n)
 
 
 @lru_cache(maxsize=64)
@@ -412,7 +433,7 @@ def _block(
 
     ncols = len(_columns(n, d, caps))
     if not rows or not ncols:
-        nrows = sum(binom(n + m - 1, n) for _, m in rows)
+        nrows = sum(_point_row_count(n, m) for _, m in rows)
         return np.zeros((nrows, ncols), dtype=object if p is None else np.int64)
     return np.concatenate([_point_rows(n, d, caps, t, m, p) for t, m in rows])
 
@@ -616,7 +637,7 @@ def h0(
     if cap_cells < 0:
         raise ValueError(f"cap_cells must be >= 0, got {cap_cells}")
     caps, rows = _layout(sys, ps)
-    erows = sum(binom(n + m - 1, n) for _, m in rows)
+    erows = sum(_point_row_count(n, m) for _, m in rows)
     ecols = _kept_count(n, d, caps)
     if erows * ecols > cap_cells:
         raise OracleSizeError(f"oracle matrix {erows}x{ecols} exceeds cap {cap_cells}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .binomials import binom
 
@@ -44,9 +45,11 @@ def system(n: int, d: int, mults: Iterable[int] = ()) -> LinearSystemSpec:
     return LinearSystemSpec(int(n), int(d), tuple(map(int, mults)))
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One normalization event, with the 1-based index into the original input."""
+class TraceStep(NamedTuple):
+    """One normalization event, with the 1-based index into the original
+    input.  An immutable named tuple (assigning a field raises
+    AttributeError), built once per clamp or drop; as_dict() is its record
+    form, with kc only when it is set."""
 
     action: str  # "clamp" | "drop-zero" | "drop-redundant"
     point: int
@@ -175,15 +178,15 @@ def normalize(spec: LinearSystemSpec) -> NormalizedSystem:
             trace.append(TraceStep("drop-zero", idx, 0))
         else:
             pts.append((m, idx))
-    # Sort by multiplicity descending; ties keep input order.
-    pts.sort(key=lambda p: (-p[0], p[1]))
+    # Multiplicity descending; the sort is stable, so ties keep input order.
+    pts.sort(key=itemgetter(0), reverse=True)
     ms = [m for m, _ in pts]
     kcs: list[int] = []
     kept_points(n, d, runs_of(ms), len(ms), sum(ms), kcs)
     keep = len(ms) - len(kcs)
     # Drops go from the end: minimal multiplicity, largest original index.
     for kc, (m, idx) in zip(kcs, reversed(pts[keep:])):
-        trace.append(TraceStep("drop-redundant", idx, m, kc=kc))
+        trace.append(TraceStep("drop-redundant", idx, m, kc))
     del pts[keep:]
     return NormalizedSystem(n, d, tuple(m for m, _ in pts), tuple(trace))
 

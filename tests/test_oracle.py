@@ -978,6 +978,20 @@ def test_point_monomial_cache_keeps_results():
     assert sum(res.h0 > max(0, res.cols - res.rows) for res in cold) >= 10
 
 
+def test_sweep_builds_each_box_and_block_once():
+    # Cells of two (n, d) slices in interleaved order, as a shuffled sweep
+    # visits them: the box-keyed caches hold both slices at once, so every
+    # box listing and every structural block is built once (one miss per
+    # entry) and none is evicted before a later cell needs it again.
+    oracle._columns.cache_clear()
+    oracle._structural_block.cache_clear()
+    for n, d, s in ((3, 6, 8), (3, 5, 8), (3, 6, 7), (3, 5, 7)):
+        consistency_sweep(SweepGrid(n=(n, n), d=(d, d), s=(s, s), m=(1, 4)))
+    for cache in (oracle._columns, oracle._structural_block):
+        info = cache.cache_info()
+        assert info.misses == info.currsize, info
+
+
 def test_box_listing_matches_filtered_reference():
     # The box listing against the full reference listing filtered by the
     # caps, in the same order, and its length against the count made

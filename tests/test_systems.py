@@ -19,16 +19,16 @@ from rncdim.systems import (
 
 
 def test_normalize_drops_redundant_points():
-    spec = system(5, 8, [7, 6, 6] + [5] * 7 + [2] * 3)
-    norm = normalize(spec)
-    assert norm.mults == (7, 6, 6, 5, 5, 5, 5, 5, 5, 5)
-    assert norm.s == 10
-    actions = [(t.action, t.point, t.mult, t.kc) for t in norm.trace]
-    assert actions == [
-        ("drop-redundant", 13, 2, 4),
-        ("drop-redundant", 12, 2, 4),
-        ("drop-redundant", 11, 2, 4),
-    ]
+    for mults, dropped in (
+        ([7, 6, 6] + [5] * 7 + [2] * 3, (13, 12, 11)),
+        # Among equal multiplicities the largest original index drops first.
+        ([2, 7, 6, 2, 6] + [5] * 7 + [2], (13, 4, 1)),
+    ):
+        norm = normalize(system(5, 8, mults))
+        assert norm.mults == (7, 6, 6, 5, 5, 5, 5, 5, 5, 5)
+        assert norm.s == 10
+        actions = [(t.action, t.point, t.mult, t.kc) for t in norm.trace]
+        assert actions == [("drop-redundant", i, 2, 4) for i in dropped]
 
 
 def test_normalize_clamp_and_drop_zero():
@@ -74,8 +74,14 @@ def test_trace_step_as_dict():
         "mult": 2,
         "kc": 4,
     }
-    clamp = normalize(system(2, 3, [2, -1])).trace[0]
+    # kc appears only when it is set.
+    clamp, zero = normalize(system(2, 3, [2, -1])).trace
     assert clamp.as_dict() == {"action": "clamp", "point": 2, "mult": -1}
+    assert zero.as_dict() == {"action": "drop-zero", "point": 2, "mult": 0}
+    # A record is immutable.
+    for name in ("action", "point", "mult", "kc"):
+        with pytest.raises(AttributeError):
+            setattr(step, name, None)
 
 
 def test_normalized_key():
@@ -84,15 +90,20 @@ def test_normalized_key():
 
 
 def test_normalized_system_is_a_spec():
-    norm = normalize(system(2, 4, [2, 0, 2, 2, 2, 2]))
-    assert isinstance(norm, LinearSystemSpec)
-    assert (norm.mults, norm.s, len(norm.trace)) == ((2,) * 5, 5, 1)
-    # Never equal to the raw spec with the same fields; equality and hash
-    # ignore the trace; normalizing a normalized system changes nothing.
-    assert norm != LinearSystemSpec(2, 4, norm.mults)
-    bare = NormalizedSystem(2, 4, norm.mults)
-    assert norm == bare and hash(norm) == hash(bare)
-    assert normalize(norm) == norm and normalize(norm).trace == ()
+    for spec, mults, steps in (
+        (system(2, 4, [2, 0, 2, 2, 2, 2]), (2,) * 5, 1),
+        (system(5, 8, [7, 6, 6] + [5] * 7 + [2] * 3), (7, 6, 6) + (5,) * 7, 3),
+    ):
+        norm = normalize(spec)
+        assert isinstance(norm, LinearSystemSpec)
+        assert (norm.mults, norm.s, len(norm.trace)) == (mults, len(mults), steps)
+        # Never equal to the raw spec with the same fields; equality and
+        # hash ignore the trace; normalizing a normalized system changes
+        # nothing.
+        assert norm != LinearSystemSpec(norm.n, norm.d, norm.mults)
+        bare = NormalizedSystem(norm.n, norm.d, norm.mults)
+        assert norm == bare and hash(norm) == hash(bare)
+        assert normalize(norm) == norm and normalize(norm).trace == ()
 
 
 def test_kc_and_epsilon_worked_values():
