@@ -50,28 +50,30 @@ projection child is (n-1, m-1, images + kc+), kc being that of D + E_1,
 with images a1 = 2m-1-d for the c-1 points still at m, a1 - 1 for the
 points at m-1, and m_i + m-1-d for the rest (the positive ones count).  The
 child is worth its vdim when its two largest multiplicities sum to at most
-its d' + 1 = m (the pair bound) and either it has s' <= n + 1 points, a
-few-point leaf, or T' <= (n-1)(m-1) + 1, the summed closed form below; the
-one rule holds at every n.  At a few-point leaf every correction
+its d' + 1 = m (the pair bound) and T' <= (n-1)(m-1) + 1, at every n: with
+s' >= n + 2 points by the summed closed form below.  A few-point leaf
+(s' <= n + 1) under the pair bound meets the T' bound too.  With s' <= n,
+T' <= max(s', 2)m/2 <= nm/2 <= (n-1)(m-1) + 1, as (n-2)(m-2) >= 0 and
+m >= 2 (a stretch stops before m_1 = 1).  With s' = n + 1, D + E_1 has
+the lowered point at m - 1, the p sources of the images a_i at
+a_i + d+1-m, and s - 1 - p more points, each of multiplicity >= max(kc, 1)
+(a stretch stops before kc exceeds the lowest point), and T - 1 - n*d <=
+max(kc, 0)(s-n-2); so if kc > 0 (p = n), T' = sum a_i + kc <= (n-1)(m-1),
+and if kc <= 0 (p = n + 1), T' <= n(m-1) - d - (s-n-2) < (n-1)(m-1), as
+d >= m.  Such a leaf is worth its vdim: every correction
 binom(n' + k_I - |I|, n') of `ldim_sum` over a set I of two or more points
 has k_I <= 1 < |I| under the pair bound, so is 0, and the leaf is
-max(vdim, 0), which is its vdim, never negative here.  With s' <= n
-points, coordinate points of P^(n-1), the pair bound makes the monomials
-each deletes (gamma_j > d' - a_j) disjoint, so vdim counts those left.
-With s' = n + 1, T' <= (n-1)(m-1).  D + E_1 has the lowered point at
-m - 1, the p sources of the images a_i at a_i + d+1-m, and s - 1 - p more
-points, each of multiplicity >= max(kc, 1) (a stretch stops before kc
-exceeds the lowest point), and T - 1 - n*d <= max(kc, 0)(s-n-2).  So if
-kc > 0 (p = n), T' = sum a_i + kc <= (n-1)(m-1), and if kc <= 0
-(p = n + 1), T' <= n(m-1) - d - (s-n-2) < (n-1)(m-1), as d >= m.  With
-one more point of multiplicity 1 the pair bound still holds (each
+max(vdim, 0), its vdim, never negative here.  With s' <= n points,
+coordinate points of P^(n-1), the pair bound makes the monomials each
+deletes (gamma_j > d' - a_j) disjoint, so vdim counts those left.  With
+s' = n + 1, one more point of multiplicity 1 keeps the pair bound (each
 a_i <= m - 1) and T' <= (n-1)(m-1) + 1, so by the closed form below the
 h0 >= 0 of that system is its vdim, the child's less 1.
 Within a level (the c points of the top run lowered one by one) and a run
 of constant kc, each step moves one image from a1 to a1 - 1, so the
 child's vdim rises by binom(n+a1-3, n-2) per step, and a run of k steps
 adds k*v0 + binom(n+a1-3, n-2)*k(k-1)/2, v0 the first child's vdim.  Down
-a run T', s' and the child's two largest multiplicities only fall and its
+a run T' and the child's two largest multiplicities only fall and its
 vdim only rises, so the test is made once per run, at its start.
 `_stretch` steps the top run one level at a time, and within a level one
 run of constant kc at a time, adding up the projection values, with no
@@ -108,9 +110,8 @@ subtract one less; so the node's value is
 binom(n+d, n) - sum_i binom(n+m_i-1, n), its virtual dimension.  This
 holds at n = 2 as well, where the projection children lie on P^1; and on
 P^1 itself, where points impose independent conditions, T' <= d' + 1
-makes the value d' + 1 - T', the vdim.  So a projection child
-(n-1, m-1, ...) with s' >= n + 2 is worth its vdim when it meets the pair
-bound and T' <= (n-1)(m-1) + 1.
+makes the value d' + 1 - T', the vdim.  So a child (n-1, m-1, ...) with
+s' >= n + 2 that meets the rule above is worth its vdim.
 """
 
 from __future__ import annotations
@@ -305,23 +306,21 @@ def _stretch(
             if r + shift + max(r2 + shift, kc) > m:
                 break
             # Its images: c - 1 at a1, below at a1 - 1 and runs[j:] shifted,
-            # the positive ones; with kc+, s1 points summing to t1.
+            # the positive ones; with kc+ they sum to t1.
             a1 = m + shift
-            images = [(a1, c - 1)]
+            t1 = max(kc, 0) + (c - 1) * a1
+            v0 -= (c - 1) * binom(n + a1 - 2, n - 1)
             if a1 > 1:
-                images.append((a1 - 1, below))
+                t1 += below * (a1 - 1)
+                v0 -= below * binom(n + a1 - 3, n - 1)
                 for mi, ci in runs[j:]:
-                    if mi + shift <= 0:
+                    a = mi + shift
+                    if a <= 0:
                         break
-                    images.append((mi + shift, ci))
-            s1, t1 = kc > 0, max(kc, 0)
-            for a, ci in images:
-                s1 += ci
-                t1 += a * ci
-            if s1 > n + 1 and t1 > (n - 1) * (m - 1) + 1:
-                break  # neither a few-point leaf nor a summed chain
-            for a, ci in images:
-                v0 -= ci * binom(n + a - 2, n - 1)
+                    t1 += a * ci
+                    v0 -= ci * binom(n + a - 2, n - 1)
+            if t1 > (n - 1) * (m - 1) + 1:
+                break  # T' is past the summed closed form
             # Each later step moves one image from a1 to a1 - 1, which
             # raises the child's vdim by B(a1) - B(a1 - 1) = binom(n+a1-3, n-2).
             proj += binom(n + a1 - 3, n - 2) * (k * (k - 1) // 2)

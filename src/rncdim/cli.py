@@ -271,8 +271,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("verify --grid prints NDJSON records; --format human"
                          " is for -n, -d and -m")
     else:
-        grid = SweepGrid(**args.grid, cap_cells=args.cap_cells)
-        records = consistency_sweep(grid, mode=mode, seed=args.seed, trials=trials)
+        records = consistency_sweep(SweepGrid(**args.grid), mode=mode, seed=args.seed,
+                                    trials=trials, cap_cells=args.cap_cells)
     failures = sum(rec["verdict"] not in ("agree", "skip-size") for rec in records)
     if args.grid is None and args.format != "structured":
         rec = records[0]

@@ -663,13 +663,12 @@ def h0(
 @dataclass(frozen=True)
 class SweepGrid:
     """Inclusive bounds for a sweep: n, d, s ranges and the multiplicity
-    window every point draws from; cap_cells bounds the oracle's matrix."""
+    window every point draws from."""
 
     n: tuple[int, int]
     d: tuple[int, int]
     s: tuple[int, int]
     m: tuple[int, int]
-    cap_cells: int = CAP_CELLS
 
 
 EVALUATORS = ("oracle", "formula", "recursive", "planar", "ldim")
@@ -752,6 +751,7 @@ def consistency_sweep(
     mode: str = "exact",
     seed: int = 0,
     trials: int = 3,
+    cap_cells: int = CAP_CELLS,
 ) -> list[dict]:
     """verify_one's record for every grid instance, at h0's settings.
 
@@ -774,7 +774,7 @@ def consistency_sweep(
                     try:
                         rec = verify_one(
                             LinearSystemSpec(n, d, ms), mode=mode, seed=seed,
-                            trials=trials, cap_cells=grid.cap_cells, state=rec_state,
+                            trials=trials, cap_cells=cap_cells, state=rec_state,
                         )
                     except Exception as exc:  # a sweep must survive any instance
                         rec = dict.fromkeys(RECORD_KEYS)

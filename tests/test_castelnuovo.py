@@ -215,11 +215,11 @@ def _blocked(key):
     """Why the stepper may not take the key's next +E1 step, or None: the
     step drops a point (the redundant-point rule, or m_1 = 1), or its
     projection child (n', d', runs') fails the test for being worth its
-    vdim: the two largest multiplicities sum to at most d' + 1, and the
-    child is a few-point leaf (s' <= n' + 2), or T' <= n'd' + 1, the
-    summed closed form.  A few-point leaf that passes is worth its vdim
-    because that is >= 0: castelnuovo's module docstring proves it, and
-    this asserts it."""
+    vdim: the two largest multiplicities sum to at most d' + 1 ("pair"),
+    and T' <= n'd' + 1 ("T'"), the summed closed form.  A few-point leaf
+    (s' <= n' + 2) under the pair bound meets the T' bound and is worth
+    its vdim because that is >= 0: castelnuovo's module docstring proves
+    both, and this asserts them, so the one test serves every s'."""
     up, child = _children(key, *_sums(key))
     if sum(c for _, c in up[2]) < sum(c for _, c in key[2]):
         return "drop"
@@ -228,8 +228,7 @@ def _blocked(key):
     if sum(mults[:2]) > d + 1:
         return "pair"
     if len(mults) <= n + 2:
-        assert _key_vdim(child) >= 0, key
-        return None
+        assert sum(mults) <= n * d + 1 and _key_vdim(child) >= 0, key
     return "T'" if sum(mults) > n * d + 1 else None
 
 
@@ -303,6 +302,7 @@ STRETCH_CASES = (
     "c1 >= 3, a1 > 0", "c1 = 2, a1 > 0", "c1 = 1, a1 > 0", "s' falls in a run",
     "r'+m1' = d'+2 declines", "T' = n'd'+2 declines", "planar child stepped",
     "redundant stop", "stop before kc > m1 - 1", "m1 = 1 stop", "summed",
+    "few-point child stepped",
 )
 
 
@@ -320,15 +320,18 @@ def test_stretch_matches_walk():
     # run of constant k_C the images at a1 = 2m - 1 - d move one by one to
     # a1 - 1; at a1 = 1 they leave the child, so its point count falls
     # within the run.
-    # A few-point child under the pair bound never has vdim < 0 (the
-    # module docstring proves it; _blocked asserts it on every key tried).
+    # A few-point child under the pair bound meets the T' bound and never
+    # has vdim < 0 (the module docstring proves both; _blocked asserts them
+    # on every key tried).
     # L_3,20(11^5,1) comes first: its first step leaves n + 1 = 4 positive
     # images, 1 each, and k_C < 0, so its child L_2,10(1^4) is a few-point
-    # leaf with the most points a leaf has.
+    # leaf with the most points a leaf has.  The first stepped children of
+    # L_2,4(3^2,1^3) and L_3,4(4,3,2^2,1^3) have 1 and n + 1 = 4 points.
     rng = random.Random(30)
     seen = Counter()
-    fixed = [(3, 20, ((11, 5), (1, 1)))]
-    for _ in range(50_000):  # 5,383 draws of this seed reach the counts
+    fixed = [(3, 4, ((4, 1), (3, 1), (2, 2), (1, 3))), (2, 4, ((3, 2), (1, 3))),
+             (3, 20, ((11, 5), (1, 1)))]
+    for _ in range(50_000):  # 5,386 draws of this seed reach the counts
         if min(seen[k] for k in STRETCH_CASES) >= 50:
             break
         key = fixed.pop() if fixed else _stretch_key(rng, rng.randrange(4))
@@ -370,6 +373,9 @@ def test_stretch_matches_walk():
             assert _blocked(step_key) is None, (key, step_key)
         seen["planar child stepped"] += n == 3 and any(
             sum(c for _, c in child[2]) >= 5 for _, child, _ in taken
+        )
+        seen["few-point child stepped"] += any(
+            sum(c for _, c in child[2]) <= n + 1 for _, child, _ in taken
         )
         if steps and 2 * m1 - 1 - d > 0:
             seen[f"c1 {'>= 3' if c1 >= 3 else f'= {c1}'}, a1 > 0"] += 1

@@ -893,8 +893,8 @@ def test_consistency_sweep_n4_n5_agrees():
 
 
 def test_consistency_sweep_size_skip():
-    grid = SweepGrid(n=(2, 2), d=(2, 2), s=(5, 5), m=(1, 1), cap_cells=4)
-    records = consistency_sweep(grid, seed=1)
+    grid = SweepGrid(n=(2, 2), d=(2, 2), s=(5, 5), m=(1, 1))
+    records = consistency_sweep(grid, seed=1, cap_cells=4)
     assert [rec["verdict"] for rec in records] == ["skip-size"]
     assert records[0]["oracle"] is None
 
@@ -909,8 +909,7 @@ def test_consistency_sweep_matches_per_instance_calls(mode, trials):
     state = RecState()
     for rec in records:
         spec = LinearSystemSpec(rec["n"], rec["d"], tuple(rec["mults"]))
-        got = verify_one(spec, mode=mode, seed=5, trials=trials,
-                         cap_cells=grid.cap_cells, state=state)
+        got = verify_one(spec, mode=mode, seed=5, trials=trials, state=state)
         assert got == rec, rec
 
 
@@ -1040,22 +1039,23 @@ def test_cap_checked_before_any_monomial_is_listed(monkeypatch, capsys):
 
 
 def test_every_entry_point_defaults_to_cap_cells():
-    # One size guard: the library calls, the sweep grid and the commands
-    # that run the oracle all cap the block at CAP_CELLS unless told otherwise.
+    # One size guard: the library calls and the commands that run the
+    # oracle all cap the block at CAP_CELLS unless told otherwise.
     defaults = [
-        inspect.signature(fn).parameters["cap_cells"].default for fn in (h0, verify_one)
+        inspect.signature(fn).parameters["cap_cells"].default
+        for fn in (h0, verify_one, consistency_sweep)
     ]
-    defaults.append(SweepGrid(n=(2, 2), d=(2, 2), s=(5, 5), m=(1, 1)).cap_cells)
     commands = cli._parsers()[1]
     defaults += [commands[name].get_default("cap_cells") for name in ("dim", "verify")]
     assert defaults == [oracle.CAP_CELLS] * 5
     # The oracle settings have h0's names, defaults and order in every entry
-    # point, keyword-only, so no positional call can swap seed and trials.
+    # point, keyword-only, so no positional call can swap seed and trials;
+    # the sweep's grid holds only its ranges.
+    assert [f.name for f in dataclasses.fields(SweepGrid)] == ["n", "d", "s", "m"]
     want = [("mode", "exact"), ("seed", 0), ("trials", 3), ("cap_cells", oracle.CAP_CELLS)]
-    for fn, n_settings in ((h0, 4), (verify_one, 4), (consistency_sweep, 3)):
+    for fn in (h0, verify_one, consistency_sweep):
         params = list(inspect.signature(fn).parameters.values())[1:]
-        got = [(p.name, p.default) for p in params[:n_settings]]
-        assert got == want[:n_settings], fn
+        assert [(p.name, p.default) for p in params[:4]] == want, fn
         assert all(p.kind is p.KEYWORD_ONLY for p in params), fn
 
 
